@@ -34,7 +34,6 @@ from .identity import (
     lhs_quadrature,
 )
 from .slab_green import (
-    GreenEval,
     SlabCoefficients,
     SlabGeometry,
     WaveContext,
@@ -68,7 +67,6 @@ __all__ = [
     "DrudeLorentz",
     "DyadicGreen",
     "EmissionParams",
-    "GreenEval",
     "IdentityReport",
     "LimitStudyRow",
     "QuadratureError",

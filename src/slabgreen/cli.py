@@ -69,21 +69,33 @@ class RunConfig:
     output_path: str | None
 
 
-def _check_keys(node, allowed, path):
+def _object(node, path, allowed, required=()):
+    """Check that a config node is an object with no unknown and no missing keys."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, "expected an object")
+    prefix = f"{path}." if path else ""
     unknown = sorted(set(node) - set(allowed))
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0], "unknown key")
+        raise ConfigError(prefix + unknown[0], "unknown key")
+    for key in required:
+        if key not in node:
+            raise ConfigError(prefix + key, "required")
+    return node
 
 
 def _number(node, path):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, "expected a number")
+    # NaN fails every comparison, and integers too large for a float fail
+    # here before float() could overflow.
+    if not abs(node) <= sys.float_info.max:
+        raise ConfigError(path, "expected a finite number")
     return float(node)
 
 
 def _complex_pair(node, path):
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(float(node), 0.0)
+        return complex(_number(node, path), 0.0)
     if isinstance(node, list) and len(node) == 2:
         return complex(_number(node[0], f"{path}[0]"), _number(node[1], f"{path}[1]"))
     raise ConfigError(path, "expected a number or a [re, im] pair")
@@ -91,10 +103,7 @@ def _complex_pair(node, path):
 
 def _scalar_or_sweep(node, path):
     if isinstance(node, dict):
-        _check_keys(node, {"start", "stop", "count", "spacing"}, path)
-        for key in ("start", "stop", "count"):
-            if key not in node:
-                raise ConfigError(f"{path}.{key}", "required for a sweep")
+        _object(node, path, {"start", "stop", "count", "spacing"}, ("start", "stop", "count"))
         start = _number(node["start"], f"{path}.start")
         stop = _number(node["stop"], f"{path}.stop")
         count = node["count"]
@@ -117,20 +126,16 @@ def _parse_dielectric(node, path):
     kind = node.get("type")
     try:
         if kind == "constant":
-            _check_keys(node, {"type", "epsilon"}, path)
-            if "epsilon" not in node:
-                raise ConfigError(f"{path}.epsilon", "required")
+            _object(node, path, {"type", "epsilon"}, ("epsilon",))
             return Constant(_complex_pair(node["epsilon"], f"{path}.epsilon"))
         if kind == "drude":
-            _check_keys(node, {"type", "plasma_frequency", "damping"}, path)
-            if "plasma_frequency" not in node:
-                raise ConfigError(f"{path}.plasma_frequency", "required")
+            _object(node, path, {"type", "plasma_frequency", "damping"}, ("plasma_frequency",))
             return Drude(
                 plasma_frequency=_number(node["plasma_frequency"], f"{path}.plasma_frequency"),
                 damping=_number(node.get("damping", 0.0), f"{path}.damping"),
             )
         if kind == "drude_lorentz":
-            _check_keys(node, {"type", "terms"}, path)
+            _object(node, path, {"type", "terms"})
             terms = node.get("terms")
             if not isinstance(terms, list) or not terms:
                 raise ConfigError(f"{path}.terms", "expected a non-empty list of [strength, resonance, damping]")
@@ -141,7 +146,7 @@ def _parse_dielectric(node, path):
                 parsed.append(tuple(_number(v, f"{path}.terms[{i}][{j}]") for j, v in enumerate(term)))
             return DrudeLorentz(terms=tuple(parsed))
         if kind == "tabulated":
-            _check_keys(node, {"type", "samples"}, path)
+            _object(node, path, {"type", "samples"})
             samples = node.get("samples")
             if not isinstance(samples, list):
                 raise ConfigError(f"{path}.samples", "expected a list of [omega, re, im]")
@@ -171,13 +176,11 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(None, f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(None, f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(None, "top level must be an object")
-    _check_keys(
+    _object(
         raw,
+        None,
         {"units", "slab", "dielectric", "omega", "source", "emission", "tolerances",
          "limit_path", "separations", "output"},
-        "",
     )
 
     units = raw.get("units", "natural")
@@ -186,12 +189,7 @@ def parse_config(path: str) -> RunConfig:
 
     half_length = None
     if "slab" in raw:
-        slab = raw["slab"]
-        if not isinstance(slab, dict):
-            raise ConfigError("slab", "expected an object")
-        _check_keys(slab, {"half_length"}, "slab")
-        if "half_length" not in slab:
-            raise ConfigError("slab.half_length", "required")
+        slab = _object(raw["slab"], "slab", {"half_length"}, ("half_length",))
         half_length = _scalar_or_sweep(slab["half_length"], "slab.half_length")
 
     dielectric = _parse_dielectric(raw["dielectric"], "dielectric") if "dielectric" in raw else None
@@ -200,19 +198,13 @@ def parse_config(path: str) -> RunConfig:
 
     dipole, surface = 1.0, 1.0
     if "emission" in raw:
-        emission = raw["emission"]
-        if not isinstance(emission, dict):
-            raise ConfigError("emission", "expected an object")
-        _check_keys(emission, {"dipole_moment", "surface_unit"}, "emission")
+        emission = _object(raw["emission"], "emission", {"dipole_moment", "surface_unit"})
         dipole = _number(emission.get("dipole_moment", 1.0), "emission.dipole_moment")
         surface = _number(emission.get("surface_unit", 1.0), "emission.surface_unit")
 
     quad_tol = _DEFAULT_TOL
     if "tolerances" in raw:
-        tolerances = raw["tolerances"]
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances", "expected an object")
-        _check_keys(tolerances, {"quadrature"}, "tolerances")
+        tolerances = _object(raw["tolerances"], "tolerances", {"quadrature"})
         quad_tol = _number(tolerances.get("quadrature", _DEFAULT_TOL), "tolerances.quadrature")
         if not quad_tol > 0.0:
             raise ConfigError("tolerances.quadrature", "must be positive")
@@ -240,10 +232,7 @@ def parse_config(path: str) -> RunConfig:
 
     output_path = None
     if "output" in raw:
-        output = raw["output"]
-        if not isinstance(output, dict):
-            raise ConfigError("output", "expected an object")
-        _check_keys(output, {"path", "format"}, "output")
+        output = _object(raw["output"], "output", {"path", "format"})
         if output.get("format", "csv") != "csv":
             raise ConfigError("output.format", "only 'csv' is supported")
         if "path" in output:
@@ -367,7 +356,7 @@ def _cmd_verify_identity(config, consts, args):
                     status = 2
                     error = _sanitize(str(exc))
                     lhs, quad_err = exc.best_estimate, exc.error_estimate
-                    im_g = green(x_a, x_b, ctx).value.imag
+                    im_g = green(x_a, x_b, ctx).imag
                     f = boundary_term_f(x_a, x_b, ctx)
                     rep = None
                 else:
@@ -415,18 +404,10 @@ def _cmd_decay_scan(config, consts, args):
         header += ["gamma_quadrature", "quadrature_error_scaled"]
     header.append("error")
 
-    if axis == "position":
-        omegas = [_scalar(config.omega, "omega")]
-        lengths = [_scalar(config.slab_half_length, "slab.half_length")]
-        positions = _values(config.source, "source")
-    elif axis == "thickness":
-        omegas = [_scalar(config.omega, "omega")]
-        lengths = _values(config.slab_half_length, "slab.half_length")
-        positions = [_scalar(config.source, "source")]
-    else:
-        omegas = _values(config.omega, "omega")
-        lengths = [_scalar(config.slab_half_length, "slab.half_length")]
-        positions = [_scalar(config.source, "source")]
+    # _sweep_axis leaves exactly one of the three as a sweep.
+    omegas = _values(config.omega, "omega")
+    lengths = _values(config.slab_half_length, "slab.half_length")
+    positions = _values(config.source, "source")
 
     model = _require(config.dielectric, "dielectric")
     rows = []
@@ -445,8 +426,7 @@ def _cmd_decay_scan(config, consts, args):
                 except (DomainError, QuadratureError) as exc:
                     failures += 1
                     status = 2
-                    pad = 7 if args.oracle else 5
-                    rows.append(base + [None] * pad + [_sanitize(str(exc))])
+                    rows.append(base + [None] * (len(header) - 4) + [_sanitize(str(exc))])
                     continue
                 cells = base + [
                     rep.gamma_corrected, rep.gamma_uncorrected, rep.gamma_vac_1d,
@@ -573,10 +553,7 @@ def main(argv=None) -> int:
         consts = _CONSTANTS[units]
         header, rows, summary, status = _COMMANDS[args.command](config, consts, args)
         _write_csv(args.out if args.out is not None else config.output_path, header, rows)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureError as exc:

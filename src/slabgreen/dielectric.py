@@ -14,6 +14,11 @@ from typing import Union
 from .errors import DomainError
 
 
+def _require_finite(*values):
+    if not all(cmath.isfinite(v) for v in values):
+        raise DomainError("model parameters must be finite")
+
+
 @dataclass(frozen=True)
 class Constant:
     """Frequency-independent permittivity."""
@@ -21,6 +26,7 @@ class Constant:
     epsilon: complex
 
     def __post_init__(self):
+        _require_finite(self.epsilon)
         if complex(self.epsilon).imag < 0.0:
             raise DomainError("gain media are not supported: Im epsilon must be >= 0")
 
@@ -33,6 +39,7 @@ class Drude:
     damping: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self.plasma_frequency, self.damping)
         if not self.plasma_frequency > 0.0:
             raise DomainError("plasma frequency must be positive")
         if self.damping < 0.0:
@@ -58,6 +65,7 @@ class DrudeLorentz:
         for term in terms:
             if len(term) != 3:
                 raise DomainError("each term must be (strength, resonance, damping)")
+            _require_finite(*term)
             strength, resonance, damping = term
             if strength < 0.0 or resonance < 0.0 or damping < 0.0:
                 raise DomainError("oscillator strength, resonance and damping must be >= 0")
@@ -79,6 +87,7 @@ class Tabulated:
             raise DomainError("tabulated model needs at least 2 samples")
         if len(omegas) != len(values):
             raise DomainError("sample frequencies and values must have equal length")
+        _require_finite(*omegas, *values)
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise DomainError("sample frequencies must be strictly increasing")
         if any(v.imag < 0.0 for v in values):

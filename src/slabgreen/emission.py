@@ -104,8 +104,14 @@ class DecayRateReport:
     gamma_uncorrected: float
     gamma_quadrature: float | None
     gamma_vac_1d: float
-    normalized_corrected: float
-    normalized_uncorrected: float
+
+    @property
+    def normalized_corrected(self) -> float:
+        return self.gamma_corrected / self.gamma_vac_1d
+
+    @property
+    def normalized_uncorrected(self) -> float:
+        return self.gamma_uncorrected / self.gamma_vac_1d
 
 
 def decay_report(
@@ -120,14 +126,11 @@ def decay_report(
     gamma_quad = None
     if oracle_tol is not None:
         gamma_quad = decay_from_quadrature(params, ctx, x_source, tol=oracle_tol)
-    ref = params.gamma_vacuum_1d
     return DecayRateReport(
         gamma_corrected=gamma,
         gamma_uncorrected=gamma_unc,
         gamma_quadrature=gamma_quad,
-        gamma_vac_1d=ref,
-        normalized_corrected=gamma / ref,
-        normalized_uncorrected=gamma_unc / ref,
+        gamma_vac_1d=params.gamma_vacuum_1d,
     )
 
 

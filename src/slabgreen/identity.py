@@ -111,8 +111,8 @@ def boundary_term_b(x_b: float, x_a: float, ctx: WaveContext, box_half_length: f
     big_l = box_half_length
     if not big_l > max(ctx.geometry.half_length, x_a, x_b):
         raise DomainError("box must strictly contain the slab and both source points")
-    at_left = green(-big_l, x_b, ctx).value.conjugate() * green_dx(-big_l, x_a, ctx)
-    at_right = green(big_l, x_b, ctx).value.conjugate() * green_dx(big_l, x_a, ctx)
+    at_left = green(-big_l, x_b, ctx).conjugate() * green_dx(-big_l, x_a, ctx)
+    at_right = green(big_l, x_b, ctx).conjugate() * green_dx(big_l, x_a, ctx)
     return at_left - at_right
 
 
@@ -153,8 +153,8 @@ def lhs_quadrature(
     eps_i = ctx.epsilon.imag
 
     def integrand(x):
-        ga = green(x, x_a, ctx).value
-        gb = green(x, x_b, ctx).value
+        ga = green(x, x_a, ctx)
+        gb = green(x, x_b, ctx)
         return (k * k * eps_i) * ga * gb.conjugate()
 
     panels = 1
@@ -185,7 +185,7 @@ def identity_report(
 ) -> IdentityReport:
     """Assemble quadrature left side, Im G, F and the two residuals."""
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol=tol, max_panels=max_panels)
-    im_g = green(x_a, x_b, ctx).value.imag
+    im_g = green(x_a, x_b, ctx).imag
     f = boundary_term_f(x_a, x_b, ctx)
     return IdentityReport(
         lhs=lhs,

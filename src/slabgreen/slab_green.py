@@ -5,8 +5,8 @@ For a point source at x_s in the exterior, the Green function of
 
     [-d^2/dx^2 - k^2 eps(x)] G(x, x_s) = delta(x - x_s)
 
-with outgoing waves at infinity splits into one closed-form branch per
-observer region (left of the slab, inside, right). Formulas are written for a
+with outgoing waves at infinity is a sum of plane waves in each observer
+region (left of the slab, inside, right). The waves are tabulated for a
 source on the right; a source on the left is handled through the mirror
 symmetry G(x, x_s) = G(-x, -x_s) of the centered slab.
 
@@ -69,15 +69,6 @@ class WaveContext:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class GreenEval:
-    """Green-function value tagged with the regions of observer and source."""
-
-    value: complex
-    observer_region: str
-    source_region: str
-
-
 def region(x: float, half_length: float) -> str:
     """Classify a coordinate as 'left', 'inside' or 'right' of the slab."""
     if x < -half_length:
@@ -131,51 +122,27 @@ def context_from_index(geometry: SlabGeometry, n: complex, k: float) -> WaveCont
     return WaveContext(omega=k, k=k, n=complex(n), geometry=geometry, coefficients=coefficients(geometry, n, k))
 
 
-# Branch evaluators assume the source sits in the right exterior region.
+def _waves(x, x_s, ctx, where):
+    """Plane waves (amplitude a, wavenumber q) of region `where` for x_s > l.
 
-
-def _g_left(x, x_s, ctx):
+    The amplitudes sum to (2k/i) G(x, x_s) and each has x-derivative i q a.
+    Interior exponents are measured from the interface the wave decays away
+    from, so no factor overflows however opaque the slab is.
+    """
     co = ctx.coefficients
-    k, l = ctx.k, ctx.geometry.half_length
-    return (0.5j / k) * co.A * cmath.exp(-1j * k * (2 * l + x - x_s))
-
-
-def _g_inside(x, x_s, ctx):
-    co = ctx.coefficients
-    k, n = ctx.k, ctx.n
-    return (0.5j / k) * (
-        co.B * cmath.exp(-1j * k * (n * x - x_s)) + co.C * cmath.exp(1j * k * (n * x + x_s))
-    )
-
-
-def _g_right(x, x_s, ctx):
-    co = ctx.coefficients
-    k, l = ctx.k, ctx.geometry.half_length
-    return (0.5j / k) * (
-        co.D * cmath.exp(-1j * k * (2 * l - x - x_s)) + cmath.exp(1j * k * abs(x - x_s))
-    )
-
-
-def _dg_left(x, x_s, ctx):
-    co = ctx.coefficients
-    k, l = ctx.k, ctx.geometry.half_length
-    return 0.5 * co.A * cmath.exp(-1j * k * (2 * l + x - x_s))
-
-
-def _dg_inside(x, x_s, ctx):
-    co = ctx.coefficients
-    k, n = ctx.k, ctx.n
-    return (0.5 * n) * (
-        co.B * cmath.exp(-1j * k * (n * x - x_s)) - co.C * cmath.exp(1j * k * (n * x + x_s))
-    )
-
-
-def _dg_right(x, x_s, ctx):
-    co = ctx.coefficients
-    k, l = ctx.k, ctx.geometry.half_length
-    sign = 1.0 if x > x_s else -1.0
-    return -0.5 * (
-        co.D * cmath.exp(-1j * k * (2 * l - x - x_s)) + sign * cmath.exp(1j * k * abs(x - x_s))
+    k, n, l = ctx.k, ctx.n, ctx.geometry.half_length
+    if where == "left":
+        return ((co.A * cmath.exp(-1j * k * (2 * l + x - x_s)), -k),)
+    if where == "inside":
+        ikn = 1j * k * n
+        shift = 1j * k * (x_s - l)
+        return (
+            (2 * (n + 1) / co.Y * cmath.exp(ikn * (l - x) + shift), -k * n),
+            (2 * (n - 1) / co.Y * cmath.exp(ikn * (3 * l + x) + shift), k * n),
+        )
+    return (
+        (co.D * cmath.exp(-1j * k * (2 * l - x - x_s)), k),
+        (cmath.exp(1j * k * abs(x - x_s)), k if x > x_s else -k),
     )
 
 
@@ -184,7 +151,7 @@ def _require_exterior_source(x_s, half_length):
         raise DomainError("source must lie strictly outside the slab")
 
 
-def green(x: float, x_source: float, ctx: WaveContext) -> GreenEval:
+def green(x: float, x_source: float, ctx: WaveContext) -> complex:
     """Evaluate G(x, x_source) for an exterior source.
 
     The value is continuous everywhere, including at x = x_source where only
@@ -193,16 +160,11 @@ def green(x: float, x_source: float, ctx: WaveContext) -> GreenEval:
     l = ctx.geometry.half_length
     _require_exterior_source(x_source, l)
     if x_source < 0:
-        value = green(-x, -x_source, ctx).value
-    else:
-        obs = region(x, l)
-        if obs == "left":
-            value = _g_left(x, x_source, ctx)
-        elif obs == "inside":
-            value = _g_inside(x, x_source, ctx)
-        else:
-            value = _g_right(x, x_source, ctx)
-    return GreenEval(value=value, observer_region=region(x, l), source_region=region(x_source, l))
+        x, x_source = -x, -x_source
+    total = 0j
+    for a, _ in _waves(x, x_source, ctx, region(x, l)):
+        total += a
+    return (0.5j / ctx.k) * total
 
 
 def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:
@@ -211,14 +173,10 @@ def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:
     _require_exterior_source(x_source, l)
     if x == x_source:
         raise DomainError("derivative is discontinuous at the source position")
+    scale = -0.5 / ctx.k
     if x_source < 0:
-        return -green_dx(-x, -x_source, ctx)
-    obs = region(x, l)
-    if obs == "left":
-        return _dg_left(x, x_source, ctx)
-    if obs == "inside":
-        return _dg_inside(x, x_source, ctx)
-    return _dg_right(x, x_source, ctx)
+        x, x_source, scale = -x, -x_source, -scale
+    return scale * sum(q * a for a, q in _waves(x, x_source, ctx, region(x, l)))
 
 
 def green_vacuum_1d(x: float, x_prime: float, k: float) -> complex:
@@ -240,9 +198,9 @@ def helmholtz_residual(x: float, x_source: float, ctx: WaveContext, h: float) ->
     l = ctx.geometry.half_length
     if min(abs(x - x_source), abs(x - l), abs(x + l)) < 2.0 * h:
         raise DomainError("stencil crosses the source or an interface")
-    g0 = green(x, x_source, ctx).value
-    gp = green(x + h, x_source, ctx).value
-    gm = green(x - h, x_source, ctx).value
+    g0 = green(x, x_source, ctx)
+    gp = green(x + h, x_source, ctx)
+    gm = green(x - h, x_source, ctx)
     eps_x = ctx.epsilon if region(x, l) == "inside" else 1.0 + 0.0j
     return abs((2.0 * g0 - gp - gm) / (h * h) - ctx.k * ctx.k * eps_x * g0)
 
@@ -250,15 +208,16 @@ def helmholtz_residual(x: float, x_source: float, ctx: WaveContext, h: float) ->
 def interface_mismatch(ctx: WaveContext, x_source: float) -> float:
     """Worst continuity defect of G and dG/dx across the two interfaces.
 
-    Both one-sided limits come from the analytic branch formulas, so the
-    result is a pure consistency check on the amplitudes A, B, C, D.
+    Both one-sided limits come from the plane waves of the adjacent regions,
+    so the result is a pure consistency check on the amplitudes.
     """
     l = ctx.geometry.half_length
     if region(x_source, l) != "right":
         raise DomainError("source must lie in the right exterior region")
-    return max(
-        abs(_g_inside(l, x_source, ctx) - _g_right(l, x_source, ctx)),
-        abs(_dg_inside(l, x_source, ctx) - _dg_right(l, x_source, ctx)),
-        abs(_g_inside(-l, x_source, ctx) - _g_left(-l, x_source, ctx)),
-        abs(_dg_inside(-l, x_source, ctx) - _dg_left(-l, x_source, ctx)),
-    )
+    defects = []
+    for x, outside in ((l, "right"), (-l, "left")):
+        # Inside minus outside waves; the sums are 2k/i and -2k times the jumps.
+        outer = tuple((-a, q) for a, q in _waves(x, x_source, ctx, outside))
+        waves = _waves(x, x_source, ctx, "inside") + outer
+        defects += [sum(a for a, _ in waves), sum(q * a for a, q in waves)]
+    return max(abs(d) for d in defects) / (2 * ctx.k)

@@ -134,17 +134,17 @@ def test_criterion_07_interface_and_jump_oracles():
     x_s = 2.0
     half = ctx.geometry.half_length
     scale = max(
-        abs(green(half, x_s, ctx).value),
-        abs(green(-half, x_s, ctx).value),
+        abs(green(half, x_s, ctx)),
+        abs(green(-half, x_s, ctx)),
         abs(green_dx(half, x_s, ctx)),
         abs(green_dx(-half, x_s, ctx)),
     )
     mismatch_ok = interface_mismatch(ctx, x_s) <= 1e-12 * scale
 
     def jump(h):
-        g0 = green(x_s, x_s, ctx).value
-        right = (-3 * g0 + 4 * green(x_s + h, x_s, ctx).value - green(x_s + 2 * h, x_s, ctx).value) / (2 * h)
-        left = (3 * g0 - 4 * green(x_s - h, x_s, ctx).value + green(x_s - 2 * h, x_s, ctx).value) / (2 * h)
+        g0 = green(x_s, x_s, ctx)
+        right = (-3 * g0 + 4 * green(x_s + h, x_s, ctx) - green(x_s + 2 * h, x_s, ctx)) / (2 * h)
+        left = (3 * g0 - 4 * green(x_s - h, x_s, ctx) + green(x_s - 2 * h, x_s, ctx)) / (2 * h)
         return right - left
 
     jumps = [jump(h) for h in (4e-4, 2e-4, 1e-4)]

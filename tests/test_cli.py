@@ -112,6 +112,34 @@ def test_verify_identity_unreachable_tolerance(tmp_path, capsys):
     assert rows[0]["lhs_re"] != ""  # best estimate still reported
 
 
+def test_verify_identity_opaque_slab(tmp_path):
+    # eps = -8.99 + 0.6i gives n = 0.1 + 3i; k Im(n) l = 900 is far past the
+    # range where exp(k Im(n) l) is representable.
+    path = write_config(
+        tmp_path,
+        slab={"half_length": 3.0},
+        dielectric={"type": "constant", "epsilon": [-8.99, 0.6]},
+        omega=100.0,
+        source=4.0,
+    )
+    rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path])
+    assert rc == 0
+    for row in rows:
+        assert all(math.isfinite(float(row[key])) for key in row if key != "error")
+        res = complex(float(row["residual_corrected_re"]), float(row["residual_corrected_im"]))
+        assert abs(res) <= 1e-8
+
+
+def test_non_finite_config_numbers_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, source={"start": 1.5, "stop": 3.5, "count": 3},
+                        dielectric={"type": "constant", "epsilon": [math.nan, 1.0]})
+    assert cli.main(["decay-scan", "--config", path]) == 1
+    assert "dielectric.epsilon[0]" in capsys.readouterr().err
+    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": math.inf})
+    assert cli.main(["coefficients", "--config", path]) == 1
+    assert "dielectric.epsilon" in capsys.readouterr().err
+
+
 def test_decay_scan_position_vacuum(tmp_path):
     path = write_config(
         tmp_path,

@@ -78,6 +78,24 @@ def test_gain_models_rejected():
         Drude(plasma_frequency=2.0, damping=-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(DomainError):
+        Constant(complex(bad, 1.0))
+    with pytest.raises(DomainError):
+        Constant(complex(2.0, bad))
+    with pytest.raises(DomainError):
+        Drude(plasma_frequency=bad)
+    with pytest.raises(DomainError):
+        Drude(plasma_frequency=2.0, damping=bad)
+    with pytest.raises(DomainError):
+        DrudeLorentz(terms=((1.0, bad, 0.3),))
+    with pytest.raises(DomainError):
+        Tabulated(omegas=(1.0, bad), values=(2.0, 2.0))
+    with pytest.raises(DomainError):
+        Tabulated(omegas=(1.0, 3.0), values=(2.0, complex(bad, 0.0)))
+
+
 def test_nonpositive_frequency_rejected():
     with pytest.raises(DomainError):
         permittivity(Constant(2.0 + 0.0j), 0.0)
