@@ -48,7 +48,6 @@ from .slab_green import (
     region,
 )
 from .vacuum3d import (
-    DyadicGreen,
     green_tensor_vacuum,
     im_green_coincident,
     scalar_green_g0,
@@ -65,7 +64,6 @@ __all__ = [
     "DomainError",
     "Drude",
     "DrudeLorentz",
-    "DyadicGreen",
     "EmissionParams",
     "IdentityReport",
     "LimitStudyRow",

@@ -17,14 +17,15 @@ I/O error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .emission import EmissionParams, decay_report, limit_study
 from .errors import ConfigError, DomainError, QuadratureError
-from .identity import boundary_term_f, identity_report
-from .slab_green import SlabGeometry, green, make_context
+from .identity import identity_report
+from .slab_green import SlabGeometry, make_context
 from .vacuum3d import green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
 
 _CONSTANTS = {
@@ -101,6 +102,19 @@ def _complex_pair(node, path):
     raise ConfigError(path, "expected a number or a [re, im] pair")
 
 
+def _rows(node, path, shape):
+    """Check for a non-empty list of number rows as wide as `shape`, e.g. "[x, y, z]"."""
+    if not isinstance(node, list) or not node:
+        raise ConfigError(path, f"expected a non-empty list of {shape}")
+    width = shape.count(",") + 1
+    rows = []
+    for i, row in enumerate(node):
+        if not isinstance(row, list) or len(row) != width:
+            raise ConfigError(f"{path}[{i}]", f"expected {shape}")
+        rows.append(tuple(_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
+    return rows
+
+
 def _scalar_or_sweep(node, path):
     if isinstance(node, dict):
         _object(node, path, {"start", "stop", "count", "spacing"}, ("start", "stop", "count"))
@@ -136,32 +150,15 @@ def _parse_dielectric(node, path):
             )
         if kind == "drude_lorentz":
             _object(node, path, {"type", "terms"})
-            terms = node.get("terms")
-            if not isinstance(terms, list) or not terms:
-                raise ConfigError(f"{path}.terms", "expected a non-empty list of [strength, resonance, damping]")
-            parsed = []
-            for i, term in enumerate(terms):
-                if not isinstance(term, list) or len(term) != 3:
-                    raise ConfigError(f"{path}.terms[{i}]", "expected [strength, resonance, damping]")
-                parsed.append(tuple(_number(v, f"{path}.terms[{i}][{j}]") for j, v in enumerate(term)))
-            return DrudeLorentz(terms=tuple(parsed))
+            terms = _rows(node.get("terms"), f"{path}.terms", "[strength, resonance, damping]")
+            return DrudeLorentz(terms=tuple(terms))
         if kind == "tabulated":
             _object(node, path, {"type", "samples"})
-            samples = node.get("samples")
-            if not isinstance(samples, list):
-                raise ConfigError(f"{path}.samples", "expected a list of [omega, re, im]")
-            omegas, values = [], []
-            for i, sample in enumerate(samples):
-                if not isinstance(sample, list) or len(sample) != 3:
-                    raise ConfigError(f"{path}.samples[{i}]", "expected [omega, re, im]")
-                omegas.append(_number(sample[0], f"{path}.samples[{i}][0]"))
-                values.append(
-                    complex(
-                        _number(sample[1], f"{path}.samples[{i}][1]"),
-                        _number(sample[2], f"{path}.samples[{i}][2]"),
-                    )
-                )
-            return Tabulated(omegas=tuple(omegas), values=tuple(values))
+            samples = _rows(node.get("samples"), f"{path}.samples", "[omega, re, im]")
+            return Tabulated(
+                omegas=tuple(omega for omega, _, _ in samples),
+                values=tuple(complex(re, im) for _, re, im in samples),
+            )
     except DomainError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.type", "expected one of constant, drude, drude_lorentz, tabulated")
@@ -218,17 +215,10 @@ def parse_config(path: str) -> RunConfig:
 
     separations = None
     if "separations" in raw:
-        node = raw["separations"]
-        if not isinstance(node, list) or not node:
-            raise ConfigError("separations", "expected a non-empty list of [x, y, z] vectors")
-        separations = []
-        for i, vec in enumerate(node):
-            if not isinstance(vec, list) or len(vec) != 3:
-                raise ConfigError(f"separations[{i}]", "expected [x, y, z]")
-            point = tuple(_number(v, f"separations[{i}][{j}]") for j, v in enumerate(vec))
+        separations = _rows(raw["separations"], "separations", "[x, y, z]")
+        for i, point in enumerate(separations):
             if point == (0.0, 0.0, 0.0):
                 raise ConfigError(f"separations[{i}]", "coincident points: the full tensor is singular at r = 0")
-            separations.append(point)
 
     output_path = None
     if "output" in raw:
@@ -349,28 +339,15 @@ def _cmd_verify_identity(config, consts, args):
         ctx = make_context(geometry, model, omega, c=consts["c"])
         for x_a in sources:
             for x_b in sources:
-                error = ""
-                try:
-                    rep = identity_report(x_a, x_b, ctx, tol=tol)
-                except QuadratureError as exc:
-                    status = 2
-                    error = _sanitize(str(exc))
-                    lhs, quad_err = exc.best_estimate, exc.error_estimate
-                    im_g = green(x_a, x_b, ctx).imag
-                    f = boundary_term_f(x_a, x_b, ctx)
-                    rep = None
-                else:
-                    lhs, quad_err = rep.lhs, rep.quadrature_estimate_error
-                    im_g, f = rep.im_g, rep.f
-                res_corr = lhs - im_g - f
-                res_unc = lhs - im_g
+                rep = identity_report(x_a, x_b, ctx, tol=tol)
+                res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
                 worst = max(worst, abs(res_corr))
-                if rep is not None and abs(res_corr) > tol:
+                if rep.error is not None or abs(res_corr) > tol:
                     status = 2
                 rows.append([
-                    omega, x_a, x_b, lhs.real, lhs.imag, im_g, f.real, f.imag,
+                    omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
                     res_corr.real, res_corr.imag, res_unc.real, res_unc.imag,
-                    quad_err, error,
+                    rep.quadrature_estimate_error, _sanitize(rep.error or ""),
                 ])
     summary = [
         f"verify-identity: {len(rows)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})",
@@ -490,7 +467,7 @@ def _cmd_tensor3d(config, consts, args):
     rows = []
     origin = (0.0, 0.0, 0.0)
     for sep in separations:
-        tensor = green_tensor_vacuum(omega, sep, origin, c=consts["c"]).components
+        tensor = green_tensor_vacuum(omega, sep, origin, c=consts["c"])
         cells = list(sep)
         for i in range(3):
             for j in range(3):
@@ -525,6 +502,14 @@ def _write_csv(path, header, rows):
             handle.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like configuration errors, instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run configuration")
@@ -535,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add quadrature cross-check columns where applicable (decay-scan)")
     common.add_argument("--units", choices=["natural", "si"], default=None,
                         help="unit system, overrides the config (default natural)")
-    parser = argparse.ArgumentParser(prog="slabgreen",
-                                     description="Slab Green function verification toolkit")
+    parser = _Parser(prog="slabgreen", description="Slab Green function verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=func.__doc__)
@@ -547,8 +531,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.tol is not None and not args.tol > 0.0:
-            raise ConfigError(None, "--tol must be positive")
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise ConfigError(None, "--tol must be positive and finite")
         units = args.units if args.units is not None else config.units
         consts = _CONSTANTS[units]
         header, rows, summary, status = _COMMANDS[args.command](config, consts, args)

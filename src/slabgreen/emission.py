@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import Constant
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .identity import boundary_term_f, lhs_quadrature
 from .slab_green import SlabGeometry, WaveContext, green_vacuum_1d, make_context, region
 
@@ -136,12 +136,14 @@ def decay_report(
 
 @dataclass(frozen=True)
 class LimitStudyRow:
+    """One path entry; a failed entry keeps NaN numbers and sets `error`."""
+
     epsilon: complex
-    gamma: float
-    gamma_uncorrected: float
-    f_plus_im_g0: float
-    abs_a_sq: float
-    abs_d_sq: float
+    gamma: float = math.nan
+    gamma_uncorrected: float = math.nan
+    f_plus_im_g0: float = math.nan
+    abs_a_sq: float = math.nan
+    abs_d_sq: float = math.nan
     error: str | None = None
 
 
@@ -182,17 +184,6 @@ def limit_study(
                     abs_d_sq=abs(co.D) ** 2,
                 )
             )
-        except (DomainError, QuadratureError) as exc:
-            nan = float("nan")
-            rows.append(
-                LimitStudyRow(
-                    epsilon=eps,
-                    gamma=nan,
-                    gamma_uncorrected=nan,
-                    f_plus_im_g0=nan,
-                    abs_a_sq=nan,
-                    abs_d_sq=nan,
-                    error=str(exc),
-                )
-            )
+        except DomainError as exc:
+            rows.append(LimitStudyRow(epsilon=eps, error=str(exc)))
     return rows

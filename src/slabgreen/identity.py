@@ -166,14 +166,25 @@ def lhs_quadrature(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Both sides of the identity at one (x_a, x_b) pair and their residuals."""
+    """Both sides of the identity at one (x_a, x_b) pair and their residuals.
+
+    When the quadrature stalls, `lhs` and `quadrature_estimate_error` hold its
+    best estimate and `error` says why; otherwise `error` is None.
+    """
 
     lhs: complex
     im_g: float
     f: complex
-    residual_corrected: complex
-    residual_uncorrected: complex
     quadrature_estimate_error: float
+    error: str | None = None
+
+    @property
+    def residual_corrected(self) -> complex:
+        return self.lhs - self.im_g - self.f
+
+    @property
+    def residual_uncorrected(self) -> complex:
+        return self.lhs - self.im_g
 
 
 def identity_report(
@@ -183,15 +194,16 @@ def identity_report(
     tol: float = 1e-8,
     max_panels: int = 4096,
 ) -> IdentityReport:
-    """Assemble quadrature left side, Im G, F and the two residuals."""
-    lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol=tol, max_panels=max_panels)
-    im_g = green(x_a, x_b, ctx).imag
-    f = boundary_term_f(x_a, x_b, ctx)
+    """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`."""
+    error = None
+    try:
+        lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol=tol, max_panels=max_panels)
+    except QuadratureError as exc:
+        lhs, quad_err, error = exc.best_estimate, exc.error_estimate, str(exc)
     return IdentityReport(
         lhs=lhs,
-        im_g=im_g,
-        f=f,
-        residual_corrected=lhs - im_g - f,
-        residual_uncorrected=lhs - im_g,
+        im_g=green(x_a, x_b, ctx).imag,
+        f=boundary_term_f(x_a, x_b, ctx),
         quadrature_estimate_error=quad_err,
+        error=error,
     )

@@ -13,22 +13,11 @@ identity, which sets the vacuum rate omega^3 |d|^2 / (3 pi hbar eps0 c^3).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .emission import EmissionParams
 from .errors import DomainError
-
-
-@dataclass(frozen=True, eq=False)
-class DyadicGreen:
-    """3x3 complex tensor evaluated between two points."""
-
-    components: np.ndarray
-    omega: float
-    r_a: np.ndarray
-    r_b: np.ndarray
 
 
 def _separation(r_a, r_b):
@@ -37,7 +26,7 @@ def _separation(r_a, r_b):
     if r_a.shape != (3,) or r_b.shape != (3,):
         raise DomainError("positions must be 3-vectors")
     s = r_a - r_b
-    return r_a, r_b, s, float(np.linalg.norm(s))
+    return s, float(np.linalg.norm(s))
 
 
 def scalar_green_g0(omega: float, r_a, r_b, c: float = 1.0) -> complex:
@@ -46,19 +35,19 @@ def scalar_green_g0(omega: float, r_a, r_b, c: float = 1.0) -> complex:
         raise DomainError("frequency must be >= 0")
     if not c > 0.0:
         raise DomainError("speed of light must be positive")
-    _, _, _, dist = _separation(r_a, r_b)
+    _, dist = _separation(r_a, r_b)
     if dist == 0.0:
         raise DomainError("scalar Green function is singular at coincident points")
     return complex(np.exp(1j * (omega / c) * dist) / (4.0 * math.pi * dist))
 
 
-def green_tensor_vacuum(omega: float, r_a, r_b, c: float = 1.0) -> DyadicGreen:
-    """Full dyadic tensor between two distinct points."""
+def green_tensor_vacuum(omega: float, r_a, r_b, c: float = 1.0) -> np.ndarray:
+    """Full dyadic tensor between two distinct points, as a 3x3 complex array."""
     if not omega > 0.0:
         raise DomainError("frequency must be positive")
     if not c > 0.0:
         raise DomainError("speed of light must be positive")
-    va, vb, s, dist = _separation(r_a, r_b)
+    s, dist = _separation(r_a, r_b)
     if dist == 0.0:
         raise DomainError("tensor real part is singular at coincident points")
     kr = (omega / c) * dist
@@ -66,8 +55,7 @@ def green_tensor_vacuum(omega: float, r_a, r_b, c: float = 1.0) -> DyadicGreen:
     g0 = np.exp(1j * kr) / (4.0 * math.pi * dist)
     diag = g0 * (1.0 + 1j / kr - 1.0 / kr**2)
     outer = g0 * (-1.0 - 3j / kr + 3.0 / kr**2)
-    comps = diag * np.eye(3) + outer * np.outer(u, u)
-    return DyadicGreen(components=comps, omega=omega, r_a=va, r_b=vb)
+    return diag * np.eye(3) + outer * np.outer(u, u)
 
 
 def im_green_coincident(omega: float, c: float = 1.0) -> np.ndarray:

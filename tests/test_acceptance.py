@@ -170,7 +170,7 @@ def test_criterion_08_vacuum_3d_baseline():
     routes = abs(closed - contracted) / closed
     value_err = abs(closed - 1.0 / (3.0 * math.pi))
 
-    tensor = green_tensor_vacuum(1.0, [0.0, 0.0, 1e-3], [0.0, 0.0, 0.0]).components
+    tensor = green_tensor_vacuum(1.0, [0.0, 0.0, 1e-3], [0.0, 0.0, 0.0])
     limit_err = max(
         abs(tensor.imag[i][j] - lim[i][j]) for i in range(3) for j in range(3)
     ) / lim[0, 0]

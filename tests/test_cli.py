@@ -108,8 +108,14 @@ def test_verify_identity_unreachable_tolerance(tmp_path, capsys):
     path = write_config(tmp_path)
     rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path, "--tol", "1e-30"])
     assert rc == 2
-    assert rows[0]["error"] != ""
-    assert rows[0]["lhs_re"] != ""  # best estimate still reported
+    row = rows[0]
+    assert row["error"] != ""
+    assert row["lhs_re"] != ""  # best estimate still reported
+    lhs = complex(float(row["lhs_re"]), float(row["lhs_im"]))
+    im_g = float(row["im_g"])
+    f = complex(float(row["f_re"]), float(row["f_im"]))
+    assert complex(float(row["residual_corrected_re"]), float(row["residual_corrected_im"])) == lhs - im_g - f
+    assert complex(float(row["residual_uncorrected_re"]), float(row["residual_uncorrected_im"])) == lhs - im_g
 
 
 def test_verify_identity_opaque_slab(tmp_path):
@@ -138,6 +144,41 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys):
     path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": math.inf})
     assert cli.main(["coefficients", "--config", path]) == 1
     assert "dielectric.epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, make, path",
+    [
+        ("coefficients", lambda rows: {"dielectric": {"type": "drude_lorentz", "terms": rows}}, "dielectric.terms"),
+        ("coefficients", lambda rows: {"dielectric": {"type": "tabulated", "samples": rows}}, "dielectric.samples"),
+        ("tensor3d", lambda rows: {"separations": rows}, "separations"),
+    ],
+    ids=["terms", "samples", "separations"],
+)
+@pytest.mark.parametrize(
+    "rows, where",
+    [([], ""), ([[1.0, 2.0, 3.0], [1.0, 2.0]], "[1]"), ([[1.0, "x", 3.0]], "[0][1]")],
+    ids=["empty", "short_row", "non_number"],
+)
+def test_number_rows_rejected(tmp_path, capsys, command, make, path, rows, where):
+    assert cli.main([command, "--config", write_config(tmp_path, **make(rows))]) == 1
+    assert f"error: {path}{where}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--tol", "inf"], 1), (["--tol", "abc"], 1), (None, 1), (["--help"], 0)],
+    ids=["tol_inf", "tol_not_a_number", "missing_config", "help"],
+)
+def test_exit_codes(tmp_path, flags, code):
+    # Usage errors and non-finite tolerances are configuration errors (1), not
+    # tolerance violations (2); argparse reports usage errors through SystemExit.
+    argv = ["verify-identity"] if flags is None else ["verify-identity", "--config", write_config(tmp_path), *flags]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
 
 
 def test_decay_scan_position_vacuum(tmp_path):

@@ -81,20 +81,20 @@ def _finite_difference_tensor(omega, r_a, r_b, h=1e-2):
 )
 def test_tensor_against_finite_difference_oracle(r_a, r_b):
     omega = 1.0
-    got = green_tensor_vacuum(omega, r_a, r_b).components
+    got = green_tensor_vacuum(omega, r_a, r_b)
     oracle = _finite_difference_tensor(omega, r_a, r_b)
     assert np.max(np.abs(got - oracle)) <= 1e-8
 
 
 def test_tensor_reciprocity():
-    forward = green_tensor_vacuum(1.3, [0.2, 0.5, -0.1], [1.0, -0.4, 0.6]).components
-    backward = green_tensor_vacuum(1.3, [1.0, -0.4, 0.6], [0.2, 0.5, -0.1]).components
+    forward = green_tensor_vacuum(1.3, [0.2, 0.5, -0.1], [1.0, -0.4, 0.6])
+    backward = green_tensor_vacuum(1.3, [1.0, -0.4, 0.6], [0.2, 0.5, -0.1])
     assert np.max(np.abs(forward - backward.T)) <= 1e-12
 
 
 def test_tensor_far_field_transverse_dominates():
     k_dist = 1000.0
-    tensor = green_tensor_vacuum(1.0, [0.0, 0.0, k_dist], [0.0, 0.0, 0.0]).components
+    tensor = green_tensor_vacuum(1.0, [0.0, 0.0, k_dist], [0.0, 0.0, 0.0])
     radial = abs(tensor[2, 2])
     transverse = abs(tensor[0, 0])
     assert radial / transverse == pytest.approx(2.0 / k_dist, rel=0.05)
@@ -117,7 +117,7 @@ def test_im_coincident_is_numeric_limit_of_tensor():
     lim = im_green_coincident(1.0)
     errors = []
     for dist in (1e-2, 1e-3):
-        tensor = green_tensor_vacuum(1.0, [0.0, 0.0, dist], [0.0, 0.0, 0.0]).components
+        tensor = green_tensor_vacuum(1.0, [0.0, 0.0, dist], [0.0, 0.0, 0.0])
         errors.append(np.max(np.abs(tensor.imag - lim)) / lim[0, 0])
     assert errors[1] <= 1e-4
     # second order in the separation
