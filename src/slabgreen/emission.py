@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .dielectric import Constant
 from .errors import DomainError
 from .identity import boundary_term_f, lhs_quadrature
-from .slab_green import SlabGeometry, WaveContext, green_vacuum_1d, make_context, region
+from .slab_green import SlabGeometry, WaveContext, _require_right_sources, green_vacuum_1d, make_context
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def decay_rate_uncorrected(params: EmissionParams, ctx: WaveContext, x_source: f
     """Rate from Im G alone; oscillates with the source position."""
     _require_matching_frequency(params, ctx)
     l = ctx.geometry.half_length
-    if region(x_source, l) != "right":
-        raise DomainError("source must lie in the right exterior region")
+    _require_right_sources(l, x_source)
     co = ctx.coefficients
     osc = (co.D * cmath.exp(-2j * ctx.k * (l - x_source))).real
     return params.gamma_vacuum_1d * (1.0 + osc)
@@ -90,11 +89,10 @@ def decay_from_quadrature(
     ctx: WaveContext,
     x_source: float,
     tol: float = 1e-8,
-    max_panels: int = 4096,
 ) -> float:
     """Corrected rate recomputed from the quadrature left side of the identity."""
     _require_matching_frequency(params, ctx)
-    value, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol, max_panels=max_panels)
+    value, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol)
     return params.rate_prefactor * value.real
 
 
@@ -162,8 +160,7 @@ def limit_study(
     """
     k = params.omega0 / params.c
     x_s = geometry.half_length + 1.0 / k if x_source is None else x_source
-    if region(x_s, geometry.half_length) != "right":
-        raise DomainError("source must lie in the right exterior region")
+    _require_right_sources(geometry.half_length, x_s)
     rows = []
     for raw in eps_path:
         eps = complex(raw)

@@ -26,6 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dielectric import DielectricModel, permittivity, refractive_index
 from .errors import DomainError
 
@@ -96,13 +98,16 @@ def coefficients(geometry: SlabGeometry, n: complex, k: float) -> SlabCoefficien
     y = (n + 1) ** 2 - (n - 1) ** 2 * e4
     if abs(y) < 1e-12 * abs(n + 1) ** 2:
         raise DomainError("slab is degenerate: resonance denominator Y is numerically zero")
-    return SlabCoefficients(
+    co = SlabCoefficients(
         A=4 * n * cmath.exp(2j * k * n * l) / y,
         B=2 * (n + 1) * cmath.exp(1j * k * (n - 1) * l) / y,
         C=2 * (n - 1) * cmath.exp(1j * k * (3 * n - 1) * l) / y,
         D=(n * n - 1) * (e4 - 1) / y,
         Y=y,
     )
+    if not all(map(cmath.isfinite, (co.A, co.B, co.C, co.D, co.Y))):
+        raise DomainError("slab amplitudes A, B, C, D and Y are not all finite")
+    return co
 
 
 def make_context(
@@ -126,29 +131,36 @@ def _waves(x, x_s, ctx, where):
     """Plane waves (amplitude a, wavenumber q) of region `where` for x_s > l.
 
     The amplitudes sum to (2k/i) G(x, x_s) and each has x-derivative i q a.
-    Interior exponents are measured from the interface the wave decays away
-    from, so no factor overflows however opaque the slab is.
+    `x` may be an array of points that all lie in `where`. Interior exponents
+    are measured from the interface the wave decays away from, so no factor
+    overflows however opaque the slab is.
     """
     co = ctx.coefficients
     k, n, l = ctx.k, ctx.n, ctx.geometry.half_length
     if where == "left":
-        return ((co.A * cmath.exp(-1j * k * (2 * l + x - x_s)), -k),)
+        return ((co.A * np.exp(-1j * k * (2 * l + x - x_s)), -k),)
     if where == "inside":
         ikn = 1j * k * n
         shift = 1j * k * (x_s - l)
         return (
-            (2 * (n + 1) / co.Y * cmath.exp(ikn * (l - x) + shift), -k * n),
-            (2 * (n - 1) / co.Y * cmath.exp(ikn * (3 * l + x) + shift), k * n),
+            (2 * (n + 1) / co.Y * np.exp(ikn * (l - x) + shift), -k * n),
+            (2 * (n - 1) / co.Y * np.exp(ikn * (3 * l + x) + shift), k * n),
         )
     return (
-        (co.D * cmath.exp(-1j * k * (2 * l - x - x_s)), k),
-        (cmath.exp(1j * k * abs(x - x_s)), k if x > x_s else -k),
+        (co.D * np.exp(-1j * k * (2 * l - x - x_s)), k),
+        (np.exp(1j * k * abs(x - x_s)), np.where(x > x_s, k, -k)),
     )
 
 
 def _require_exterior_source(x_s, half_length):
     if abs(x_s) <= half_length:
         raise DomainError("source must lie strictly outside the slab")
+
+
+def _require_right_sources(half_length, *sources):
+    for x_s in sources:
+        if not x_s > half_length:
+            raise DomainError("source must lie in the right exterior region")
 
 
 def green(x: float, x_source: float, ctx: WaveContext) -> complex:
@@ -164,7 +176,7 @@ def green(x: float, x_source: float, ctx: WaveContext) -> complex:
     total = 0j
     for a, _ in _waves(x, x_source, ctx, region(x, l)):
         total += a
-    return (0.5j / ctx.k) * total
+    return complex((0.5j / ctx.k) * total)
 
 
 def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:
@@ -176,7 +188,7 @@ def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:
     scale = -0.5 / ctx.k
     if x_source < 0:
         x, x_source, scale = -x, -x_source, -scale
-    return scale * sum(q * a for a, q in _waves(x, x_source, ctx, region(x, l)))
+    return complex(scale * sum(q * a for a, q in _waves(x, x_source, ctx, region(x, l))))
 
 
 def green_vacuum_1d(x: float, x_prime: float, k: float) -> complex:
@@ -212,8 +224,7 @@ def interface_mismatch(ctx: WaveContext, x_source: float) -> float:
     so the result is a pure consistency check on the amplitudes.
     """
     l = ctx.geometry.half_length
-    if region(x_source, l) != "right":
-        raise DomainError("source must lie in the right exterior region")
+    _require_right_sources(l, x_source)
     defects = []
     for x, outside in ((l, "right"), (-l, "left")):
         # Inside minus outside waves; the sums are 2k/i and -2k times the jumps.

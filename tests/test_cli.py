@@ -136,6 +136,32 @@ def test_verify_identity_opaque_slab(tmp_path):
         assert abs(res) <= 1e-8
 
 
+def test_verify_identity_extreme_frequency(tmp_path):
+    # k = 1e300: the seed of a tenth of a wavelength per panel would be
+    # 2e301 panels; it is capped at the panel budget.
+    path = write_config(tmp_path, omega=1e300)
+    rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path])
+    assert rc == 0
+    assert all(math.isfinite(float(rows[0][key])) for key in rows[0] if key != "error")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("coefficients", 1), ("verify-identity", 1), ("decay-scan", 2)],
+)
+def test_non_finite_amplitudes_rejected(tmp_path, capsys, command, code):
+    # A finite permittivity whose amplitudes overflow: D evaluates to NaN.
+    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": [1e308, 1e308]},
+                        omega={"start": 1.0, "stop": 2.0, "count": 3})
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == code
+    if command == "decay-scan":
+        with open(out, newline="") as handle:
+            assert all("not all finite" in row["error"] for row in csv.DictReader(handle))
+    else:
+        assert "not all finite" in capsys.readouterr().err
+
+
 def test_non_finite_config_numbers_rejected(tmp_path, capsys):
     path = write_config(tmp_path, source={"start": 1.5, "stop": 3.5, "count": 3},
                         dielectric={"type": "constant", "epsilon": [math.nan, 1.0]})
