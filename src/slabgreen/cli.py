@@ -16,14 +16,17 @@ I/O error.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .emission import EmissionParams, decay_report, limit_study
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError, raise_first, row_errors
 from .identity import identity_report
 from .slab_green import SlabGeometry, make_context
 from .vacuum3d import green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
@@ -34,6 +37,8 @@ _CONSTANTS = {
 }
 
 _DEFAULT_TOL = 1e-8
+# CSV rows formatted and written at a time.
+_BLOCK_ROWS = 1024
 # Default permittivity path for limit-study: eps = 1 + i 10^-m.
 _DEFAULT_LIMIT_PATH = [complex(1.0, 10.0**-m) for m in range(1, 9)]
 
@@ -245,6 +250,20 @@ def parse_config(path: str) -> RunConfig:
     )
 
 
+@dataclass(frozen=True)
+class _Table:
+    """CSV rows of a subcommand.
+
+    Each row of the float array `values` is one line, followed by `tail` (an
+    empty error cell, say). A row named in `special` is written from the
+    cells given there instead: it carries an error message or blank cells.
+    """
+
+    values: np.ndarray
+    tail: str = ""
+    special: dict = field(default_factory=dict)
+
+
 def _fmt(value) -> str:
     """Fixed 17-significant-digit float formatting; empty string for missing."""
     if value is None:
@@ -274,14 +293,14 @@ def _scalar(value, path):
 
 def _values(value, path):
     value = _require(value, path)
-    return value.values() if isinstance(value, SweepSpec) else [value]
+    return np.array(value.values() if isinstance(value, SweepSpec) else [value])
 
 
 def _tolerance(config, args):
     return args.tol if args.tol is not None else config.quad_tol
 
 
-def _emission_params(config, consts, omega):
+def _emission_params(config, consts, omega, errors=None):
     return EmissionParams(
         omega0=omega,
         dipole_moment=config.dipole_moment,
@@ -289,6 +308,7 @@ def _emission_params(config, consts, omega):
         epsilon0=consts["epsilon0"],
         c=consts["c"],
         surface_unit=config.surface_unit,
+        errors=errors,
     )
 
 
@@ -301,23 +321,23 @@ def _cmd_coefficients(config, consts, args):
         "a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "d_re", "d_im", "y_re", "y_im",
         "abs_a_sq", "abs_d_sq", "unitarity_defect",
     ]
-    rows = []
-    worst = 0.0
-    for omega in _values(config.omega, "omega"):
-        ctx = make_context(geometry, model, omega, c=consts["c"])
-        co = ctx.coefficients
-        abs_a_sq = abs(co.A) ** 2
-        abs_d_sq = abs(co.D) ** 2
-        defect = 1.0 - abs_a_sq - abs_d_sq
-        worst = max(worst, abs(defect))
-        rows.append([
-            omega, ctx.k, ctx.n.real, ctx.n.imag,
-            co.A.real, co.A.imag, co.B.real, co.B.imag, co.C.real, co.C.imag,
-            co.D.real, co.D.imag, co.Y.real, co.Y.imag,
-            abs_a_sq, abs_d_sq, defect,
-        ])
-    summary = [f"coefficients: {len(rows)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
-    return header, rows, summary, 0
+    omega = _values(config.omega, "omega")
+    errors = row_errors(omega.shape)
+    ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
+    raise_first(errors)
+    co = ctx.coefficients
+    abs_a_sq = abs(co.A) ** 2
+    abs_d_sq = abs(co.D) ** 2
+    defect = 1.0 - abs_a_sq - abs_d_sq
+    table = np.column_stack([
+        omega, ctx.k, ctx.n.real, ctx.n.imag,
+        co.A.real, co.A.imag, co.B.real, co.B.imag, co.C.real, co.C.imag,
+        co.D.real, co.D.imag, co.Y.real, co.Y.imag,
+        abs_a_sq, abs_d_sq, defect,
+    ])
+    worst = float(np.max(abs(defect), initial=0.0))
+    summary = [f"coefficients: {len(table)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
+    return header, _Table(table), summary, 0
 
 
 def _cmd_verify_identity(config, consts, args):
@@ -333,12 +353,13 @@ def _cmd_verify_identity(config, consts, args):
         "quadrature_error", "error",
     ]
     rows = []
+    stalled = {}
     status = 0
     worst = 0.0
-    for omega in _values(config.omega, "omega"):
+    for omega in _values(config.omega, "omega").tolist():
         ctx = make_context(geometry, model, omega, c=consts["c"])
-        for x_a in sources:
-            for x_b in sources:
+        for x_a in sources.tolist():
+            for x_b in sources.tolist():
                 rep = identity_report(x_a, x_b, ctx, tol=tol)
                 res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
                 worst = max(worst, abs(res_corr))
@@ -347,12 +368,14 @@ def _cmd_verify_identity(config, consts, args):
                 rows.append([
                     omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
                     res_corr.real, res_corr.imag, res_unc.real, res_unc.imag,
-                    rep.quadrature_estimate_error, _sanitize(rep.error or ""),
+                    rep.quadrature_estimate_error,
                 ])
+                if rep.error is not None:
+                    stalled[len(rows) - 1] = rows[-1] + [_sanitize(rep.error)]
     summary = [
         f"verify-identity: {len(rows)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})",
     ]
-    return header, rows, summary, status
+    return header, _Table(np.array(rows), ",", stalled), summary, status
 
 
 def _sweep_axis(config):
@@ -381,41 +404,33 @@ def _cmd_decay_scan(config, consts, args):
         header += ["gamma_quadrature", "quadrature_error_scaled"]
     header.append("error")
 
-    # _sweep_axis leaves exactly one of the three as a sweep.
-    omegas = _values(config.omega, "omega")
-    lengths = _values(config.slab_half_length, "slab.half_length")
-    positions = _values(config.source, "source")
+    # _sweep_axis leaves exactly one of the three as a sweep; the other two
+    # are one-element arrays that broadcast along it.
+    omega = _values(config.omega, "omega")
+    half_length = _values(config.slab_half_length, "slab.half_length")
+    x_s = _values(config.source, "source")
 
     model = _require(config.dielectric, "dielectric")
-    rows = []
-    status = 0
-    failures = 0
-    for omega in omegas:
-        for half_length in lengths:
-            for x_s in positions:
-                base = [omega, half_length, x_s]
-                try:
-                    geometry = SlabGeometry(half_length)
-                    ctx = make_context(geometry, model, omega, c=consts["c"])
-                    params = _emission_params(config, consts, omega)
-                    oracle_tol = tol if args.oracle else None
-                    rep = decay_report(params, ctx, x_s, oracle_tol=oracle_tol)
-                except (DomainError, QuadratureError) as exc:
-                    failures += 1
-                    status = 2
-                    rows.append(base + [None] * (len(header) - 4) + [_sanitize(str(exc))])
-                    continue
-                cells = base + [
-                    rep.gamma_corrected, rep.gamma_uncorrected, rep.gamma_vac_1d,
-                    rep.normalized_corrected, rep.normalized_uncorrected,
-                ]
-                if args.oracle:
-                    scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
-                    cells += [rep.gamma_quadrature, scaled]
-                cells.append("")
-                rows.append(cells)
-    summary = [f"decay-scan ({axis}): {len(rows)} rows, {failures} failed"]
-    return header, rows, summary, status
+    errors = row_errors(max(map(len, (omega, half_length, x_s))))
+    geometry = SlabGeometry(half_length, errors=errors)
+    ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
+    params = _emission_params(config, consts, omega, errors)
+    rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
+    with np.errstate(all="ignore"):  # the numbers of failed rows are never written
+        columns = [
+            omega, half_length, x_s, rep.gamma_corrected, rep.gamma_uncorrected, rep.gamma_vac_1d,
+            rep.normalized_corrected, rep.normalized_uncorrected,
+        ]
+        if args.oracle:
+            scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
+            columns += [rep.gamma_quadrature, scaled]
+    table = np.column_stack(np.broadcast_arrays(*columns))
+    failed = {
+        i: list(table[i, :3]) + [None] * (len(header) - 4) + [_sanitize(errors[i])]
+        for i in np.flatnonzero(np.not_equal(errors, None)).tolist()
+    }
+    summary = [f"decay-scan ({axis}): {len(table)} rows, {len(failed)} failed"]
+    return header, _Table(table, ",", failed), summary, 2 if failed else 0
 
 
 def _cmd_limit_study(config, consts, args):
@@ -430,26 +445,25 @@ def _cmd_limit_study(config, consts, args):
     rows_data = limit_study(params, geometry, path, x_source=x_source)
     header = ["eps_re", "eps_im", "gamma", "gamma_uncorrected", "f_plus_im_g0",
               "abs_a_sq", "abs_d_sq", "error"]
-    rows = []
-    status = 0
-    for row in rows_data:
-        if row.error is not None:
-            status = 2
-            rows.append([row.epsilon.real, row.epsilon.imag] + [None] * 5 + [_sanitize(row.error)])
-        else:
-            rows.append([
-                row.epsilon.real, row.epsilon.imag, row.gamma, row.gamma_uncorrected,
-                row.f_plus_im_g0, row.abs_a_sq, row.abs_d_sq, "",
-            ])
+    table = np.array([
+        [row.epsilon.real, row.epsilon.imag, row.gamma, row.gamma_uncorrected,
+         row.f_plus_im_g0, row.abs_a_sq, row.abs_d_sq]
+        for row in rows_data
+    ])
+    failed = {
+        i: [row.epsilon.real, row.epsilon.imag] + [None] * 5 + [_sanitize(row.error)]
+        for i, row in enumerate(rows_data)
+        if row.error is not None
+    }
+    summary = [f"limit-study: {len(table)} rows, {len(failed)} failed"]
     good = [row for row in rows_data if row.error is None]
-    summary = [f"limit-study: {len(rows)} rows, {len(rows) - len(good)} failed"]
     if good:
         last = good[-1]
         summary.append(
             f"limit-study: at eps = {last.epsilon}, gamma/gamma_vac = "
             f"{last.gamma / params.gamma_vacuum_1d:.3e}, F + Im G0 = {last.f_plus_im_g0:.3e}"
         )
-    return header, rows, summary, status
+    return header, _Table(table, ",", failed), summary, 2 if failed else 0
 
 
 def _cmd_tensor3d(config, consts, args):
@@ -478,7 +492,7 @@ def _cmd_tensor3d(config, consts, args):
         f"tensor3d: {len(rows)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",
     ]
-    return header, rows, summary, 0
+    return header, _Table(np.array(rows)), summary, 0
 
 
 _COMMANDS = {
@@ -490,16 +504,25 @@ _COMMANDS = {
 }
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+def _write_csv(path, header, table):
+    """Write the header and the rows, formatting a block of rows at a time.
+
+    Plain rows share one "%.17g" row template, which gives the same text as
+    `_fmt`; special rows go through `_fmt` cell by cell.
+    """
+    special = table.special
+    line = ",".join(["%.17g"] * table.values.shape[1]) + table.tail + "\n"
+    output = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with output as handle:
+        handle.write(",".join(header) + "\n")
+        start = 0
+        for stop in [*sorted(special), len(table.values)]:
+            for first in range(start, stop, _BLOCK_ROWS):
+                block = table.values[first:min(first + _BLOCK_ROWS, stop)]
+                handle.write(line * len(block) % tuple(block.ravel().tolist()))
+            if stop in special:
+                handle.write(",".join(_fmt(cell) for cell in special[stop]) + "\n")
+            start = stop + 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -535,8 +558,8 @@ def main(argv=None) -> int:
             raise ConfigError(None, "--tol must be positive and finite")
         units = args.units if args.units is not None else config.units
         consts = _CONSTANTS[units]
-        header, rows, summary, status = _COMMANDS[args.command](config, consts, args)
-        _write_csv(args.out if args.out is not None else config.output_path, header, rows)
+        header, table, summary, status = _COMMANDS[args.command](config, consts, args)
+        _write_csv(args.out if args.out is not None else config.output_path, header, table)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

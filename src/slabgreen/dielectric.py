@@ -6,12 +6,13 @@ taken on the branch with Im n >= 0, so that exp(i*k*n*x) decays into an
 absorbing medium; ties on the real axis are broken toward Re n >= 0.
 """
 
-import bisect
 import cmath
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Union
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, check, plain
 
 
 def _require_finite(*values):
@@ -21,14 +22,22 @@ def _require_finite(*values):
 
 @dataclass(frozen=True)
 class Constant:
-    """Frequency-independent permittivity."""
+    """Frequency-independent permittivity.
+
+    `epsilon` may be an array, one medium per row; with an error record
+    (`errors`, see errors.check) invalid rows are marked instead of raising.
+    """
 
     epsilon: complex
+    errors: InitVar = None
 
-    def __post_init__(self):
-        _require_finite(self.epsilon)
-        if complex(self.epsilon).imag < 0.0:
-            raise DomainError("gain media are not supported: Im epsilon must be >= 0")
+    def __post_init__(self, errors):
+        check(np.isfinite(self.epsilon), "model parameters must be finite", errors)
+        check(
+            np.logical_not(np.imag(self.epsilon) < 0.0),
+            "gain media are not supported: Im epsilon must be >= 0",
+            errors,
+        )
 
 
 @dataclass(frozen=True)
@@ -97,52 +106,57 @@ class Tabulated:
 DielectricModel = Union[Constant, Drude, DrudeLorentz, Tabulated]
 
 
-def permittivity(model: DielectricModel, omega: float) -> complex:
+@np.errstate(all="ignore")
+def permittivity(model: DielectricModel, omega, errors=None):
     """Evaluate eps(omega) for one of the built-in models.
 
-    Raises DomainError for omega <= 0 and, for tabulated data, for
-    frequencies outside the sampled range.
+    `omega` may be an array (and so may a Constant's epsilon); eps is then an
+    array of the rows. Raises DomainError for omega <= 0 and, for tabulated
+    data, for frequencies outside the sampled range; with an error record
+    (see errors.check) those rows are marked instead.
     """
-    if not omega > 0.0:
-        raise DomainError("frequency must be positive")
+    w = np.asarray(omega, float)
+    check(w > 0.0, "frequency must be positive", errors)
     if isinstance(model, Constant):
-        return complex(model.epsilon)
-    if isinstance(model, Drude):
-        return 1.0 - model.plasma_frequency**2 / (omega * (omega + 1j * model.damping))
-    if isinstance(model, DrudeLorentz):
-        eps = 1.0 + 0.0j
+        eps = np.broadcast_arrays(np.asarray(model.epsilon, complex), w)[0]
+    elif isinstance(model, Drude):
+        eps = 1.0 - model.plasma_frequency**2 / (w * (w + 1j * model.damping))
+    elif isinstance(model, DrudeLorentz):
+        eps = np.ones(w.shape, complex)
         for strength, resonance, damping in model.terms:
-            den = resonance * resonance - omega * omega - 1j * damping * omega
-            if den == 0:
-                raise DomainError("evaluation exactly at an undamped resonance")
-            eps += strength / den
-        return eps
-    if isinstance(model, Tabulated):
+            den = resonance * resonance - w * w - 1j * damping * w
+            check(den != 0, "evaluation exactly at an undamped resonance", errors)
+            eps = eps + strength / den
+    elif isinstance(model, Tabulated):
         lo, hi = model.omegas[0], model.omegas[-1]
-        if omega < lo or omega > hi:
-            raise DomainError(
-                f"frequency {omega} outside tabulated range [{lo}, {hi}]; no extrapolation"
-            )
-        j = bisect.bisect_right(model.omegas, omega)
-        if j == len(model.omegas):
-            return model.values[-1]
-        w0, w1 = model.omegas[j - 1], model.omegas[j]
-        t = (omega - w0) / (w1 - w0)
-        return model.values[j - 1] * (1.0 - t) + model.values[j] * t
-    raise TypeError(f"unknown dielectric model type: {type(model).__name__}")
+        check(
+            np.logical_not((w < lo) | (w > hi)),
+            lambda bad: [
+                f"frequency {x} outside tabulated range [{lo}, {hi}]; no extrapolation"
+                for x in np.broadcast_to(w, bad.shape)[bad].tolist()
+            ],
+            errors,
+        )
+        grid, values = np.array(model.omegas), np.array(model.values)
+        j = np.searchsorted(grid, w, side="right")
+        top = j == len(grid)
+        j = np.clip(j, 1, len(grid) - 1)
+        t = (w - grid[j - 1]) / (grid[j] - grid[j - 1])
+        eps = np.where(top, values[-1], values[j - 1] * (1.0 - t) + values[j] * t)
+    else:
+        raise TypeError(f"unknown dielectric model type: {type(model).__name__}")
+    return plain(eps)
 
 
-def refractive_index(eps: complex) -> complex:
-    """Square root of eps on the absorbing branch.
+@np.errstate(all="ignore")
+def refractive_index(eps, errors=None):
+    """Square root of eps on the absorbing branch; eps may be an array of rows.
 
     Im n >= 0 always; when Im n = 0 the sign is chosen so Re n >= 0. The
     branch is continuous across the negative real eps axis, which is where
     metals live; eps = 0 has no usable root.
     """
-    eps = complex(eps)
-    if eps == 0:
-        raise DomainError("degenerate medium: eps = 0 has no refractive index")
-    n = cmath.sqrt(eps)
-    if n.imag < 0.0 or (n.imag == 0.0 and n.real < 0.0):
-        n = -n
-    return n
+    eps = np.asarray(eps, complex)
+    check(eps != 0, "degenerate medium: eps = 0 has no refractive index", errors)
+    n = np.sqrt(eps)
+    return plain(np.where((n.imag < 0.0) | ((n.imag == 0.0) & (n.real < 0.0)), -n, n))

@@ -14,14 +14,22 @@ recomputes the corrected rate from the identity's left-hand side and serves
 as an independent check.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+
+import numpy as np
 
 from .dielectric import Constant
-from .errors import DomainError
+from .errors import DomainError, QuadratureError, check, plain, row_errors
 from .identity import boundary_term_f, lhs_quadrature
-from .slab_green import SlabGeometry, WaveContext, _require_right_sources, green_vacuum_1d, make_context
+from .slab_green import (
+    SlabGeometry,
+    WaveContext,
+    _require_right_sources,
+    _wave_factor,
+    green_vacuum_1d,
+    make_context,
+)
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,9 @@ class EmissionParams:
 
     surface_unit is the cross-section that keeps one-dimensional rates in
     1/s; it cancels from every normalized quantity. Natural units
-    (hbar = eps0 = c = 1) are the default.
+    (hbar = eps0 = c = 1) are the default. omega0 may be an array, one
+    frequency per row; with an error record (`errors`, see errors.check)
+    invalid rows are marked instead of raising.
     """
 
     omega0: float
@@ -39,12 +49,12 @@ class EmissionParams:
     epsilon0: float = 1.0
     c: float = 1.0
     surface_unit: float = 1.0
+    errors: InitVar = None
 
-    def __post_init__(self):
+    def __post_init__(self, errors):
         for name in ("omega0", "dipole_moment", "hbar", "epsilon0", "c", "surface_unit"):
             value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"{name} must be positive and finite")
+            check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
 
     @property
     def gamma_vacuum_1d(self) -> float:
@@ -59,41 +69,78 @@ class EmissionParams:
         )
 
 
-def _require_matching_frequency(params: EmissionParams, ctx: WaveContext):
-    if abs(ctx.omega - params.omega0) > 1e-12 * params.omega0:
-        raise DomainError("wave context was built at a different frequency than omega0")
+def _require_matching_frequency(params: EmissionParams, ctx: WaveContext, errors=None):
+    check(
+        np.logical_not(abs(ctx.omega - params.omega0) > 1e-12 * params.omega0),
+        "wave context was built at a different frequency than omega0",
+        errors,
+    )
 
 
-def decay_rate_corrected(params: EmissionParams, ctx: WaveContext) -> float:
+# The rates take arrays of rows: params.omega0, the context's fields and the
+# source position broadcast against each other. With an error record (see
+# errors.check) failing rows are marked instead of raising.
+
+
+def _finite_rate(rate, errors):
+    check(np.isfinite(rate), "emission rate is not finite: its prefactor overflows", errors)
+    return plain(rate)
+
+
+@np.errstate(all="ignore")
+def decay_rate_corrected(params: EmissionParams, ctx: WaveContext, errors=None) -> float:
     """Boundary-corrected rate (omega0 |d|^2 / 2 hbar eps0 c S) (1 - |A|^2 - |D|^2).
 
     Has no source-position argument because the corrected rate has none.
     """
-    _require_matching_frequency(params, ctx)
+    _require_matching_frequency(params, ctx, errors)
     co = ctx.coefficients
-    return 0.5 * params.gamma_vacuum_1d * (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2)
+    return _finite_rate(0.5 * params.gamma_vacuum_1d * (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2), errors)
 
 
-def decay_rate_uncorrected(params: EmissionParams, ctx: WaveContext, x_source: float) -> float:
+@np.errstate(all="ignore")
+def decay_rate_uncorrected(params: EmissionParams, ctx: WaveContext, x_source, errors=None) -> float:
     """Rate from Im G alone; oscillates with the source position."""
-    _require_matching_frequency(params, ctx)
+    _require_matching_frequency(params, ctx, errors)
     l = ctx.geometry.half_length
-    _require_right_sources(l, x_source)
-    co = ctx.coefficients
-    osc = (co.D * cmath.exp(-2j * ctx.k * (l - x_source))).real
-    return params.gamma_vacuum_1d * (1.0 + osc)
+    _require_right_sources(l, x_source, errors=errors)
+    osc = (ctx.coefficients.D * _wave_factor(-2.0 * ctx.k * (l - x_source), errors)).real
+    return _finite_rate(params.gamma_vacuum_1d * (1.0 + osc), errors)
 
 
 def decay_from_quadrature(
     params: EmissionParams,
     ctx: WaveContext,
-    x_source: float,
+    x_source,
     tol: float = 1e-8,
+    errors=None,
 ) -> float:
-    """Corrected rate recomputed from the quadrature left side of the identity."""
-    _require_matching_frequency(params, ctx)
-    value, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol)
-    return params.rate_prefactor * value.real
+    """Corrected rate recomputed from the quadrature left side of the identity.
+
+    Runs one quadrature per row. With an error record, a row whose
+    quadrature fails is marked with the error's message; without one, the
+    QuadratureError or DomainError propagates.
+    """
+    _require_matching_frequency(params, ctx, errors)
+    co = ctx.coefficients
+    record = errors
+    if record is None:
+        fields = (ctx.omega, ctx.k, ctx.n, ctx.geometry.half_length, co.A, co.D, x_source)
+        record = row_errors(np.broadcast_shapes(*map(np.shape, fields)))
+    sources = np.broadcast_to(x_source, record.shape).ravel().tolist()
+    lhs = np.full(record.shape, math.nan)
+    for i, row in ctx.rows(record):
+        try:
+            value, _ = lhs_quadrature(sources[i], sources[i], row, tol=tol)
+        except (DomainError, QuadratureError) as exc:
+            if errors is None:
+                raise
+            errors.flat[i] = str(exc)
+            continue
+        lhs.flat[i] = value.real
+    with np.errstate(all="ignore"):  # failed rows carry any omega0
+        rate = params.rate_prefactor * lhs
+    return _finite_rate(rate, errors)
 
 
 @dataclass(frozen=True)
@@ -115,15 +162,16 @@ class DecayRateReport:
 def decay_report(
     params: EmissionParams,
     ctx: WaveContext,
-    x_source: float,
+    x_source,
     oracle_tol: float | None = None,
+    errors=None,
 ) -> DecayRateReport:
-    """Bundle all rates at one source position; the quadrature column is optional."""
-    gamma = decay_rate_corrected(params, ctx)
-    gamma_unc = decay_rate_uncorrected(params, ctx, x_source)
+    """Bundle all rates at one source position, or for arrays of rows; the quadrature column is optional."""
+    gamma = decay_rate_corrected(params, ctx, errors)
+    gamma_unc = decay_rate_uncorrected(params, ctx, x_source, errors)
     gamma_quad = None
     if oracle_tol is not None:
-        gamma_quad = decay_from_quadrature(params, ctx, x_source, tol=oracle_tol)
+        gamma_quad = decay_from_quadrature(params, ctx, x_source, tol=oracle_tol, errors=errors)
     return DecayRateReport(
         gamma_corrected=gamma,
         gamma_uncorrected=gamma_unc,
@@ -156,31 +204,25 @@ def limit_study(
     Each row reports both rates, the no-coupling witness F + Im G0 (which
     tends to zero as the medium decouples) and the amplitude magnitudes. A
     failing path entry marks its row instead of aborting the table. The
-    source defaults to one reduced wavelength beyond the slab face.
+    whole path is evaluated as one array. The source defaults to one reduced
+    wavelength beyond the slab face.
     """
     k = params.omega0 / params.c
     x_s = geometry.half_length + 1.0 / k if x_source is None else x_source
     _require_right_sources(geometry.half_length, x_s)
-    rows = []
-    for raw in eps_path:
-        eps = complex(raw)
-        try:
-            if eps.imag < 0.0:
-                raise DomainError("path entries must be passive: Im eps >= 0")
-            ctx = make_context(geometry, Constant(eps), params.omega0, c=params.c)
-            co = ctx.coefficients
-            f = boundary_term_f(x_s, x_s, ctx)
-            im_g0 = green_vacuum_1d(x_s, x_s, k).imag
-            rows.append(
-                LimitStudyRow(
-                    epsilon=eps,
-                    gamma=decay_rate_corrected(params, ctx),
-                    gamma_uncorrected=decay_rate_uncorrected(params, ctx, x_s),
-                    f_plus_im_g0=f.real + im_g0,
-                    abs_a_sq=abs(co.A) ** 2,
-                    abs_d_sq=abs(co.D) ** 2,
-                )
-            )
-        except DomainError as exc:
-            rows.append(LimitStudyRow(epsilon=eps, error=str(exc)))
-    return rows
+    eps = np.array([complex(raw) for raw in eps_path], complex)
+    errors = row_errors(eps.shape)
+    check(np.logical_not(eps.imag < 0.0), "path entries must be passive: Im eps >= 0", errors)
+    ctx = make_context(geometry, Constant(eps, errors=errors), params.omega0, c=params.c, errors=errors)
+    co = ctx.coefficients
+    f = boundary_term_f(x_s, x_s, ctx, errors=errors)
+    im_g0 = green_vacuum_1d(x_s, x_s, k).imag
+    gamma = decay_rate_corrected(params, ctx, errors)
+    gamma_unc = decay_rate_uncorrected(params, ctx, x_s, errors)
+    with np.errstate(all="ignore"):  # the numbers of failed rows are dropped
+        columns = (gamma, gamma_unc, f.real + im_g0, abs(co.A) ** 2, abs(co.D) ** 2)
+    values = zip(*(np.broadcast_to(column, eps.shape).tolist() for column in columns))
+    return [
+        LimitStudyRow(epsilon, *row) if error is None else LimitStudyRow(epsilon, error=error)
+        for epsilon, error, row in zip(eps.tolist(), errors.tolist(), values)
+    ]

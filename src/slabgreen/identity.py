@@ -12,14 +12,13 @@ in closed form, and the flux product b from which F can also be assembled,
 and packages the residuals of the corrected and uncorrected versions.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .slab_green import WaveContext, _require_right_sources, _waves, green, green_dx
+from .errors import DomainError, QuadratureError, plain
+from .slab_green import WaveContext, _require_right_sources, _wave_factor, _waves, green, green_dx
 
 # Gauss-Legendre pair on one panel: the 16-node value is kept, the 8-node
 # value only feeds the error estimate. The rules share no nodes, so a panel
@@ -108,22 +107,25 @@ def boundary_term_b(x_b: float, x_a: float, ctx: WaveContext, box_half_length: f
     return at_left - at_right
 
 
-def boundary_term_f(x_a: float, x_b: float, ctx: WaveContext) -> complex:
+@np.errstate(all="ignore")
+def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
     """Closed-form boundary term F(x_a, x_b) of the corrected identity.
 
     F = -(1/4k) [ (|A|^2 + |D|^2) e^{ik(x_a - x_b)} + e^{-ik(x_a - x_b)}
                   + 2 Re{ D e^{-ik(2l - x_a - x_b)} } ]
 
     Real for x_a = x_b; for a vacuum slab it reduces to -cos(k(x_a - x_b))/2k,
-    exactly minus the imaginary part of the free-space Green function.
+    exactly minus the imaginary part of the free-space Green function. The
+    sources and the context may be arrays of rows; with an error record (see
+    errors.check) failing rows are marked instead of raising.
     """
-    _require_right_sources(ctx.geometry.half_length, x_a, x_b)
+    l = ctx.geometry.half_length
+    _require_right_sources(l, x_a, x_b, errors=errors)
     co = ctx.coefficients
     k = ctx.k
-    l = ctx.geometry.half_length
-    phase = cmath.exp(1j * k * (x_a - x_b))
-    cross = 2.0 * (co.D * cmath.exp(-1j * k * (2 * l - x_a - x_b))).real
-    return -((abs(co.A) ** 2 + abs(co.D) ** 2) * phase + 1.0 / phase + cross) / (4.0 * k)
+    phase = _wave_factor(k * (x_a - x_b), errors)
+    cross = 2.0 * (co.D * _wave_factor(-k * (2 * l - x_a - x_b), errors)).real
+    return plain(-((abs(co.A) ** 2 + abs(co.D) ** 2) * phase + 1.0 / phase + cross) / (4.0 * k))
 
 
 def lhs_quadrature(
@@ -184,7 +186,12 @@ def identity_report(
     ctx: WaveContext,
     tol: float = 1e-8,
 ) -> IdentityReport:
-    """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`."""
+    """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
+
+    F comes first: its DomainError for a phase k*(...) that overflows also
+    guards the quadrature and G, which share those phases.
+    """
+    f = boundary_term_f(x_a, x_b, ctx)
     error = None
     try:
         lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol=tol)
@@ -193,7 +200,7 @@ def identity_report(
     return IdentityReport(
         lhs=lhs,
         im_g=green(x_a, x_b, ctx).imag,
-        f=boundary_term_f(x_a, x_b, ctx),
+        f=f,
         quadrature_estimate_error=quad_err,
         error=error,
     )

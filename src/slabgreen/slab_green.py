@@ -19,28 +19,34 @@ The slab amplitudes are
     Y = (n+1)^2 - (n-1)^2 e^{4iknl}
 
 and carry all the Fabry-Perot physics: |A|^2 + |D|^2 = 1 for a lossless slab,
-< 1 with absorption.
+< 1 with absorption. They are evaluated for whole arrays of rows (a sweep over
+frequency or thickness) in one pass; a single evaluation point is a sweep of
+one row.
 """
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .dielectric import DielectricModel, permittivity, refractive_index
-from .errors import DomainError
+from .errors import DomainError, check, plain
 
 
 @dataclass(frozen=True)
 class SlabGeometry:
-    """Slab spanning [-half_length, half_length]."""
+    """Slab spanning [-half_length, half_length].
+
+    `half_length` may be an array, one slab per row; with an error record
+    (`errors`, see errors.check) invalid rows are marked instead of raising.
+    """
 
     half_length: float
+    errors: InitVar = None
 
-    def __post_init__(self):
-        if not (self.half_length > 0.0 and math.isfinite(self.half_length)):
-            raise DomainError("slab half length must be positive and finite")
+    def __post_init__(self, errors):
+        l = self.half_length
+        check((l > 0.0) & np.isfinite(l), "slab half length must be positive and finite", errors)
 
 
 @dataclass(frozen=True)
@@ -54,21 +60,34 @@ class SlabCoefficients:
 
 @dataclass(frozen=True)
 class WaveContext:
-    """One (geometry, medium, frequency) evaluation point with cached amplitudes."""
+    """One (geometry, medium, frequency) evaluation point with cached amplitudes.
+
+    The fields may also be arrays of rows, as `make_context` builds them for a
+    sweep; `rows` splits such a context into scalar ones.
+    """
 
     omega: float
     k: float
     n: complex
     geometry: SlabGeometry
     coefficients: SlabCoefficients
+    errors: InitVar = None
 
-    def __post_init__(self):
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise DomainError("wavenumber must be positive and finite")
+    def __post_init__(self, errors):
+        check((self.k > 0.0) & np.isfinite(self.k), "wavenumber must be positive and finite", errors)
 
     @property
     def epsilon(self) -> complex:
         return self.n * self.n
+
+    def rows(self, errors):
+        """(index, scalar WaveContext) of every row without an error in the record `errors`."""
+        co = self.coefficients
+        good = np.flatnonzero(np.equal(errors, None))
+        fields = (self.omega, self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
+        columns = [np.broadcast_to(v, errors.shape).ravel()[good].tolist() for v in fields]
+        for i, (omega, k, n, l, *amplitudes) in zip(good.tolist(), zip(*columns)):
+            yield i, WaveContext(omega, k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
 
 
 def region(x: float, half_length: float) -> str:
@@ -80,46 +99,57 @@ def region(x: float, half_length: float) -> str:
     return "inside"
 
 
-def coefficients(geometry: SlabGeometry, n: complex, k: float) -> SlabCoefficients:
+@np.errstate(all="ignore")
+def coefficients(geometry: SlabGeometry, n, k, errors=None) -> SlabCoefficients:
     """Fabry-Perot amplitudes of the slab for a unit exterior wave.
 
-    Requires Im n >= 0 so the interior exponential is bounded. The resonance
-    denominator Y cannot vanish for an absorbing medium; the guard below only
-    fires for contrived lossless edge cases and reports them instead of
-    dividing by almost zero.
+    n, k and the half length may be arrays of rows; the amplitudes are then
+    arrays too. Requires Im n >= 0 so the interior exponential is bounded.
+    The resonance denominator Y cannot vanish for an absorbing medium; the
+    guard below only fires for contrived lossless edge cases and reports
+    them instead of dividing by almost zero. With an error record (see
+    errors.check) failing rows are marked instead of raising.
     """
-    n = complex(n)
-    if not k > 0.0:
-        raise DomainError("wavenumber must be positive")
-    if n.imag < 0.0:
-        raise DomainError("refractive index must have Im n >= 0")
+    n = np.asarray(n, complex)
+    check(np.greater(k, 0.0), "wavenumber must be positive", errors)
+    check(np.logical_not(n.imag < 0.0), "refractive index must have Im n >= 0", errors)
     l = geometry.half_length
-    e4 = cmath.exp(4j * k * n * l)
+    e4 = np.exp(4j * k * n * l)
     y = (n + 1) ** 2 - (n - 1) ** 2 * e4
-    if abs(y) < 1e-12 * abs(n + 1) ** 2:
-        raise DomainError("slab is degenerate: resonance denominator Y is numerically zero")
-    co = SlabCoefficients(
-        A=4 * n * cmath.exp(2j * k * n * l) / y,
-        B=2 * (n + 1) * cmath.exp(1j * k * (n - 1) * l) / y,
-        C=2 * (n - 1) * cmath.exp(1j * k * (3 * n - 1) * l) / y,
-        D=(n * n - 1) * (e4 - 1) / y,
-        Y=y,
+    check(
+        np.logical_not(abs(y) < 1e-12 * abs(n + 1) ** 2),
+        "slab is degenerate: resonance denominator Y is numerically zero",
+        errors,
     )
-    if not all(map(cmath.isfinite, (co.A, co.B, co.C, co.D, co.Y))):
-        raise DomainError("slab amplitudes A, B, C, D and Y are not all finite")
-    return co
+    amplitudes = (
+        4 * n * np.exp(2j * k * n * l) / y,
+        2 * (n + 1) * np.exp(1j * k * (n - 1) * l) / y,
+        2 * (n - 1) * np.exp(1j * k * (3 * n - 1) * l) / y,
+        (n * n - 1) * (e4 - 1) / y,
+        y,
+    )
+    finite = np.logical_and.reduce([np.isfinite(a) for a in amplitudes])
+    check(finite, "slab amplitudes A, B, C, D and Y are not all finite", errors)
+    return SlabCoefficients(*map(plain, amplitudes))
 
 
 def make_context(
-    geometry: SlabGeometry, model: DielectricModel, omega: float, c: float = 1.0
+    geometry: SlabGeometry, model: DielectricModel, omega, c: float = 1.0, errors=None
 ) -> WaveContext:
-    """Build a WaveContext from a dielectric model at one frequency."""
-    if not c > 0.0:
-        raise DomainError("speed of light must be positive")
-    eps = permittivity(model, omega)
-    n = refractive_index(eps)
+    """Build a WaveContext from a dielectric model at one frequency.
+
+    `omega` (or the geometry) may be an array; every field of the context is
+    then an array of rows. With an error record (see errors.check) failing
+    rows are marked instead of raising.
+    """
+    check(c > 0.0, "speed of light must be positive", errors)
+    omega = plain(np.asarray(omega, float))
+    n = refractive_index(permittivity(model, omega, errors), errors)
     k = omega / c
-    return WaveContext(omega=omega, k=k, n=n, geometry=geometry, coefficients=coefficients(geometry, n, k))
+    return WaveContext(
+        omega=omega, k=k, n=n, geometry=geometry,
+        coefficients=coefficients(geometry, n, k, errors), errors=errors,
+    )
 
 
 def context_from_index(geometry: SlabGeometry, n: complex, k: float) -> WaveContext:
@@ -157,10 +187,15 @@ def _require_exterior_source(x_s, half_length):
         raise DomainError("source must lie strictly outside the slab")
 
 
-def _require_right_sources(half_length, *sources):
+def _require_right_sources(half_length, *sources, errors=None):
     for x_s in sources:
-        if not x_s > half_length:
-            raise DomainError("source must lie in the right exterior region")
+        check(np.greater(x_s, half_length), "source must lie in the right exterior region", errors)
+
+
+def _wave_factor(phase, errors=None):
+    """e^{i phase} for a real phase k*(...); a phase that overflowed fails its row."""
+    check(np.isfinite(phase), "wave phase is not finite: k times a distance overflows", errors)
+    return np.exp(1j * phase)
 
 
 def green(x: float, x_source: float, ctx: WaveContext) -> complex:

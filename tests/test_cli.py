@@ -1,7 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slabgreen import cli
@@ -160,6 +165,164 @@ def test_non_finite_amplitudes_rejected(tmp_path, capsys, command, code):
             assert all("not all finite" in row["error"] for row in csv.DictReader(handle))
     else:
         assert "not all finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code",
+    [
+        ("verify-identity", {}, 1),
+        ("decay-scan", {"omega": {"start": 1e199, "stop": 1e200, "count": 3}}, 2),
+        ("limit-study", {}, 2),
+    ],
+)
+def test_phase_overflow_is_a_domain_error(tmp_path, capsys, command, overrides, code):
+    # k (x_s - l) = 1e400 is not a float; cmath.exp used to raise ValueError on it.
+    config = {"slab": {"half_length": 1e200}, "omega": 1e200, "source": 2e200, **overrides}
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", write_config(tmp_path, **config), "--out", str(out)]) == code
+    message = "wave phase is not finite"
+    if code == 1:
+        assert message in capsys.readouterr().err
+    else:
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(message in row["error"] for row in rows)
+
+
+def test_resonance_denominator_overflow_is_a_row_error(tmp_path):
+    # |Y| overflows a float here; abs(Y) used to raise OverflowError.
+    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": [1e308, 1e308]},
+                        omega={"start": 5e-155, "stop": 1e-153, "count": 3}, source=1.5)
+    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path])
+    assert rc == 2
+    assert all("not all finite" in row["error"] for row in rows)
+
+
+def test_rate_overflow_is_a_row_error(tmp_path):
+    # 2 omega0^2 |d|^2 overflows a float; it used to raise OverflowError.
+    path = write_config(tmp_path, slab={"half_length": 1e-150}, source=2e-150,
+                        omega={"start": 1e159, "stop": 2e159, "count": 2})
+    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, "--oracle"])
+    assert rc == 2
+    assert all(row["error"] == "emission rate is not finite: its prefactor overflows" for row in rows)
+
+
+# Frequency sweeps, one per dielectric kind, that mix good rows with failing
+# ones: (dielectric, sweep, error message by row). The messages are those
+# that evaluating each row on its own gives.
+ROW_ERRORS = {
+    "tabulated": (
+        {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.0, 2.5, 0.2], [2.25, 3.0, 0.3]]},
+        {"start": 0.25, "stop": 2.5, "count": 10},
+        {0: "frequency 0.25 outside tabulated range [0.5, 2.25]; no extrapolation",
+         9: "frequency 2.5 outside tabulated range [0.5, 2.25]; no extrapolation"},
+    ),
+    "drude_lorentz": (
+        {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.0], [1.0, 0.0, 0.1]]},
+        {"start": 0.5, "stop": 1.5, "count": 5},
+        {2: "evaluation exactly at an undamped resonance"},
+    ),
+    "drude": (
+        {"type": "drude", "plasma_frequency": 2.0, "damping": 0.0},
+        {"start": 1.0, "stop": 3.0, "count": 5},
+        {2: "degenerate medium: eps = 0 has no refractive index"},
+    ),
+    "constant": (
+        {"type": "constant", "epsilon": [1e308, 1e308]},
+        {"start": -1.0, "stop": 1.0, "count": 3},
+        {0: "frequency must be positive", 1: "frequency must be positive",
+         2: "slab amplitudes A, B, C, D and Y are not all finite"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ROW_ERRORS)
+def test_sweep_row_errors_per_dielectric(tmp_path, capsys, kind):
+    dielectric, omega, expected = ROW_ERRORS[kind]
+    path = write_config(tmp_path, dielectric=dielectric, omega=omega, source=1.5)
+    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path])
+    assert rc == 2
+    # CSV cells keep no commas.
+    cells = [expected.get(i, "").replace(",", ";") for i in range(omega["count"])]
+    assert [row["error"] for row in rows] == cells
+    for row in rows:
+        assert (row["gamma"] == "") == (row["error"] != "")
+        assert row["error"] or math.isfinite(float(row["gamma_uncorrected"]))
+    capsys.readouterr()
+    # coefficients stops at the first failing frequency, with its message.
+    assert cli.main(["coefficients", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {expected[min(expected)]}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["closed_form", "oracle"])
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        # Sources at 0.5 and 1 lie in the slab.
+        ({"source": {"start": 0.5, "stop": 2.0, "count": 4}},
+         ["source must lie in the right exterior region"] * 2 + ["", ""]),
+        # The geometry check comes first, the source check last.
+        ({"slab": {"half_length": {"start": -1.0, "stop": 2.0, "count": 4}}, "source": 1.5},
+         ["slab half length must be positive and finite"] * 2 + ["", "source must lie in the right exterior region"]),
+        # The amplitudes are checked before the source.
+        ({"dielectric": {"type": "constant", "epsilon": [1e308, 1e308]},
+          "source": {"start": 0.5, "stop": 2.0, "count": 4}},
+         ["slab amplitudes A; B; C; D and Y are not all finite"] * 4),
+    ],
+    ids=["position", "thickness", "position_non_finite"],
+)
+def test_sweep_row_errors_per_axis(tmp_path, flags, overrides, expected):
+    path = write_config(tmp_path, **overrides)
+    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, *flags])
+    assert rc == 2
+    assert [row["error"] for row in rows] == expected
+
+
+def run_module(*args):
+    """Run `python -m slabgreen.cli` in a child process, as users and the benchmark do."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "slabgreen.cli", *args], capture_output=True, env=env)
+
+
+def test_module_stdout_matches_out_file(tmp_path):
+    count = 2 * cli._BLOCK_ROWS + 100
+    path = write_config(tmp_path, omega={"start": 0.1, "stop": 5.0, "count": count})
+    out = tmp_path / "out.csv"
+    to_file = run_module("coefficients", "--config", path, "--out", str(out))
+    to_stdout = run_module("coefficients", "--config", path)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_stdout.stdout.count(b"\n") == count + 1
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}, []),
+        ({"dielectric": ROW_ERRORS["constant"][0], "omega": ROW_ERRORS["constant"][1], "source": 1.5}, ["--oracle"]),
+        ({"slab": {"half_length": 1e200}, "omega": {"start": 1e199, "stop": 1e200, "count": 3},
+          "source": 2e200}, ["--oracle"]),
+        ({"omega": {"start": 0.5, "stop": 2.0, "count": 4}, "emission": {"dipole_moment": 0.0}}, []),
+    ],
+    ids=["tabulated", "non_finite_oracle", "phase_overflow_oracle", "zero_dipole"],
+)
+def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
+    result = run_module("decay-scan", "--config", write_config(tmp_path, **overrides), *flags)
+    assert result.returncode == 2
+    assert b"Traceback" not in result.stderr
+    assert b"RuntimeWarning" not in result.stderr
+    assert result.stderr.endswith(b" failed\n")
+
+
+def test_row_template_matches_fmt(tmp_path):
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-310, 0.1, 1.0 / 3.0,
+              1.7976931348623157e308, 123456789.0, -2.5]
+    out = tmp_path / "out.csv"
+    cli._write_csv(str(out), ["a"] * len(values), cli._Table(np.array([values, values[::-1]]), ","))
+    lines = out.read_text().splitlines()
+    assert lines[1] == ",".join(cli._fmt(v) for v in values) + ","
+    assert lines[2] == ",".join(cli._fmt(np.float64(v)) for v in values[::-1]) + ","
 
 
 def test_non_finite_config_numbers_rejected(tmp_path, capsys):

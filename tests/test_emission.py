@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from slabgreen import (
     Constant,
     DomainError,
+    DrudeLorentz,
     EmissionParams,
     SlabGeometry,
     boundary_term_f,
@@ -190,3 +192,47 @@ def test_passivity_bound_on_amplitudes(re, im, k_half):
     ctx = context_from_index(SlabGeometry(1.0), refractive_index(eps), k_half)
     co = ctx.coefficients
     assert abs(co.A) ** 2 + abs(co.D) ** 2 <= 1.0 + 1e-12
+
+
+def _reference_row(terms, omega, half_length, x_s):
+    """One row of a frequency sweep in plain cmath, as it was evaluated before the closed forms took arrays."""
+    eps = 1.0 + 0.0j
+    for strength, resonance, damping in terms:
+        eps += strength / (resonance * resonance - omega * omega - 1j * damping * omega)
+    n = cmath.sqrt(eps)
+    if n.imag < 0.0 or (n.imag == 0.0 and n.real < 0.0):
+        n = -n
+    k, l = omega, half_length
+    e4 = cmath.exp(4j * k * n * l)
+    y = (n + 1) ** 2 - (n - 1) ** 2 * e4
+    a = 4 * n * cmath.exp(2j * k * n * l) / y
+    d = (n * n - 1) * (e4 - 1) / y
+    gamma = 0.5 * omega * (1.0 - abs(a) ** 2 - abs(d) ** 2)
+    gamma_unc = omega * (1.0 + (d * cmath.exp(-2j * k * (l - x_s))).real)
+    f = -((abs(a) ** 2 + abs(d) ** 2) + 1.0 + 2.0 * (d * cmath.exp(-2j * k * (l - x_s))).real) / (4.0 * k)
+    return a, d, gamma, gamma_unc, f
+
+
+def test_frequency_sweep_matches_row_by_row_reference():
+    # Bounds of the array evaluation against the row-by-row one: 1e-12 of the
+    # amplitude for A and D, 1e-12 of gamma_vac_1d (= omega) for the rates.
+    terms = ((4.0, 1.0, 0.3), (1.0, 0.0, 0.1))
+    geometry = SlabGeometry(1.0)
+    omega = 0.2 + np.arange(200) * 0.025
+    ctx = make_context(geometry, DrudeLorentz(terms), omega)
+    params = EmissionParams(omega0=omega)
+    gamma = decay_rate_corrected(params, ctx)
+    gamma_unc = decay_rate_uncorrected(params, ctx, 1.5)
+    f = boundary_term_f(1.5, 1.5, ctx)
+    co = ctx.coefficients
+    for i, w in enumerate(omega.tolist()):
+        a, d, g, g_unc, f_ref = _reference_row(terms, w, 1.0, 1.5)
+        assert abs(co.A[i] - a) <= 1e-12 * abs(a)
+        assert abs(co.D[i] - d) <= 1e-12 * abs(d)
+        assert abs(gamma[i] - g) <= 1e-12 * w
+        assert abs(gamma_unc[i] - g_unc) <= 1e-12 * w
+        assert abs(f[i] - f_ref) <= 1e-12 / w
+        # A single frequency runs the same code as a sweep of one row.
+        single = make_context(geometry, DrudeLorentz(terms), w)
+        assert isinstance(single.coefficients.D, complex)
+        assert abs(single.coefficients.D - co.D[i]) <= 1e-14 * abs(d)
