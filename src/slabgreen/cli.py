@@ -352,30 +352,25 @@ def _cmd_verify_identity(config, consts, args):
         "residual_uncorrected_re", "residual_uncorrected_im",
         "quadrature_error", "error",
     ]
-    rows = []
-    stalled = {}
-    status = 0
-    worst = 0.0
-    for omega in _values(config.omega, "omega").tolist():
-        ctx = make_context(geometry, model, omega, c=consts["c"])
-        for x_a in sources.tolist():
-            for x_b in sources.tolist():
-                rep = identity_report(x_a, x_b, ctx, tol=tol)
-                res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
-                worst = max(worst, abs(res_corr))
-                if rep.error is not None or abs(res_corr) > tol:
-                    status = 2
-                rows.append([
-                    omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
-                    res_corr.real, res_corr.imag, res_unc.real, res_unc.imag,
-                    rep.quadrature_estimate_error,
-                ])
-                if rep.error is not None:
-                    stalled[len(rows) - 1] = rows[-1] + [_sanitize(rep.error)]
-    summary = [
-        f"verify-identity: {len(rows)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})",
-    ]
-    return header, _Table(np.array(rows), ",", stalled), summary, status
+    # Rows run over omega, then x_a, then x_b: one context row per omega.
+    omega = _values(config.omega, "omega")[:, None, None]
+    x_a, x_b = sources[:, None], sources
+    errors = row_errors(omega.shape)
+    ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
+    grid = np.broadcast_to(errors, (len(omega), len(sources), len(sources))).copy()
+    rep = identity_report(x_a, x_b, ctx, tol=tol, errors=grid)
+    res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
+    columns = [omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
+               res_corr.real, res_corr.imag, res_unc.real, res_unc.imag, rep.quadrature_estimate_error]
+    table = np.column_stack([column.ravel() for column in np.broadcast_arrays(*columns)])
+    stalled = {
+        i: list(table[i]) + [_sanitize(rep.error.flat[i])]
+        for i in np.flatnonzero(np.not_equal(rep.error, None)).tolist()
+    }
+    worst = np.max(abs(res_corr))  # a NaN residual shows
+    summary = [f"verify-identity: {len(table)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
+    status = 2 if stalled or (abs(res_corr) > tol).any() else 0
+    return header, _Table(table, ",", stalled), summary, status
 
 
 def _sweep_axis(config):
@@ -438,9 +433,7 @@ def _cmd_limit_study(config, consts, args):
     geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
     omega = _scalar(config.omega, "omega")
     params = _emission_params(config, consts, omega)
-    x_source = None
-    if config.source is not None:
-        x_source = _scalar(config.source, "source")
+    x_source = None if config.source is None else _scalar(config.source, "source")
     path = config.limit_path if config.limit_path is not None else list(_DEFAULT_LIMIT_PATH)
     rows_data = limit_study(params, geometry, path, x_source=x_source)
     header = ["eps_re", "eps_im", "gamma", "gamma_uncorrected", "f_plus_im_g0",
@@ -473,26 +466,17 @@ def _cmd_tensor3d(config, consts, args):
     params = _emission_params(config, consts, omega)
     gamma0 = vacuum_decay_3d(params)
     im_diag = im_green_coincident(omega, c=consts["c"])[0, 0]
-    header = ["r_x", "r_y", "r_z"]
-    for i in "xyz":
-        for j in "xyz":
-            header += [f"g_{i}{j}_re", f"g_{i}{j}_im"]
-    header += ["im_g0_coincident_diag", "gamma0"]
-    rows = []
-    origin = (0.0, 0.0, 0.0)
-    for sep in separations:
-        tensor = green_tensor_vacuum(omega, sep, origin, c=consts["c"])
-        cells = list(sep)
-        for i in range(3):
-            for j in range(3):
-                cells += [tensor[i, j].real, tensor[i, j].imag]
-        cells += [im_diag, gamma0]
-        rows.append(cells)
+    tensor = [f"g_{i}{j}_{part}" for i in "xyz" for j in "xyz" for part in ("re", "im")]
+    header = ["r_x", "r_y", "r_z", *tensor, "im_g0_coincident_diag", "gamma0"]
+    tensors = np.array([green_tensor_vacuum(omega, sep, (0.0, 0.0, 0.0), c=consts["c"]) for sep in separations])
+    # Viewed as floats, each complex component is its (re, im) pair of columns.
+    constants = np.full((len(tensors), 2), [im_diag, gamma0])
+    table = np.column_stack([separations, tensors.reshape(-1, 9).view(float), constants])
     summary = [
-        f"tensor3d: {len(rows)} rows at omega = {omega}",
+        f"tensor3d: {len(table)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",
     ]
-    return header, _Table(np.array(rows)), summary, 0
+    return header, _Table(table), summary, 0
 
 
 _COMMANDS = {

@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .dielectric import Constant
-from .errors import DomainError, QuadratureError, check, plain, row_errors
+from .errors import check, plain, row_errors
 from .identity import boundary_term_f, lhs_quadrature
 from .slab_green import (
     SlabGeometry,
@@ -57,16 +57,18 @@ class EmissionParams:
             check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
 
     @property
+    @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
     def gamma_vacuum_1d(self) -> float:
         """One-dimensional free-space reference rate omega0 |d|^2 / (hbar eps0 c S)."""
-        return self.omega0 * self.dipole_moment**2 / (self.hbar * self.epsilon0 * self.c * self.surface_unit)
+        d = self.dipole_moment
+        return self.omega0 * (d * d) / (self.hbar * self.epsilon0 * self.c * self.surface_unit)
 
     @property
+    @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
     def rate_prefactor(self) -> float:
         """2 omega0^2 |d|^2 / (hbar eps0 c^2 S), multiplying Im G + F."""
-        return 2.0 * self.omega0**2 * self.dipole_moment**2 / (
-            self.hbar * self.epsilon0 * self.c**2 * self.surface_unit
-        )
+        w, d, c = self.omega0, self.dipole_moment, self.c
+        return 2.0 * (w * w) * (d * d) / (self.hbar * self.epsilon0 * (c * c) * self.surface_unit)
 
 
 def _require_matching_frequency(params: EmissionParams, ctx: WaveContext, errors=None):
@@ -117,29 +119,14 @@ def decay_from_quadrature(
 ) -> float:
     """Corrected rate recomputed from the quadrature left side of the identity.
 
-    Runs one quadrature per row. With an error record, a row whose
-    quadrature fails is marked with the error's message; without one, the
-    QuadratureError or DomainError propagates.
+    One batched quadrature serves all rows (see lhs_quadrature). With an
+    error record, a row whose quadrature fails is marked with the error's
+    message; without one, the QuadratureError or DomainError propagates.
     """
     _require_matching_frequency(params, ctx, errors)
-    co = ctx.coefficients
-    record = errors
-    if record is None:
-        fields = (ctx.omega, ctx.k, ctx.n, ctx.geometry.half_length, co.A, co.D, x_source)
-        record = row_errors(np.broadcast_shapes(*map(np.shape, fields)))
-    sources = np.broadcast_to(x_source, record.shape).ravel().tolist()
-    lhs = np.full(record.shape, math.nan)
-    for i, row in ctx.rows(record):
-        try:
-            value, _ = lhs_quadrature(sources[i], sources[i], row, tol=tol)
-        except (DomainError, QuadratureError) as exc:
-            if errors is None:
-                raise
-            errors.flat[i] = str(exc)
-            continue
-        lhs.flat[i] = value.real
+    lhs, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol, errors=errors)
     with np.errstate(all="ignore"):  # failed rows carry any omega0
-        rate = params.rate_prefactor * lhs
+        rate = params.rate_prefactor * np.real(lhs)
     return _finite_rate(rate, errors)
 
 

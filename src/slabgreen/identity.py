@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, plain
+from .errors import DomainError, QuadratureError, check, plain, raise_first, row_errors
 from .slab_green import WaveContext, _require_right_sources, _wave_factor, _waves, green, green_dx
 
 # Gauss-Legendre pair on one panel: the 16-node value is kept, the 8-node
@@ -29,66 +29,89 @@ _NODES = np.concatenate([_NODES_LO, _NODES_HI])
 _MAX_PANELS = 4096
 # Panels per integrand call; bounds the integrand's temporaries.
 _BLOCK = 128
+# Rows refined together; bounds the live panels however many rows fill their budget.
+_GROUP = 64
 
 
-def _panels(f, lo, hi):
-    """16-node value and |GL16 - GL8| error estimate of each panel [lo, hi]."""
+def _panels(f, lo, hi, rows):
+    """16-node value and |GL16 - GL8| error estimate of each panel [lo, hi] of row `rows`."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fine = np.empty(len(lo), complex)
-    coarse = np.empty(len(lo), complex)
+    fine, coarse = np.empty((2, len(lo)), complex)
     for start in range(0, len(lo), _BLOCK):
         block = slice(start, start + _BLOCK)
-        values = f(mid[block, None] + half[block, None] * _NODES)
+        values = f(mid[block, None] + half[block, None] * _NODES, rows[block])
         coarse[block] = (values[:, :8] * _WEIGHTS_LO).sum(axis=1)
         fine[block] = (values[:, 8:] * _WEIGHTS_HI).sum(axis=1)
     fine *= half
     coarse *= half
-    return fine, np.abs(fine - coarse)
+    # The two rules can agree to the last bit; a panel's estimate never drops below its rounding.
+    return fine, np.maximum(np.abs(fine - coarse), np.finfo(float).eps * np.abs(fine))
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float, initial_panels: int = 1):
-    """Adaptively integrate a complex-valued function over [a, b].
-
-    `f` maps an array of points to an array of values of the same shape. The
-    interval starts as `initial_panels` equal panels. Each round bisects
-    every panel whose error estimate per unit length exceeds tol / (b - a),
-    until the summed estimate drops below `tol` (absolute); a round that
-    would pass the budget of 4096 panels splits only the densest panels
-    that fit. Returns (value, error_estimate). Raises QuadratureError
-    carrying the best estimate when the budget runs out first or the
-    estimate is not finite.
-    """
-    if not tol > 0.0:
-        raise DomainError("quadrature tolerance must be positive")
-    if not b > a:
-        raise DomainError("integration interval is empty or reversed")
-    initial_panels = max(1, int(initial_panels))
-    lo = a + np.arange(initial_panels) * ((b - a) / initial_panels)
-    hi = np.append(lo[1:], b)
-    value, err = _panels(f, lo, hi)
-    while err.sum() > tol:
+def _refine(f, rows, a, b, tol, seeds):
+    """Integrate the rows `rows` together: each one's value, error estimate and panel count."""
+    size = len(rows)
+    owner = np.repeat(np.arange(size), seeds)
+    last = np.cumsum(seeds) - 1
+    lo = a[owner] + (np.arange(len(owner)) - (last + 1 - seeds)[owner]) * ((b - a) / seeds)[owner]
+    hi = np.append(lo[1:], 0.0)
+    hi[last] = b
+    value, err = _panels(f, lo, hi, rows[owner])
+    live = np.ones(size, bool)
+    while (live := live & (np.bincount(owner, err, size) > tol)).any():
+        # Per row: the panels denser than tol / (b - a), densest first, as many as its budget allows.
         density = err / (hi - lo)
-        split = np.flatnonzero(density > tol / (b - a))
-        split = split[np.argsort(-density[split], kind="stable")[: max(0, _MAX_PANELS - len(lo))]]
-        if not split.size:
-            break
+        split = np.flatnonzero(live[owner] & (density > (tol / (b - a))[owner]))
+        split = split[np.lexsort((-density[split], owner[split]))]
+        rank = np.arange(len(split)) - np.searchsorted(owner[split], owner[split])
+        split = split[rank < (_MAX_PANELS - np.bincount(owner, minlength=size))[owner[split]]]
+        live &= np.bincount(owner[split], minlength=size) > 0
         keep = np.ones(len(lo), bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_value, new_err = _panels(f, new_lo, new_hi)
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        value, err = np.concatenate([value[keep], new_value]), np.concatenate([err[keep], new_err])
+        new = [np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]), np.tile(owner[split], 2)]
+        new += _panels(f, new[0], new[1], rows[new[2]])
+        pairs = zip((lo, hi, owner, value, err), new)
+        lo, hi, owner, value, err = (np.concatenate([old[keep], add]) for old, add in pairs)
+    total = np.bincount(owner, value.real, size) + 1j * np.bincount(owner, value.imag, size)
+    return total, np.bincount(owner, err, size), np.bincount(owner, minlength=size)
 
-    total_value, total_err = complex(value.sum()), float(err.sum())
-    if not total_err <= tol:
-        raise QuadratureError(
-            f"quadrature stalled at error {total_err:.3e} (tol {tol:.3e}) after {len(lo)} panels",
-            best_estimate=total_value,
-            error_estimate=total_err,
-        )
-    return total_value, total_err
+
+def integrate_adaptive(f, a, b, tol, initial_panels=1, errors=None):
+    """Adaptively integrate complex-valued functions over [a, b], one per row.
+
+    a, b, tol and initial_panels broadcast to the rows. `f(x, rows)` maps
+    points, one line per panel, and the flat index of each panel's row to
+    values shaped like the points. A row starts as `initial_panels` equal
+    panels; each round bisects every panel whose error estimate per unit
+    length exceeds tol / (b - a), until the row's summed estimate is below
+    its tol (absolute). A round that would pass the row's budget of 4096
+    panels splits only its densest panels that fit. Returns (value,
+    error_estimate) per row. A row fails when its budget runs out or its
+    estimate is not finite: with an error record (see errors.check) it is
+    marked, and rows already marked are skipped; without one, the first
+    raises QuadratureError carrying its best estimate.
+    """
+    arrays = np.broadcast_arrays(*map(np.asarray, (a, b, tol, initial_panels)))
+    shape = arrays[0].shape
+    a, b, tol, seeds = (v.ravel() for v in arrays)
+    check(np.all(tol > 0.0), "quadrature tolerance must be positive")
+    check((b > a).reshape(shape), "integration interval is empty or reversed", errors)
+    record = row_errors(shape) if errors is None else errors
+    value, estimate = np.full(a.size, math.nan, complex), np.full(a.size, math.nan)
+    panels = np.zeros(a.size, int)
+    todo = np.flatnonzero(np.equal(record, None))
+    for start in range(0, len(todo), _GROUP):
+        rows = todo[start:start + _GROUP]
+        seed = np.maximum(1, seeds[rows]).astype(int)
+        value[rows], estimate[rows], panels[rows] = _refine(f, rows, a[rows], b[rows], tol[rows], seed)
+    failed = todo[np.logical_not(estimate[todo] <= tol[todo])].tolist()
+    messages = [f"quadrature stalled at error {estimate[i]:.3e} (tol {tol[i]:.3e}) after {panels[i]} panels"
+                for i in failed]
+    if errors is None and failed:
+        raise QuadratureError(messages[0], complex(value[failed[0]]), float(estimate[failed[0]]))
+    record.flat[failed] = messages
+    return plain(value.reshape(shape)), plain(estimate.reshape(shape))
 
 
 def boundary_term_b(x_b: float, x_a: float, ctx: WaveContext, box_half_length: float) -> complex:
@@ -128,38 +151,47 @@ def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
     return plain(-((abs(co.A) ** 2 + abs(co.D) ** 2) * phase + 1.0 / phase + cross) / (4.0 * k))
 
 
-def lhs_quadrature(
-    x_a: float,
-    x_b: float,
-    ctx: WaveContext,
-    tol: float = 1e-8,
-):
-    """Adaptive quadrature of k^2 Im(eps) G(x, x_a) G*(x, x_b) over the slab.
+def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
+    """Adaptive quadrature of k^2 Im(eps) G(x, x_a) G*(x, x_b) over the slab, for arrays of rows too.
 
-    The integrand oscillates like exp(i k n x), so the initial panels are
-    capped at a tenth of the interior wavelength before any adaptation (and
-    their number at the panel budget). Returns (value, error_estimate) with
-    error_estimate <= tol on success.
+    For x_s > l the interior waves are e^{ik(x_s - l)} v(x), with v those of
+    a source on the face, so the integrand is e^{ik(x_a - x_b)} (Im eps/4)
+    |v|^2: one batched integral per row of the context serves every source
+    pair, with the same error estimate since the phase has modulus one. v
+    oscillates like exp(i k n x), so the initial panels are capped at a
+    tenth of the interior wavelength (and their number at the budget).
+    Returns (value, error_estimate). With an error record (see errors.check)
+    failing rows are marked and rows it fails are skipped; else they raise.
     """
-    l = ctx.geometry.half_length
-    _require_right_sources(l, x_a, x_b)
-    eps_i = ctx.epsilon.imag
+    _require_right_sources(ctx.geometry.half_length, x_a, x_b, errors=errors)
+    phase = _wave_factor(ctx.k * (x_a - x_b), errors)
+    shape = ctx.shape
+    record = row_errors(np.broadcast_shapes(shape, np.shape(phase))) if errors is None else errors
+    owner = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), record.shape)
+    index = np.flatnonzero(np.bincount(owner[np.equal(record, None)], minlength=math.prod(shape)))
+    rows = ctx.take(index)
+    half = rows.geometry.half_length
 
-    def integrand(x):
-        # G = (i/2k) times the summed waves, so k^2 G_a G_b* = (1/4) sum_a conj(sum_b).
-        ua, ub = (sum(a for a, _ in _waves(x, x_s, ctx, "inside")) for x_s in (x_a, x_b))
-        return (0.25 * eps_i) * ua * ub.conj()
+    def integrand(x, owners):
+        at = rows.take(owners[:, None])
+        v = sum(a for a, _ in _waves(x, at.geometry.half_length, at, "inside"))
+        return (0.25 * at.epsilon.imag) * (v.real * v.real + v.imag * v.imag)
 
-    panels = 1
-    if ctx.n.real > 0.0:
-        wavelength = 2.0 * math.pi / (ctx.k * ctx.n.real)
-        panels = max(1, math.ceil(min(2.0 * l / (wavelength / 10.0), _MAX_PANELS)))
-    return integrate_adaptive(integrand, -l, l, tol, initial_panels=panels)
+    with np.errstate(divide="ignore"):
+        wavelength = 2.0 * math.pi / (rows.k * rows.n.real)
+    seeds = np.where(rows.n.real > 0.0, np.ceil(np.minimum(2.0 * half / (wavelength / 10.0), _MAX_PANELS)), 1)
+    stalls = None if errors is None else row_errors(index.shape)
+    value, estimate, failed = np.full(shape, math.nan, complex), np.full(shape, math.nan), row_errors(shape)
+    value.flat[index], estimate.flat[index] = integrate_adaptive(integrand, -half, half, tol, seeds, stalls)
+    failed.flat[index] = stalls
+    failed, estimate = (np.broadcast_to(v, record.shape) for v in (failed, estimate))
+    check(np.equal(failed, None), lambda new: failed[new], errors)
+    return plain(phase * value), plain(estimate)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Both sides of the identity at one (x_a, x_b) pair and their residuals.
+    """Both sides of the identity at one (x_a, x_b) pair, or arrays of pairs, and their residuals.
 
     When the quadrature stalls, `lhs` and `quadrature_estimate_error` hold its
     best estimate and `error` says why; otherwise `error` is None.
@@ -180,27 +212,20 @@ class IdentityReport:
         return self.lhs - self.im_g
 
 
-def identity_report(
-    x_a: float,
-    x_b: float,
-    ctx: WaveContext,
-    tol: float = 1e-8,
-) -> IdentityReport:
+def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None) -> IdentityReport:
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
-    F comes first: its DomainError for a phase k*(...) that overflows also
-    guards the quadrature and G, which share those phases.
+    For arrays of rows (a grid of source pairs per context row, say) every
+    field is an array, `error` one message or None per row. F comes first:
+    its DomainError for a phase k*(...) that overflows also guards the
+    quadrature and G. The first failing row raises its DomainError, counting
+    the rows that the context's error record `errors` already fails.
     """
-    f = boundary_term_f(x_a, x_b, ctx)
-    error = None
-    try:
-        lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol=tol)
-    except QuadratureError as exc:
-        lhs, quad_err, error = exc.best_estimate, exc.error_estimate, str(exc)
-    return IdentityReport(
-        lhs=lhs,
-        im_g=green(x_a, x_b, ctx).imag,
-        f=f,
-        quadrature_estimate_error=quad_err,
-        error=error,
-    )
+    if errors is None:
+        errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
+    f = boundary_term_f(x_a, x_b, ctx, errors)
+    raise_first(errors)
+    lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors)
+    # Both sources lie on the right, so G(x_a, x_b) is the sum of the right-hand waves.
+    im_g = ((0.5j / ctx.k) * sum(a for a, _ in _waves(x_a, x_b, ctx, "right"))).imag
+    return IdentityReport(lhs, plain(im_g), f, quad_err, plain(errors))

@@ -63,7 +63,7 @@ class WaveContext:
     """One (geometry, medium, frequency) evaluation point with cached amplitudes.
 
     The fields may also be arrays of rows, as `make_context` builds them for a
-    sweep; `rows` splits such a context into scalar ones.
+    sweep; `take` picks rows out of such a context.
     """
 
     omega: float
@@ -80,14 +80,19 @@ class WaveContext:
     def epsilon(self) -> complex:
         return self.n * self.n
 
-    def rows(self, errors):
-        """(index, scalar WaveContext) of every row without an error in the record `errors`."""
+    def _fields(self):
         co = self.coefficients
-        good = np.flatnonzero(np.equal(errors, None))
-        fields = (self.omega, self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
-        columns = [np.broadcast_to(v, errors.shape).ravel()[good].tolist() for v in fields]
-        for i, (omega, k, n, l, *amplitudes) in zip(good.tolist(), zip(*columns)):
-            yield i, WaveContext(omega, k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
+        return (self.omega, self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
+
+    @property
+    def shape(self):
+        """Shape of the rows: the fields broadcast against each other."""
+        return np.broadcast(*self._fields()).shape
+
+    def take(self, index):
+        """The context of the rows `index`, counted in the flattened `shape`."""
+        omega, k, n, l, *amplitudes = (v.reshape(-1)[index] for v in np.broadcast_arrays(*self._fields()))
+        return WaveContext(omega, k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
 
 
 def region(x: float, half_length: float) -> str:
@@ -208,10 +213,7 @@ def green(x: float, x_source: float, ctx: WaveContext) -> complex:
     _require_exterior_source(x_source, l)
     if x_source < 0:
         x, x_source = -x, -x_source
-    total = 0j
-    for a, _ in _waves(x, x_source, ctx, region(x, l)):
-        total += a
-    return complex((0.5j / ctx.k) * total)
+    return complex((0.5j / ctx.k) * sum(a for a, _ in _waves(x, x_source, ctx, region(x, l))))
 
 
 def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .emission import EmissionParams
-from .errors import DomainError
+from .errors import DomainError, check
 
 
 def _separation(r_a, r_b):
@@ -73,11 +73,13 @@ def vacuum_decay_3d(params: EmissionParams) -> float:
     Computed both in closed form and by contracting the dipole with the
     coincident Im G limit; the two routes must agree to rounding.
     """
-    w, d = params.omega0, params.dipole_moment
-    closed = w**3 * d**2 / (3.0 * math.pi * params.hbar * params.epsilon0 * params.c**3)
+    w, d, c = np.float64(params.omega0), params.dipole_moment, np.float64(params.c)
+    with np.errstate(all="ignore"):  # numpy powers round like Python's but overflow to inf
+        closed = w**3 * (d * d) / (3.0 * math.pi * params.hbar * params.epsilon0 * c**3)
+    check(np.isfinite(closed), "vacuum decay rate is not finite: its prefactor overflows")
     dipole = np.array([0.0, 0.0, d])
-    contraction = dipole @ im_green_coincident(w, params.c) @ dipole
-    contracted = 2.0 * w**2 / (params.hbar * params.epsilon0 * params.c**2) * contraction
+    contraction = dipole @ im_green_coincident(w, c) @ dipole
+    contracted = 2.0 * (w * w) / (params.hbar * params.epsilon0 * (c * c)) * contraction
     if abs(contracted - closed) > 1e-12 * closed:
         raise RuntimeError("vacuum rate routes disagree beyond rounding; internal bug")
-    return closed
+    return float(closed)

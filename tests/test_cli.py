@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 import math
@@ -110,17 +111,42 @@ def test_verify_identity_passes(tmp_path):
 
 
 def test_verify_identity_unreachable_tolerance(tmp_path, capsys):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 3})
     rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path, "--tol", "1e-30"])
     assert rc == 2
-    row = rows[0]
-    assert row["error"] != ""
-    assert row["lhs_re"] != ""  # best estimate still reported
-    lhs = complex(float(row["lhs_re"]), float(row["lhs_im"]))
-    im_g = float(row["im_g"])
-    f = complex(float(row["f_re"]), float(row["f_im"]))
-    assert complex(float(row["residual_corrected_re"]), float(row["residual_corrected_im"])) == lhs - im_g - f
-    assert complex(float(row["residual_uncorrected_re"]), float(row["residual_uncorrected_im"])) == lhs - im_g
+    assert len(rows) == 9
+    for row in rows:
+        # Every row of the stalled omega shares its one integral's message and estimate.
+        assert row["error"] == rows[0]["error"]
+        assert row["error"].endswith("after 4096 panels")
+        assert row["quadrature_error"] == rows[0]["quadrature_error"]
+        assert row["lhs_re"] != ""  # best estimate still reported
+        lhs = complex(float(row["lhs_re"]), float(row["lhs_im"]))
+        im_g = float(row["im_g"])
+        f = complex(float(row["f_re"]), float(row["f_im"]))
+        assert complex(float(row["residual_corrected_re"]), float(row["residual_corrected_im"])) == lhs - im_g - f
+        assert complex(float(row["residual_uncorrected_re"]), float(row["residual_uncorrected_im"])) == lhs - im_g
+
+
+def test_verify_identity_factorised_grid(tmp_path):
+    # One integral per omega: each pair is the x_a = x_b value times e^{ik(x_a - x_b)}.
+    path = write_config(
+        tmp_path,
+        omega={"start": 1.0, "stop": 3.0, "count": 2},
+        source={"start": 1.3, "stop": 2.9, "count": 3},
+    )
+    rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path])
+    assert rc == 0
+    assert len(rows) == 18
+    for omega in {row["omega"] for row in rows}:
+        mine = [row for row in rows if row["omega"] == omega]
+        diagonal = [row for row in mine if row["x_a"] == row["x_b"]]
+        base = complex(float(diagonal[0]["lhs_re"]), float(diagonal[0]["lhs_im"]))
+        for row in mine:
+            x_a, x_b = float(row["x_a"]), float(row["x_b"])
+            lhs = complex(float(row["lhs_re"]), float(row["lhs_im"]))
+            assert abs(lhs - cmath.exp(1j * float(omega) * (x_a - x_b)) * base) <= 1e-15 * abs(base)
+            assert row["quadrature_error"] == mine[0]["quadrature_error"]
 
 
 def test_verify_identity_opaque_slab(tmp_path):
@@ -313,6 +339,26 @@ def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
     assert b"Traceback" not in result.stderr
     assert b"RuntimeWarning" not in result.stderr
     assert result.stderr.endswith(b" failed\n")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code",
+    [
+        ("decay-scan", {"source": {"start": 1.5, "stop": 3.0, "count": 3}}, 2),
+        ("limit-study", {}, 2),
+        ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1),
+    ],
+)
+def test_dipole_overflow_is_not_a_traceback(tmp_path, command, overrides, code):
+    path = write_config(tmp_path, emission={"dipole_moment": 1e200}, **overrides)
+    result = run_module(command, "--config", path)
+    assert result.returncode == code
+    assert b"Traceback" not in result.stderr
+    assert b"RuntimeWarning" not in result.stderr
+    if code == 2:
+        assert b"emission rate is not finite" in result.stdout
+    else:
+        assert result.stderr == b"error: vacuum decay rate is not finite: its prefactor overflows\n"
 
 
 def test_row_template_matches_fmt(tmp_path):

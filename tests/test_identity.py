@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slabgreen import (
     DomainError,
+    DrudeLorentz,
     QuadratureError,
     SlabGeometry,
     boundary_term_b,
@@ -17,31 +18,33 @@ from slabgreen import (
     integrate_adaptive,
     interface_mismatch,
     lhs_quadrature,
+    make_context,
 )
+from slabgreen.errors import row_errors
 
 
 def test_integrator_polynomial_exact():
-    value, err = integrate_adaptive(lambda x: 3 * x * x + 1j * x, 0.0, 1.0, 1e-12)
+    value, err = integrate_adaptive(lambda x, rows: 3 * x * x + 1j * x, 0.0, 1.0, 1e-12)
     assert value == pytest.approx(1.0 + 0.5j, abs=1e-14)
     assert err <= 1e-12
 
 
 def test_integrator_oscillatory():
     m = 35
-    value, err = integrate_adaptive(lambda x: np.exp(1j * m * x), 0.0, 2 * math.pi, 1e-10)
+    value, err = integrate_adaptive(lambda x, rows: np.exp(1j * m * x), 0.0, 2 * math.pi, 1e-10)
     assert abs(value) <= 1e-10
     assert err <= 1e-10
 
 
 def test_integrator_honest_error_estimate():
     exact = (cmath.exp(2j * 3.0) - 1.0) / 2j
-    value, err = integrate_adaptive(lambda x: np.exp(2j * x), 0.0, 3.0, 1e-10)
+    value, err = integrate_adaptive(lambda x, rows: np.exp(2j * x), 0.0, 3.0, 1e-10)
     assert abs(value - exact) <= max(err, 1e-13)
 
 
 def test_integrator_budget_exhaustion():
     with pytest.raises(QuadratureError) as info:
-        integrate_adaptive(lambda x: np.sin(500.0 * x), 0.0, 1.0, 1e-30)
+        integrate_adaptive(lambda x, rows: np.sin(500.0 * x), 0.0, 1.0, 1e-30)
     exc = info.value
     assert "after 4096 panels" in str(exc)
     assert exc.error_estimate > 1e-30
@@ -50,15 +53,82 @@ def test_integrator_budget_exhaustion():
 
 def test_integrator_rejects_nan_integrand():
     with pytest.raises(QuadratureError) as info:
-        integrate_adaptive(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, 1e-8)
+        integrate_adaptive(lambda x, rows: np.full(x.shape, np.nan), 0.0, 1.0, 1e-8)
     assert math.isnan(info.value.error_estimate)
 
 
 def test_integrator_rejects_bad_interval():
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-8)
+        integrate_adaptive(lambda x, rows: x, 1.0, 0.0, 1e-8)
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, 0.0)
+        integrate_adaptive(lambda x, rows: x, 0.0, 1.0, 0.0)
+
+
+# One batch: two rows that converge, one with a NaN integrand, one that fills its budget.
+BATCH = [
+    (lambda x: 3 * x * x + 1j * x, 1.0, 1e-12),
+    (lambda x: np.exp(35j * x), 2 * math.pi, 1e-10),
+    (lambda x: np.full(x.shape, np.nan), 1.0, 1e-8),
+    (lambda x: np.sin(500.0 * x), 1.0, 1e-30),
+]
+
+
+def _batch_integrand(x, rows):
+    values = np.empty(x.shape, complex)
+    for i, (f, _, _) in enumerate(BATCH):
+        mine = rows == i
+        values[mine] = f(x[mine])
+    return values
+
+
+def test_integrator_batch_matches_single_rows():
+    errors = row_errors(len(BATCH))
+    values, estimates = integrate_adaptive(
+        _batch_integrand, 0.0, [b for _, b, _ in BATCH], [tol for _, _, tol in BATCH], errors=errors
+    )
+    for i, (f, b, tol) in enumerate(BATCH):
+        try:
+            single, single_err = integrate_adaptive(lambda x, rows: f(x), 0.0, b, tol)
+            message = None
+        except QuadratureError as exc:
+            single, single_err, message = exc.best_estimate, exc.error_estimate, str(exc)
+        if message is None:
+            assert errors[i] is None
+            assert abs(values[i] - single) <= 1e-15 * max(1.0, abs(single))
+            assert estimates[i] <= tol
+        elif math.isnan(single_err):
+            assert errors[i] == message
+            assert math.isnan(estimates[i])
+        else:
+            # At the roundoff floor the panels chosen may differ by rounding, not the panel count.
+            assert errors[i].startswith("quadrature stalled at error ")
+            assert errors[i].split(")")[1] == message.split(")")[1] == " after 4096 panels"
+            assert abs(values[i] - single) <= 1e-12
+            assert estimates[i] == pytest.approx(single_err, rel=0.1)
+    assert [error is None for error in errors] == [True, True, False, False]
+    assert "stalled at error nan" in errors[2]
+
+
+def test_integrator_batch_raises_first_failing_row():
+    with pytest.raises(QuadratureError) as info:
+        integrate_adaptive(_batch_integrand, 0.0, [b for _, b, _ in BATCH], [tol for _, _, tol in BATCH])
+    assert "stalled at error nan" in str(info.value)
+
+
+def test_lhs_batch_matches_scipy_quad_vec():
+    integrate = pytest.importorskip("scipy.integrate")
+    terms = ((4.0, 1.0, 0.3), (1.0, 0.0, 0.1))  # Drude-Lorentz as in the oracle workload
+    omega = np.linspace(0.2, 5.0, 50)
+    geometry, x_s = SlabGeometry(1.0), 1.5
+    lhs, estimate = lhs_quadrature(x_s, x_s, make_context(geometry, DrudeLorentz(terms), omega), tol=1e-10)
+    rows = [make_context(geometry, DrudeLorentz(terms), w) for w in omega.tolist()]
+
+    def integrand(x):
+        return np.array([ctx.k**2 * ctx.epsilon.imag * abs(green(x, x_s, ctx)) ** 2 for ctx in rows])
+
+    reference, _ = integrate.quad_vec(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=0.0, norm="max")
+    assert np.all(estimate <= 1e-10)
+    assert np.max(abs(lhs - reference)) <= 1e-10
 
 
 def test_b_vacuum_value(vacuum_ctx):
