@@ -17,7 +17,7 @@ from .dielectric import (
 from .emission import (
     DecayRateReport,
     EmissionParams,
-    LimitStudyRow,
+    LimitStudyReport,
     decay_from_quadrature,
     decay_rate_corrected,
     decay_rate_uncorrected,
@@ -66,7 +66,7 @@ __all__ = [
     "DrudeLorentz",
     "EmissionParams",
     "IdentityReport",
-    "LimitStudyRow",
+    "LimitStudyReport",
     "QuadratureError",
     "SlabCoefficients",
     "SlabGeometry",

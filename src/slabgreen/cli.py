@@ -20,7 +20,8 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -254,28 +255,25 @@ def parse_config(path: str) -> RunConfig:
 class _Table:
     """CSV rows of a subcommand.
 
-    Each row of the float array `values` is one line, followed by `tail` (an
-    empty error cell, say). A row named in `special` is written from the
-    cells given there instead: it carries an error message or blank cells.
+    Each row of the float array `values` is one line. With an error record
+    (see errors.row_errors, one entry per row in row order) every line ends
+    in an error cell: empty on a good row, while a failed row keeps its
+    first `kept` cells, leaves the others blank and ends in its message.
     """
 
     values: np.ndarray
-    tail: str = ""
-    special: dict = field(default_factory=dict)
+    errors: np.ndarray | None = None
+    kept: int = 0
+
+    @cached_property
+    def failed(self) -> list:
+        """Indices of the rows that carry an error message."""
+        return [] if self.errors is None else np.flatnonzero(np.not_equal(self.errors, None)).tolist()
 
 
 def _fmt(value) -> str:
-    """Fixed 17-significant-digit float formatting; empty string for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
+    """Fixed 17-significant-digit float formatting."""
     return format(float(value), ".17g")
-
-
-def _sanitize(message: str) -> str:
-    # Error messages land in CSV cells; keep them comma-free.
-    return message.replace(",", ";")
 
 
 def _require(value, path):
@@ -362,15 +360,12 @@ def _cmd_verify_identity(config, consts, args):
     res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
     columns = [omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
                res_corr.real, res_corr.imag, res_unc.real, res_unc.imag, rep.quadrature_estimate_error]
-    table = np.column_stack([column.ravel() for column in np.broadcast_arrays(*columns)])
-    stalled = {
-        i: list(table[i]) + [_sanitize(rep.error.flat[i])]
-        for i in np.flatnonzero(np.not_equal(rep.error, None)).tolist()
-    }
+    values = np.column_stack([column.ravel() for column in np.broadcast_arrays(*columns)])
+    table = _Table(values, rep.error, values.shape[1])
     worst = np.max(abs(res_corr))  # a NaN residual shows
-    summary = [f"verify-identity: {len(table)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
-    status = 2 if stalled or (abs(res_corr) > tol).any() else 0
-    return header, _Table(table, ",", stalled), summary, status
+    summary = [f"verify-identity: {len(values)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
+    status = 2 if table.failed or (abs(res_corr) > tol).any() else 0
+    return header, table, summary, status
 
 
 def _sweep_axis(config):
@@ -419,13 +414,9 @@ def _cmd_decay_scan(config, consts, args):
         if args.oracle:
             scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
             columns += [rep.gamma_quadrature, scaled]
-    table = np.column_stack(np.broadcast_arrays(*columns))
-    failed = {
-        i: list(table[i, :3]) + [None] * (len(header) - 4) + [_sanitize(errors[i])]
-        for i in np.flatnonzero(np.not_equal(errors, None)).tolist()
-    }
-    summary = [f"decay-scan ({axis}): {len(table)} rows, {len(failed)} failed"]
-    return header, _Table(table, ",", failed), summary, 2 if failed else 0
+    table = _Table(np.column_stack(np.broadcast_arrays(*columns)), errors, 3)
+    summary = [f"decay-scan ({axis}): {len(errors)} rows, {len(table.failed)} failed"]
+    return header, table, summary, 2 if table.failed else 0
 
 
 def _cmd_limit_study(config, consts, args):
@@ -434,29 +425,24 @@ def _cmd_limit_study(config, consts, args):
     omega = _scalar(config.omega, "omega")
     params = _emission_params(config, consts, omega)
     x_source = None if config.source is None else _scalar(config.source, "source")
-    path = config.limit_path if config.limit_path is not None else list(_DEFAULT_LIMIT_PATH)
-    rows_data = limit_study(params, geometry, path, x_source=x_source)
+    path = config.limit_path if config.limit_path is not None else _DEFAULT_LIMIT_PATH
+    errors = row_errors(len(path))
+    study = limit_study(params, geometry, path, x_source=x_source, errors=errors)
     header = ["eps_re", "eps_im", "gamma", "gamma_uncorrected", "f_plus_im_g0",
               "abs_a_sq", "abs_d_sq", "error"]
-    table = np.array([
-        [row.epsilon.real, row.epsilon.imag, row.gamma, row.gamma_uncorrected,
-         row.f_plus_im_g0, row.abs_a_sq, row.abs_d_sq]
-        for row in rows_data
-    ])
-    failed = {
-        i: [row.epsilon.real, row.epsilon.imag] + [None] * 5 + [_sanitize(row.error)]
-        for i, row in enumerate(rows_data)
-        if row.error is not None
-    }
-    summary = [f"limit-study: {len(table)} rows, {len(failed)} failed"]
-    good = [row for row in rows_data if row.error is None]
-    if good:
+    eps = study.epsilon
+    columns = [eps.real, eps.imag, study.gamma, study.gamma_uncorrected, study.f_plus_im_g0,
+               study.abs_a_sq, study.abs_d_sq]
+    table = _Table(np.column_stack(columns), errors, 2)
+    summary = [f"limit-study: {len(path)} rows, {len(table.failed)} failed"]
+    good = np.flatnonzero(np.equal(errors, None))
+    if good.size:
         last = good[-1]
         summary.append(
-            f"limit-study: at eps = {last.epsilon}, gamma/gamma_vac = "
-            f"{last.gamma / params.gamma_vacuum_1d:.3e}, F + Im G0 = {last.f_plus_im_g0:.3e}"
+            f"limit-study: at eps = {complex(eps[last])}, gamma/gamma_vac = "
+            f"{study.gamma[last] / params.gamma_vacuum_1d:.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
         )
-    return header, _Table(table, ",", failed), summary, 2 if failed else 0
+    return header, table, summary, 2 if table.failed else 0
 
 
 def _cmd_tensor3d(config, consts, args):
@@ -468,7 +454,7 @@ def _cmd_tensor3d(config, consts, args):
     im_diag = im_green_coincident(omega, c=consts["c"])[0, 0]
     tensor = [f"g_{i}{j}_{part}" for i in "xyz" for j in "xyz" for part in ("re", "im")]
     header = ["r_x", "r_y", "r_z", *tensor, "im_g0_coincident_diag", "gamma0"]
-    tensors = np.array([green_tensor_vacuum(omega, sep, (0.0, 0.0, 0.0), c=consts["c"]) for sep in separations])
+    tensors = green_tensor_vacuum(omega, separations, (0.0, 0.0, 0.0), c=consts["c"])
     # Viewed as floats, each complex component is its (re, im) pair of columns.
     constants = np.full((len(tensors), 2), [im_diag, gamma0])
     table = np.column_stack([separations, tensors.reshape(-1, 9).view(float), constants])
@@ -491,21 +477,24 @@ _COMMANDS = {
 def _write_csv(path, header, table):
     """Write the header and the rows, formatting a block of rows at a time.
 
-    Plain rows share one "%.17g" row template, which gives the same text as
-    `_fmt`; special rows go through `_fmt` cell by cell.
+    Good rows share one "%.17g" row template, which gives the same text as
+    `_fmt`; failed rows go through `_fmt` cell by cell.
     """
-    special = table.special
-    line = ",".join(["%.17g"] * table.values.shape[1]) + table.tail + "\n"
+    values, kept = table.values, table.kept
+    width = values.shape[1]
+    line = ",".join(["%.17g"] * width) + ("" if table.errors is None else ",") + "\n"
     output = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with output as handle:
         handle.write(",".join(header) + "\n")
         start = 0
-        for stop in [*sorted(special), len(table.values)]:
+        for stop in [*table.failed, len(values)]:
             for first in range(start, stop, _BLOCK_ROWS):
-                block = table.values[first:min(first + _BLOCK_ROWS, stop)]
+                block = values[first:min(first + _BLOCK_ROWS, stop)]
                 handle.write(line * len(block) % tuple(block.ravel().tolist()))
-            if stop in special:
-                handle.write(",".join(_fmt(cell) for cell in special[stop]) + "\n")
+            if stop < len(values):
+                cells = [_fmt(v) for v in values[stop, :kept]] + [""] * (width - kept)
+                # The message lands in a CSV cell; keep it comma-free.
+                handle.write(",".join(cells + [table.errors.flat[stop].replace(",", ";")]) + "\n")
             start = stop + 1
 
 

@@ -14,20 +14,18 @@ recomputes the corrected rate from the identity's left-hand side and serves
 as an independent check.
 """
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .dielectric import Constant
-from .errors import check, plain, row_errors
+from .errors import check, plain, raise_first, row_errors
 from .identity import boundary_term_f, lhs_quadrature
 from .slab_green import (
     SlabGeometry,
     WaveContext,
     _require_right_sources,
     _wave_factor,
-    green_vacuum_1d,
     make_context,
 )
 
@@ -168,16 +166,15 @@ def decay_report(
 
 
 @dataclass(frozen=True)
-class LimitStudyRow:
-    """One path entry; a failed entry keeps NaN numbers and sets `error`."""
+class LimitStudyReport:
+    """Columns along a permittivity path; the numbers of a failed entry carry no meaning."""
 
-    epsilon: complex
-    gamma: float = math.nan
-    gamma_uncorrected: float = math.nan
-    f_plus_im_g0: float = math.nan
-    abs_a_sq: float = math.nan
-    abs_d_sq: float = math.nan
-    error: str | None = None
+    epsilon: np.ndarray
+    gamma: np.ndarray
+    gamma_uncorrected: np.ndarray
+    f_plus_im_g0: np.ndarray
+    abs_a_sq: np.ndarray
+    abs_d_sq: np.ndarray
 
 
 def limit_study(
@@ -185,31 +182,35 @@ def limit_study(
     geometry: SlabGeometry,
     eps_path,
     x_source: float | None = None,
-) -> list[LimitStudyRow]:
+    errors=None,
+) -> LimitStudyReport:
     """Diagnostics along a permittivity path, typically eps -> 1.
 
-    Each row reports both rates, the no-coupling witness F + Im G0 (which
-    tends to zero as the medium decouples) and the amplitude magnitudes. A
-    failing path entry marks its row instead of aborting the table. The
-    whole path is evaluated as one array. The source defaults to one reduced
+    Reports both rates, the no-coupling witness F + Im G0 (which tends to
+    zero as the medium decouples) and the amplitude magnitudes. The whole
+    path is evaluated as one array. With an error record (one entry per path
+    entry) a failing entry marks its row; without one the first failing
+    entry raises its DomainError. The source defaults to one reduced
     wavelength beyond the slab face.
     """
     k = params.omega0 / params.c
-    x_s = geometry.half_length + 1.0 / k if x_source is None else x_source
-    _require_right_sources(geometry.half_length, x_s)
+    check(k > 0.0, "wavenumber must be positive")  # omega0 / c may underflow
+    l = geometry.half_length
+    if x_source is None:
+        x_source = l + 1.0 / k
+        check(x_source > l, "the default source l + 1/k falls on the slab face; the source must be given")
+    _require_right_sources(l, x_source)
     eps = np.array([complex(raw) for raw in eps_path], complex)
-    errors = row_errors(eps.shape)
-    check(np.logical_not(eps.imag < 0.0), "path entries must be passive: Im eps >= 0", errors)
-    ctx = make_context(geometry, Constant(eps, errors=errors), params.omega0, c=params.c, errors=errors)
+    record = row_errors(eps.shape) if errors is None else errors
+    check(np.logical_not(eps.imag < 0.0), "path entries must be passive: Im eps >= 0", record)
+    ctx = make_context(geometry, Constant(eps, errors=record), params.omega0, c=params.c, errors=record)
+    f = boundary_term_f(x_source, x_source, ctx, errors=record)
+    rates = decay_report(params, ctx, x_source, errors=record)
+    if errors is None:
+        raise_first(record)
     co = ctx.coefficients
-    f = boundary_term_f(x_s, x_s, ctx, errors=errors)
-    im_g0 = green_vacuum_1d(x_s, x_s, k).imag
-    gamma = decay_rate_corrected(params, ctx, errors)
-    gamma_unc = decay_rate_uncorrected(params, ctx, x_s, errors)
     with np.errstate(all="ignore"):  # the numbers of failed rows are dropped
-        columns = (gamma, gamma_unc, f.real + im_g0, abs(co.A) ** 2, abs(co.D) ** 2)
-    values = zip(*(np.broadcast_to(column, eps.shape).tolist() for column in columns))
-    return [
-        LimitStudyRow(epsilon, *row) if error is None else LimitStudyRow(epsilon, error=error)
-        for epsilon, error, row in zip(eps.tolist(), errors.tolist(), values)
-    ]
+        # Im G0(x_s, x_s) = Im (i/2k) is exactly 1/2k.
+        return LimitStudyReport(
+            eps, rates.gamma_corrected, rates.gamma_uncorrected, f.real + 0.5 / k, abs(co.A) ** 2, abs(co.D) ** 2
+        )

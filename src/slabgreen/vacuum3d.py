@@ -17,45 +17,52 @@ import math
 import numpy as np
 
 from .emission import EmissionParams
-from .errors import DomainError, check
+from .errors import DomainError, check, plain
 
 
-def _separation(r_a, r_b):
+def _spherical_wave(omega, r_a, r_b, c, singular):
+    """Separations s = r_a - r_b (3-vectors along the last axis), R = |s|, kR and e^{ikR} / (4 pi R).
+
+    `singular` is the DomainError message for a coincident pair.
+    """
+    if not c > 0.0:
+        raise DomainError("speed of light must be positive")
     r_a = np.asarray(r_a, dtype=float)
     r_b = np.asarray(r_b, dtype=float)
-    if r_a.shape != (3,) or r_b.shape != (3,):
+    if r_a.shape[-1:] != (3,) or r_b.shape[-1:] != (3,):
         raise DomainError("positions must be 3-vectors")
     s = r_a - r_b
-    return s, float(np.linalg.norm(s))
+    dist = np.linalg.norm(s, axis=-1)
+    check(dist != 0.0, singular)
+    kr = (omega / c) * dist
+    return s, dist, kr, np.exp(1j * kr) / (4.0 * math.pi * dist)
 
 
 def scalar_green_g0(omega: float, r_a, r_b, c: float = 1.0) -> complex:
     """Scalar spherical wave e^{i(omega/c)R} / (4 pi R); singular at R = 0."""
     if omega < 0.0:
         raise DomainError("frequency must be >= 0")
-    if not c > 0.0:
-        raise DomainError("speed of light must be positive")
-    _, dist = _separation(r_a, r_b)
-    if dist == 0.0:
-        raise DomainError("scalar Green function is singular at coincident points")
-    return complex(np.exp(1j * (omega / c) * dist) / (4.0 * math.pi * dist))
+    _, _, _, g0 = _spherical_wave(omega, r_a, r_b, c, "scalar Green function is singular at coincident points")
+    return plain(g0)
 
 
+@np.errstate(all="ignore")  # a kR that overflows or underflows gives a non-finite tensor, checked below
 def green_tensor_vacuum(omega: float, r_a, r_b, c: float = 1.0) -> np.ndarray:
-    """Full dyadic tensor between two distinct points, as a 3x3 complex array."""
+    """Full dyadic tensor between distinct points.
+
+    `r_a` and `r_b` are 3-vectors or arrays of them along the last axis,
+    broadcast against each other; the result has shape (..., 3, 3), a 3x3
+    complex array for one pair.
+    """
     if not omega > 0.0:
         raise DomainError("frequency must be positive")
-    if not c > 0.0:
-        raise DomainError("speed of light must be positive")
-    s, dist = _separation(r_a, r_b)
-    if dist == 0.0:
-        raise DomainError("tensor real part is singular at coincident points")
-    kr = (omega / c) * dist
-    u = s / dist
-    g0 = np.exp(1j * kr) / (4.0 * math.pi * dist)
+    s, dist, kr, g0 = _spherical_wave(omega, r_a, r_b, c, "tensor real part is singular at coincident points")
+    u = s / dist[..., None]
     diag = g0 * (1.0 + 1j / kr - 1.0 / kr**2)
     outer = g0 * (-1.0 - 3j / kr + 3.0 / kr**2)
-    return diag * np.eye(3) + outer * np.outer(u, u)
+    tensor = diag[..., None, None] * np.eye(3) + outer[..., None, None] * (u[..., :, None] * u[..., None, :])
+    check(np.isfinite(tensor), "Green tensor is not finite: k times the separation overflows or underflows")
+    return tensor
 
 
 def im_green_coincident(omega: float, c: float = 1.0) -> np.ndarray:

@@ -361,11 +361,47 @@ def test_dipole_overflow_is_not_a_traceback(tmp_path, command, overrides, code):
         assert result.stderr == b"error: vacuum decay rate is not finite: its prefactor overflows\n"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"omega": 1e-300, "separations": [[1e-10, 0.0, 0.0]]},  # kR underflows
+        {"omega": 1.0, "separations": [[1e300, 1e300, 0.0]]},  # |r| overflows
+    ],
+    ids=["kr_underflow", "distance_overflow"],
+)
+def test_tensor3d_non_finite_tensor_exits_1(tmp_path, config):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(config))
+    result = run_module("tensor3d", "--config", str(path))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == b"error: Green tensor is not finite: k times the separation overflows or underflows\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # At k*l = 1e200 the default source l + 1/k rounds onto the face x = l.
+        ({"omega": 1e200}, "the default source l + 1/k falls on the slab face; the source must be given"),
+        ({"omega": 1e200, "source": 1.0}, "source must lie in the right exterior region"),
+        # omega / c underflows to k = 0, so l + 1/k cannot be formed.
+        ({"units": "si", "omega": 1e-320}, "wavenumber must be positive"),
+    ],
+    ids=["default_on_face", "given_on_face", "k_underflow"],
+)
+def test_limit_study_source_errors_exit_1(tmp_path, capsys, overrides, message):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({"slab": {"half_length": 1.0}, **overrides}))
+    assert cli.main(["limit-study", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_row_template_matches_fmt(tmp_path):
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-310, 0.1, 1.0 / 3.0,
               1.7976931348623157e308, 123456789.0, -2.5]
     out = tmp_path / "out.csv"
-    cli._write_csv(str(out), ["a"] * len(values), cli._Table(np.array([values, values[::-1]]), ","))
+    table = cli._Table(np.array([values, values[::-1]]), cli.row_errors(2))  # good rows: empty error cells
+    cli._write_csv(str(out), ["a"] * len(values), table)
     lines = out.read_text().splitlines()
     assert lines[1] == ",".join(cli._fmt(v) for v in values) + ","
     assert lines[2] == ",".join(cli._fmt(np.float64(v)) for v in values[::-1]) + ","

@@ -21,6 +21,7 @@ from slabgreen import (
     make_context,
     refractive_index,
 )
+from slabgreen.errors import row_errors
 
 PARAMS = EmissionParams(omega0=1.0)
 
@@ -135,39 +136,61 @@ def test_dipole_scaling(lossy_ctx):
     )
 
 
+NO_COUPLING_PATH = [complex(1.0, 10.0**-m) for m in range(1, 9)]
+
+
 def test_limit_study_no_coupling_diagnostics():
-    geometry = SlabGeometry(1.0)
-    rows = limit_study(PARAMS, geometry, [complex(1.0, 10.0**-m) for m in range(1, 9)], x_source=2.0)
-    assert all(row.error is None for row in rows)
+    errors = row_errors(len(NO_COUPLING_PATH))
+    study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, x_source=2.0, errors=errors)
+    assert all(error is None for error in errors)
+    assert study.epsilon.tolist() == NO_COUPLING_PATH
     # Rate vanishes linearly in the loss: gamma / Im(eps) stays bounded.
-    ratios = [row.gamma / row.epsilon.imag for row in rows]
-    assert all(0.0 < r < 10.0 for r in ratios)
-    last = rows[-1]
-    assert abs(last.f_plus_im_g0) <= 1e-6
-    assert last.gamma / PARAMS.gamma_vacuum_1d <= 1e-7
-    assert last.gamma_uncorrected == pytest.approx(PARAMS.gamma_vacuum_1d, rel=1e-7)
+    ratios = study.gamma / study.epsilon.imag
+    assert np.all((0.0 < ratios) & (ratios < 10.0))
+    assert abs(study.f_plus_im_g0[-1]) <= 1e-6
+    assert study.gamma[-1] / PARAMS.gamma_vacuum_1d <= 1e-7
+    assert study.gamma_uncorrected[-1] == pytest.approx(PARAMS.gamma_vacuum_1d, rel=1e-7)
+    # Without a record the same path gives the same columns.
+    plain_study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, x_source=2.0)
+    assert np.array_equal(plain_study.gamma, study.gamma)
+    assert np.array_equal(plain_study.f_plus_im_g0, study.f_plus_im_g0)
 
 
 def test_limit_study_exact_vacuum_row():
-    rows = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.0j], x_source=2.0)
-    row = rows[0]
-    assert abs(row.gamma) <= 1e-15
-    assert row.gamma_uncorrected == pytest.approx(PARAMS.gamma_vacuum_1d, abs=1e-15)
-    assert row.abs_d_sq <= 1e-30
+    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.0j], x_source=2.0)
+    assert abs(study.gamma[0]) <= 1e-15
+    assert study.gamma_uncorrected[0] == pytest.approx(PARAMS.gamma_vacuum_1d, abs=1e-15)
+    assert study.abs_d_sq[0] <= 1e-30
+    assert study.abs_a_sq[0] == pytest.approx(1.0, abs=1e-15)
+    # F = -Im G0 = -1/2k exactly in vacuum.
+    assert abs(study.f_plus_im_g0[0]) <= 1e-15
 
 
 def test_limit_study_marks_failed_rows():
-    rows = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.1j, 0.0j, 1.0 - 0.5j, 1.0 + 0.01j], x_source=2.0)
-    assert rows[0].error is None
-    assert rows[1].error is not None  # degenerate eps = 0
-    assert rows[2].error is not None  # gain medium
-    assert rows[3].error is None
-    assert math.isnan(rows[1].gamma)
+    path = [1.0 + 0.1j, 0.0j, 1.0 - 0.5j, 1.0 + 0.01j]
+    errors = row_errors(len(path))
+    study = limit_study(PARAMS, SlabGeometry(1.0), path, x_source=2.0, errors=errors)
+    assert errors[0] is None and errors[3] is None
+    # The degenerate eps = 0 and the gain medium fail with their own messages.
+    for i in (1, 2):
+        with pytest.raises(DomainError) as scalar:
+            limit_study(PARAMS, SlabGeometry(1.0), [path[i]], x_source=2.0)
+        assert errors[i] == str(scalar.value)
+    assert "eps = 0" in errors[1]
+    assert "passive" in errors[2]
+    good = limit_study(PARAMS, SlabGeometry(1.0), [path[0], path[3]], x_source=2.0)
+    assert study.gamma[[0, 3]] == pytest.approx(good.gamma, rel=1e-14)
+    # Without a record the first failing entry raises, whatever check fails first.
+    with pytest.raises(DomainError, match="eps = 0"):
+        limit_study(PARAMS, SlabGeometry(1.0), [0.0j, 1.0 - 0.5j], x_source=2.0)
 
 
 def test_limit_study_default_source():
-    rows = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j])
-    assert rows[0].error is None
+    errors = row_errors(1)
+    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], errors=errors)
+    assert errors[0] is None
+    explicit = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], x_source=1.0 + 1.0 / PARAMS.omega0)
+    assert study.gamma_uncorrected.tolist() == explicit.gamma_uncorrected.tolist()
 
 
 def test_small_loss_ratio_converges():

@@ -100,6 +100,28 @@ def test_tensor_far_field_transverse_dominates():
     assert radial / transverse == pytest.approx(2.0 / k_dist, rel=0.05)
 
 
+def test_tensor_array_matches_pair_calls():
+    rng = np.random.default_rng(5)
+    r_a = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(40, 1))
+    r_b = np.array([0.3, -0.2, 0.1])
+    got = green_tensor_vacuum(1.7, r_a, r_b)
+    assert got.shape == (40, 3, 3)
+    for point, tensor in zip(r_a, got):
+        expected = green_tensor_vacuum(1.7, point, r_b)
+        assert expected.shape == (3, 3)
+        assert np.max(np.abs(tensor - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # r_a and r_b broadcast against each other.
+    swapped = green_tensor_vacuum(1.7, r_b, r_a)
+    assert np.max(np.abs(swapped - got.transpose(0, 2, 1))) <= 1e-14 * np.max(np.abs(got))
+
+
+def test_tensor_array_rejects_any_coincident_pair():
+    with pytest.raises(DomainError, match="singular at coincident points"):
+        green_tensor_vacuum(1.0, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="3-vectors"):
+        green_tensor_vacuum(1.0, [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+
+
 def test_tensor_coincident_rejected():
     with pytest.raises(DomainError):
         green_tensor_vacuum(1.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
