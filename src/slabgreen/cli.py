@@ -271,11 +271,6 @@ class _Table:
         return [] if self.errors is None else np.flatnonzero(np.not_equal(self.errors, None)).tolist()
 
 
-def _fmt(value) -> str:
-    """Fixed 17-significant-digit float formatting."""
-    return format(float(value), ".17g")
-
-
 def _require(value, path):
     if value is None:
         raise ConfigError(path, "required for this subcommand")
@@ -298,13 +293,11 @@ def _tolerance(config, args):
     return args.tol if args.tol is not None else config.quad_tol
 
 
-def _emission_params(config, consts, omega, errors=None):
+def _emission_params(config, consts, errors=None):
     return EmissionParams(
-        omega0=omega,
         dipole_moment=config.dipole_moment,
         hbar=consts["hbar"],
         epsilon0=consts["epsilon0"],
-        c=consts["c"],
         surface_unit=config.surface_unit,
         errors=errors,
     )
@@ -404,7 +397,7 @@ def _cmd_decay_scan(config, consts, args):
     errors = row_errors(max(map(len, (omega, half_length, x_s))))
     geometry = SlabGeometry(half_length, errors=errors)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
-    params = _emission_params(config, consts, omega, errors)
+    params = _emission_params(config, consts, errors)
     rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
     with np.errstate(all="ignore"):  # the numbers of failed rows are never written
         columns = [
@@ -422,12 +415,12 @@ def _cmd_decay_scan(config, consts, args):
 def _cmd_limit_study(config, consts, args):
     """Diagnostics along a permittivity path approaching vacuum."""
     geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
-    omega = _scalar(config.omega, "omega")
-    params = _emission_params(config, consts, omega)
+    k = _scalar(config.omega, "omega") / consts["c"]
+    params = _emission_params(config, consts)
     x_source = None if config.source is None else _scalar(config.source, "source")
     path = config.limit_path if config.limit_path is not None else _DEFAULT_LIMIT_PATH
     errors = row_errors(len(path))
-    study = limit_study(params, geometry, path, x_source=x_source, errors=errors)
+    study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
     header = ["eps_re", "eps_im", "gamma", "gamma_uncorrected", "f_plus_im_g0",
               "abs_a_sq", "abs_d_sq", "error"]
     eps = study.epsilon
@@ -440,7 +433,7 @@ def _cmd_limit_study(config, consts, args):
         last = good[-1]
         summary.append(
             f"limit-study: at eps = {complex(eps[last])}, gamma/gamma_vac = "
-            f"{study.gamma[last] / params.gamma_vacuum_1d:.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
+            f"{study.gamma[last] / params.gamma_vacuum_1d(k):.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
         )
     return header, table, summary, 2 if table.failed else 0
 
@@ -448,13 +441,13 @@ def _cmd_limit_study(config, consts, args):
 def _cmd_tensor3d(config, consts, args):
     """Free-space dyadic tensor components and the vacuum rate."""
     omega = _scalar(config.omega, "omega")
+    k = omega / consts["c"]
     separations = _require(config.separations, "separations")
-    params = _emission_params(config, consts, omega)
-    gamma0 = vacuum_decay_3d(params)
-    im_diag = im_green_coincident(omega, c=consts["c"])[0, 0]
+    gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
+    im_diag = im_green_coincident(k)[0, 0]
     tensor = [f"g_{i}{j}_{part}" for i in "xyz" for j in "xyz" for part in ("re", "im")]
     header = ["r_x", "r_y", "r_z", *tensor, "im_g0_coincident_diag", "gamma0"]
-    tensors = green_tensor_vacuum(omega, separations, (0.0, 0.0, 0.0), c=consts["c"])
+    tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
     # Viewed as floats, each complex component is its (re, im) pair of columns.
     constants = np.full((len(tensors), 2), [im_diag, gamma0])
     table = np.column_stack([separations, tensors.reshape(-1, 9).view(float), constants])
@@ -477,8 +470,9 @@ _COMMANDS = {
 def _write_csv(path, header, table):
     """Write the header and the rows, formatting a block of rows at a time.
 
-    Good rows share one "%.17g" row template, which gives the same text as
-    `_fmt`; failed rows go through `_fmt` cell by cell.
+    Every number goes through the "%.17g" template, which gives the same text
+    as format(float(value), ".17g"): a good row through the row template, a
+    failed row's kept cells through a template of `kept` cells.
     """
     values, kept = table.values, table.kept
     width = values.shape[1]
@@ -492,9 +486,9 @@ def _write_csv(path, header, table):
                 block = values[first:min(first + _BLOCK_ROWS, stop)]
                 handle.write(line * len(block) % tuple(block.ravel().tolist()))
             if stop < len(values):
-                cells = [_fmt(v) for v in values[stop, :kept]] + [""] * (width - kept)
+                cells = "%.17g," * kept % tuple(values[stop, :kept].tolist()) + "," * (width - kept)
                 # The message lands in a CSV cell; keep it comma-free.
-                handle.write(",".join(cells + [table.errors.flat[stop].replace(",", ";")]) + "\n")
+                handle.write(cells + table.errors.flat[stop].replace(",", ";") + "\n")
             start = stop + 1
 
 

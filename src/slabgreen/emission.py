@@ -9,9 +9,9 @@ Two rates are computed side by side as diagnostics:
                      oscillates with the source position.
 
 Both are reported in absolute units and normalized by the one-dimensional
-free-space reference omega0 |d|^2 / (hbar eps0 c S). The quadrature route
-recomputes the corrected rate from the identity's left-hand side and serves
-as an independent check.
+free-space reference k |d|^2 / (hbar eps0 S), k = omega / c. The quadrature
+route recomputes the corrected rate from the identity's left-hand side and
+serves as an independent check.
 """
 
 from dataclasses import InitVar, dataclass
@@ -32,53 +32,42 @@ from .slab_green import (
 
 @dataclass(frozen=True)
 class EmissionParams:
-    """Transition frequency, dipole moment and unit-system constants.
+    """Dipole moment and unit-system constants.
 
-    surface_unit is the cross-section that keeps one-dimensional rates in
-    1/s; it cancels from every normalized quantity. Natural units
-    (hbar = eps0 = c = 1) are the default. omega0 may be an array, one
-    frequency per row; with an error record (`errors`, see errors.check)
-    invalid rows are marked instead of raising.
+    The frequency enters only through the wavenumber k = omega / c, which
+    the rates take from the wave context. surface_unit is the cross-section
+    that keeps one-dimensional rates in 1/s; it cancels from every normalized
+    quantity. Natural units (hbar = eps0 = 1) are the default. With an error
+    record (`errors`, see errors.check) an invalid value marks every row
+    instead of raising.
     """
 
-    omega0: float
     dipole_moment: float = 1.0
     hbar: float = 1.0
     epsilon0: float = 1.0
-    c: float = 1.0
     surface_unit: float = 1.0
     errors: InitVar = None
 
     def __post_init__(self, errors):
-        for name in ("omega0", "dipole_moment", "hbar", "epsilon0", "c", "surface_unit"):
+        for name in ("dipole_moment", "hbar", "epsilon0", "surface_unit"):
             value = getattr(self, name)
             check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
 
-    @property
     @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
-    def gamma_vacuum_1d(self) -> float:
-        """One-dimensional free-space reference rate omega0 |d|^2 / (hbar eps0 c S)."""
+    def gamma_vacuum_1d(self, k):
+        """One-dimensional free-space reference rate k |d|^2 / (hbar eps0 S)."""
         d = self.dipole_moment
-        return self.omega0 * (d * d) / (self.hbar * self.epsilon0 * self.c * self.surface_unit)
+        return k * (d * d) / (self.hbar * self.epsilon0 * self.surface_unit)
 
-    @property
     @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
-    def rate_prefactor(self) -> float:
-        """2 omega0^2 |d|^2 / (hbar eps0 c^2 S), multiplying Im G + F."""
-        w, d, c = self.omega0, self.dipole_moment, self.c
-        return 2.0 * (w * w) * (d * d) / (self.hbar * self.epsilon0 * (c * c) * self.surface_unit)
+    def rate_prefactor(self, k):
+        """2 k^2 |d|^2 / (hbar eps0 S), multiplying Im G + F."""
+        d = self.dipole_moment
+        return 2.0 * (k * k) * (d * d) / (self.hbar * self.epsilon0 * self.surface_unit)
 
 
-def _require_matching_frequency(params: EmissionParams, ctx: WaveContext, errors=None):
-    check(
-        np.logical_not(abs(ctx.omega - params.omega0) > 1e-12 * params.omega0),
-        "wave context was built at a different frequency than omega0",
-        errors,
-    )
-
-
-# The rates take arrays of rows: params.omega0, the context's fields and the
-# source position broadcast against each other. With an error record (see
+# The rates take arrays of rows: the context's fields and the source
+# position broadcast against each other. With an error record (see
 # errors.check) failing rows are marked instead of raising.
 
 
@@ -89,23 +78,21 @@ def _finite_rate(rate, errors):
 
 @np.errstate(all="ignore")
 def decay_rate_corrected(params: EmissionParams, ctx: WaveContext, errors=None) -> float:
-    """Boundary-corrected rate (omega0 |d|^2 / 2 hbar eps0 c S) (1 - |A|^2 - |D|^2).
+    """Boundary-corrected rate (k |d|^2 / 2 hbar eps0 S) (1 - |A|^2 - |D|^2).
 
     Has no source-position argument because the corrected rate has none.
     """
-    _require_matching_frequency(params, ctx, errors)
     co = ctx.coefficients
-    return _finite_rate(0.5 * params.gamma_vacuum_1d * (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2), errors)
+    return _finite_rate(0.5 * params.gamma_vacuum_1d(ctx.k) * (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2), errors)
 
 
 @np.errstate(all="ignore")
 def decay_rate_uncorrected(params: EmissionParams, ctx: WaveContext, x_source, errors=None) -> float:
     """Rate from Im G alone; oscillates with the source position."""
-    _require_matching_frequency(params, ctx, errors)
     l = ctx.geometry.half_length
     _require_right_sources(l, x_source, errors=errors)
     osc = (ctx.coefficients.D * _wave_factor(-2.0 * ctx.k * (l - x_source), errors)).real
-    return _finite_rate(params.gamma_vacuum_1d * (1.0 + osc), errors)
+    return _finite_rate(params.gamma_vacuum_1d(ctx.k) * (1.0 + osc), errors)
 
 
 def decay_from_quadrature(
@@ -121,10 +108,9 @@ def decay_from_quadrature(
     error record, a row whose quadrature fails is marked with the error's
     message; without one, the QuadratureError or DomainError propagates.
     """
-    _require_matching_frequency(params, ctx, errors)
     lhs, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol, errors=errors)
-    with np.errstate(all="ignore"):  # failed rows carry any omega0
-        rate = params.rate_prefactor * np.real(lhs)
+    with np.errstate(all="ignore"):  # failed rows carry any k
+        rate = params.rate_prefactor(ctx.k) * np.real(lhs)
     return _finite_rate(rate, errors)
 
 
@@ -161,7 +147,7 @@ def decay_report(
         gamma_corrected=gamma,
         gamma_uncorrected=gamma_unc,
         gamma_quadrature=gamma_quad,
-        gamma_vac_1d=params.gamma_vacuum_1d,
+        gamma_vac_1d=params.gamma_vacuum_1d(ctx.k),
     )
 
 
@@ -181,10 +167,11 @@ def limit_study(
     params: EmissionParams,
     geometry: SlabGeometry,
     eps_path,
+    k: float,
     x_source: float | None = None,
     errors=None,
 ) -> LimitStudyReport:
-    """Diagnostics along a permittivity path, typically eps -> 1.
+    """Diagnostics along a permittivity path, typically eps -> 1, at vacuum wavenumber k = omega / c.
 
     Reports both rates, the no-coupling witness F + Im G0 (which tends to
     zero as the medium decouples) and the amplitude magnitudes. The whole
@@ -193,8 +180,7 @@ def limit_study(
     entry raises its DomainError. The source defaults to one reduced
     wavelength beyond the slab face.
     """
-    k = params.omega0 / params.c
-    check(k > 0.0, "wavenumber must be positive")  # omega0 / c may underflow
+    check(k > 0.0, "wavenumber must be positive")  # omega / c may underflow
     l = geometry.half_length
     if x_source is None:
         x_source = l + 1.0 / k
@@ -203,7 +189,8 @@ def limit_study(
     eps = np.array([complex(raw) for raw in eps_path], complex)
     record = row_errors(eps.shape) if errors is None else errors
     check(np.logical_not(eps.imag < 0.0), "path entries must be passive: Im eps >= 0", record)
-    ctx = make_context(geometry, Constant(eps, errors=record), params.omega0, c=params.c, errors=record)
+    # A constant permittivity does not depend on the frequency: build the context at omega = k, c = 1.
+    ctx = make_context(geometry, Constant(eps, errors=record), k, errors=record)
     f = boundary_term_f(x_source, x_source, ctx, errors=record)
     rates = decay_report(params, ctx, x_source, errors=record)
     if errors is None:

@@ -24,7 +24,6 @@ frequency or thickness) in one pass; a single evaluation point is a sweep of
 one row.
 """
 
-import cmath
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -60,13 +59,12 @@ class SlabCoefficients:
 
 @dataclass(frozen=True)
 class WaveContext:
-    """One (geometry, medium, frequency) evaluation point with cached amplitudes.
+    """One (geometry, medium, wavenumber) evaluation point with cached amplitudes.
 
     The fields may also be arrays of rows, as `make_context` builds them for a
     sweep; `take` picks rows out of such a context.
     """
 
-    omega: float
     k: float
     n: complex
     geometry: SlabGeometry
@@ -82,7 +80,7 @@ class WaveContext:
 
     def _fields(self):
         co = self.coefficients
-        return (self.omega, self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
+        return (self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
 
     @property
     def shape(self):
@@ -91,8 +89,8 @@ class WaveContext:
 
     def take(self, index):
         """The context of the rows `index`, counted in the flattened `shape`."""
-        omega, k, n, l, *amplitudes = (v.reshape(-1)[index] for v in np.broadcast_arrays(*self._fields()))
-        return WaveContext(omega, k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
+        k, n, l, *amplitudes = (v.reshape(-1)[index] for v in np.broadcast_arrays(*self._fields()))
+        return WaveContext(k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
 
 
 def region(x: float, half_length: float) -> str:
@@ -143,23 +141,22 @@ def make_context(
 ) -> WaveContext:
     """Build a WaveContext from a dielectric model at one frequency.
 
-    `omega` (or the geometry) may be an array; every field of the context is
-    then an array of rows. With an error record (see errors.check) failing
-    rows are marked instead of raising.
+    This is where the frequency becomes the wavenumber k = omega / c, the
+    one frequency variable of everything downstream. `omega` (or the
+    geometry) may be an array; every field of the context is then an array
+    of rows. With an error record (see errors.check) failing rows are marked
+    instead of raising.
     """
     check(c > 0.0, "speed of light must be positive", errors)
     omega = plain(np.asarray(omega, float))
     n = refractive_index(permittivity(model, omega, errors), errors)
     k = omega / c
-    return WaveContext(
-        omega=omega, k=k, n=n, geometry=geometry,
-        coefficients=coefficients(geometry, n, k, errors), errors=errors,
-    )
+    return WaveContext(k=k, n=n, geometry=geometry, coefficients=coefficients(geometry, n, k, errors), errors=errors)
 
 
 def context_from_index(geometry: SlabGeometry, n: complex, k: float) -> WaveContext:
-    """Natural-units context (c = 1, omega = k) built directly from an index."""
-    return WaveContext(omega=k, k=k, n=complex(n), geometry=geometry, coefficients=coefficients(geometry, n, k))
+    """Context built directly from an index at wavenumber k."""
+    return WaveContext(k=k, n=complex(n), geometry=geometry, coefficients=coefficients(geometry, n, k))
 
 
 def _waves(x, x_s, ctx, where):
@@ -232,7 +229,7 @@ def green_vacuum_1d(x: float, x_prime: float, k: float) -> complex:
     """Free-space Green function (i/2k) e^{ik|x - x'|}."""
     if not k > 0.0:
         raise DomainError("wavenumber must be positive")
-    return (0.5j / k) * cmath.exp(1j * k * abs(x - x_prime))
+    return complex((0.5j / k) * _wave_factor(k * abs(x - x_prime)))
 
 
 def helmholtz_residual(x: float, x_source: float, ctx: WaveContext, h: float) -> float:

@@ -225,7 +225,7 @@ def test_resonance_denominator_overflow_is_a_row_error(tmp_path):
 
 
 def test_rate_overflow_is_a_row_error(tmp_path):
-    # 2 omega0^2 |d|^2 overflows a float; it used to raise OverflowError.
+    # 2 k^2 |d|^2 overflows a float; it used to raise OverflowError.
     path = write_config(tmp_path, slab={"half_length": 1e-150}, source=2e-150,
                         omega={"start": 1e159, "stop": 2e159, "count": 2})
     rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, "--oracle"])
@@ -400,11 +400,16 @@ def test_row_template_matches_fmt(tmp_path):
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-310, 0.1, 1.0 / 3.0,
               1.7976931348623157e308, 123456789.0, -2.5]
     out = tmp_path / "out.csv"
-    table = cli._Table(np.array([values, values[::-1]]), cli.row_errors(2))  # good rows: empty error cells
+    errors = cli.row_errors(3)  # rows 0 and 1 are good: empty error cells
+    errors[2] = "row failed, for a reason"
+    table = cli._Table(np.array([values, values[::-1], values]), errors, kept=5)
     cli._write_csv(str(out), ["a"] * len(values), table)
     lines = out.read_text().splitlines()
-    assert lines[1] == ",".join(cli._fmt(v) for v in values) + ","
-    assert lines[2] == ",".join(cli._fmt(np.float64(v)) for v in values[::-1]) + ","
+    text = [format(float(v), ".17g") for v in values]
+    assert lines[1] == ",".join(text) + ","
+    assert lines[2] == ",".join(text[::-1]) + ","
+    # A failed row keeps its first `kept` cells, blanks the rest and ends in its comma-free message.
+    assert lines[3] == ",".join(text[:5] + [""] * (len(values) - 5) + ["row failed; for a reason"])
 
 
 def test_non_finite_config_numbers_rejected(tmp_path, capsys):
@@ -565,6 +570,34 @@ def test_units_si(tmp_path):
     rc, rows = run_to_rows(tmp_path, ["coefficients", "--config", path, "--units", "si"])
     assert rc == 0
     assert float(rows[0]["k"]) == pytest.approx(1.0e15 / 299792458.0, rel=1e-15)
+
+
+def test_si_and_natural_units_agree_through_k(tmp_path):
+    # Frequency enters only through k = omega / c: an SI run at omega and a
+    # natural-units run at the float omega / c, with the same lengths, give
+    # the same normalized rates and the same tensor.
+    omega_si = 1.3e15
+    scan = {"slab": {"half_length": 2e-7}, "source": {"start": 2.5e-7, "stop": 9e-7, "count": 7}}
+    tensor = {"separations": [[0.0, 0.0, 1e-7], [2e-7, -1e-7, 3e-7], [5e-6, 0.0, 0.0]]}
+    rows = {}
+    for units, omega in (("si", omega_si), ("natural", omega_si / 299792458.0)):
+        scan_path = write_config(tmp_path, f"scan-{units}.json", units=units, omega=omega, **scan)
+        tensor_path = tmp_path / f"tensor-{units}.json"
+        tensor_path.write_text(json.dumps({"units": units, "omega": omega, **tensor}))
+        rc_scan, scan_rows = run_to_rows(tmp_path, ["decay-scan", "--config", scan_path, "--oracle"])
+        rc_tensor, tensor_rows = run_to_rows(tmp_path, ["tensor3d", "--config", str(tensor_path)])
+        assert rc_scan == rc_tensor == 0
+        rows[units] = (scan_rows, tensor_rows)
+    pairs = [
+        (si[name], nat[name])
+        for table_si, table_nat in zip(rows["si"], rows["natural"])
+        for si, nat in zip(table_si, table_nat, strict=True)
+        for name in si
+        if name in ("normalized_corrected", "normalized_uncorrected") or name.startswith("g_")
+    ]
+    assert len(pairs) == 7 * 2 + 3 * 18
+    for si, nat in pairs:
+        assert abs(float(si) - float(nat)) <= 1e-14 * abs(float(nat))
 
 
 def test_emission_config_scaling(tmp_path):

@@ -23,18 +23,18 @@ from slabgreen import (
 )
 from slabgreen.errors import row_errors
 
-PARAMS = EmissionParams(omega0=1.0)
+PARAMS = EmissionParams()
 
 
 def test_vacuum_rate_is_zero(vacuum_ctx):
     assert decay_rate_corrected(PARAMS, vacuum_ctx) == pytest.approx(0.0, abs=1e-15)
-    assert decay_rate_uncorrected(PARAMS, vacuum_ctx, 2.0) == PARAMS.gamma_vacuum_1d
+    assert decay_rate_uncorrected(PARAMS, vacuum_ctx, 2.0) == PARAMS.gamma_vacuum_1d(vacuum_ctx.k)
 
 
 def test_lossless_rate_is_zero():
     for n in (1.5, 2.0, 3.7):
         ctx = context_from_index(SlabGeometry(1.0), complex(n), 1.0)
-        assert abs(decay_rate_corrected(PARAMS, ctx)) <= 1e-12 * PARAMS.gamma_vacuum_1d
+        assert abs(decay_rate_corrected(PARAMS, ctx)) <= 1e-12 * PARAMS.gamma_vacuum_1d(ctx.k)
 
 
 def test_corrected_rate_normalization(lossy_ctx):
@@ -42,7 +42,7 @@ def test_corrected_rate_normalization(lossy_ctx):
     rep = decay_report(PARAMS, lossy_ctx, 2.0)
     expected = (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2) / 2.0
     assert rep.normalized_corrected == pytest.approx(expected, abs=1e-12)
-    assert rep.gamma_vac_1d == PARAMS.gamma_vacuum_1d
+    assert rep.gamma_vac_1d == PARAMS.gamma_vacuum_1d(lossy_ctx.k)
 
 
 def test_corrected_rate_matches_quadrature(lossy_ctx):
@@ -65,11 +65,10 @@ def test_oracle_equivalence_grid():
     for n in indices:
         for k in wavenumbers:
             ctx = context_from_index(SlabGeometry(1.0), n, k)
-            params = EmissionParams(omega0=k)
-            gamma = decay_rate_corrected(params, ctx)
+            gamma = decay_rate_corrected(PARAMS, ctx)
             for off in offsets:
-                oracle = decay_from_quadrature(params, ctx, 1.0 + off, tol=1e-10)
-                assert oracle == pytest.approx(gamma, rel=1e-7, abs=1e-10 * params.gamma_vacuum_1d)
+                oracle = decay_from_quadrature(PARAMS, ctx, 1.0 + off, tol=1e-10)
+                assert oracle == pytest.approx(gamma, rel=1e-7, abs=1e-10 * PARAMS.gamma_vacuum_1d(k))
 
 
 def test_uncorrected_rate_oscillates_with_period_pi_over_k(lossy_ctx):
@@ -100,7 +99,7 @@ def test_discrepancy_witness(lossy_ctx):
         abs(decay_rate_uncorrected(PARAMS, lossy_ctx, 1.01 + 0.05 * i) - gamma)
         for i in range(100)
     )
-    assert gap > 0.1 * PARAMS.gamma_vacuum_1d
+    assert gap > 0.1 * PARAMS.gamma_vacuum_1d(lossy_ctx.k)
 
 
 def test_rate_difference_equals_boundary_term(lossy_ctx):
@@ -108,7 +107,7 @@ def test_rate_difference_equals_boundary_term(lossy_ctx):
     gamma = decay_rate_corrected(PARAMS, lossy_ctx)
     gamma_unc = decay_rate_uncorrected(PARAMS, lossy_ctx, x_s)
     f = boundary_term_f(x_s, x_s, lossy_ctx)
-    assert gamma_unc - gamma == pytest.approx(-PARAMS.rate_prefactor * f.real, abs=1e-8)
+    assert gamma_unc - gamma == pytest.approx(-PARAMS.rate_prefactor(lossy_ctx.k) * f.real, abs=1e-8)
 
 
 def test_uncorrected_requires_right_region(lossy_ctx):
@@ -117,20 +116,13 @@ def test_uncorrected_requires_right_region(lossy_ctx):
             decay_rate_uncorrected(PARAMS, lossy_ctx, bad)
 
 
-def test_frequency_mismatch_guard(lossy_ctx):
-    with pytest.raises(DomainError):
-        decay_rate_corrected(EmissionParams(omega0=2.0), lossy_ctx)
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
-        EmissionParams(omega0=0.0)
-    with pytest.raises(DomainError):
-        EmissionParams(omega0=1.0, dipole_moment=-1.0)
+        EmissionParams(dipole_moment=-1.0)
 
 
 def test_dipole_scaling(lossy_ctx):
-    doubled = EmissionParams(omega0=1.0, dipole_moment=2.0)
+    doubled = EmissionParams(dipole_moment=2.0)
     assert decay_rate_corrected(doubled, lossy_ctx) == pytest.approx(
         4.0 * decay_rate_corrected(PARAMS, lossy_ctx), rel=1e-14
     )
@@ -141,25 +133,25 @@ NO_COUPLING_PATH = [complex(1.0, 10.0**-m) for m in range(1, 9)]
 
 def test_limit_study_no_coupling_diagnostics():
     errors = row_errors(len(NO_COUPLING_PATH))
-    study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, x_source=2.0, errors=errors)
+    study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, 1.0, x_source=2.0, errors=errors)
     assert all(error is None for error in errors)
     assert study.epsilon.tolist() == NO_COUPLING_PATH
     # Rate vanishes linearly in the loss: gamma / Im(eps) stays bounded.
     ratios = study.gamma / study.epsilon.imag
     assert np.all((0.0 < ratios) & (ratios < 10.0))
     assert abs(study.f_plus_im_g0[-1]) <= 1e-6
-    assert study.gamma[-1] / PARAMS.gamma_vacuum_1d <= 1e-7
-    assert study.gamma_uncorrected[-1] == pytest.approx(PARAMS.gamma_vacuum_1d, rel=1e-7)
+    assert study.gamma[-1] / PARAMS.gamma_vacuum_1d(1.0) <= 1e-7
+    assert study.gamma_uncorrected[-1] == pytest.approx(PARAMS.gamma_vacuum_1d(1.0), rel=1e-7)
     # Without a record the same path gives the same columns.
-    plain_study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, x_source=2.0)
+    plain_study = limit_study(PARAMS, SlabGeometry(1.0), NO_COUPLING_PATH, 1.0, x_source=2.0)
     assert np.array_equal(plain_study.gamma, study.gamma)
     assert np.array_equal(plain_study.f_plus_im_g0, study.f_plus_im_g0)
 
 
 def test_limit_study_exact_vacuum_row():
-    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.0j], x_source=2.0)
+    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.0j], 1.0, x_source=2.0)
     assert abs(study.gamma[0]) <= 1e-15
-    assert study.gamma_uncorrected[0] == pytest.approx(PARAMS.gamma_vacuum_1d, abs=1e-15)
+    assert study.gamma_uncorrected[0] == pytest.approx(PARAMS.gamma_vacuum_1d(1.0), abs=1e-15)
     assert study.abs_d_sq[0] <= 1e-30
     assert study.abs_a_sq[0] == pytest.approx(1.0, abs=1e-15)
     # F = -Im G0 = -1/2k exactly in vacuum.
@@ -169,27 +161,27 @@ def test_limit_study_exact_vacuum_row():
 def test_limit_study_marks_failed_rows():
     path = [1.0 + 0.1j, 0.0j, 1.0 - 0.5j, 1.0 + 0.01j]
     errors = row_errors(len(path))
-    study = limit_study(PARAMS, SlabGeometry(1.0), path, x_source=2.0, errors=errors)
+    study = limit_study(PARAMS, SlabGeometry(1.0), path, 1.0, x_source=2.0, errors=errors)
     assert errors[0] is None and errors[3] is None
     # The degenerate eps = 0 and the gain medium fail with their own messages.
     for i in (1, 2):
         with pytest.raises(DomainError) as scalar:
-            limit_study(PARAMS, SlabGeometry(1.0), [path[i]], x_source=2.0)
+            limit_study(PARAMS, SlabGeometry(1.0), [path[i]], 1.0, x_source=2.0)
         assert errors[i] == str(scalar.value)
     assert "eps = 0" in errors[1]
     assert "passive" in errors[2]
-    good = limit_study(PARAMS, SlabGeometry(1.0), [path[0], path[3]], x_source=2.0)
+    good = limit_study(PARAMS, SlabGeometry(1.0), [path[0], path[3]], 1.0, x_source=2.0)
     assert study.gamma[[0, 3]] == pytest.approx(good.gamma, rel=1e-14)
     # Without a record the first failing entry raises, whatever check fails first.
     with pytest.raises(DomainError, match="eps = 0"):
-        limit_study(PARAMS, SlabGeometry(1.0), [0.0j, 1.0 - 0.5j], x_source=2.0)
+        limit_study(PARAMS, SlabGeometry(1.0), [0.0j, 1.0 - 0.5j], 1.0, x_source=2.0)
 
 
 def test_limit_study_default_source():
     errors = row_errors(1)
-    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], errors=errors)
+    study = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], 1.0, errors=errors)
     assert errors[0] is None
-    explicit = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], x_source=1.0 + 1.0 / PARAMS.omega0)
+    explicit = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], 1.0, x_source=1.0 + 1.0 / 1.0)
     assert study.gamma_uncorrected.tolist() == explicit.gamma_uncorrected.tolist()
 
 
@@ -243,9 +235,8 @@ def test_frequency_sweep_matches_row_by_row_reference():
     geometry = SlabGeometry(1.0)
     omega = 0.2 + np.arange(200) * 0.025
     ctx = make_context(geometry, DrudeLorentz(terms), omega)
-    params = EmissionParams(omega0=omega)
-    gamma = decay_rate_corrected(params, ctx)
-    gamma_unc = decay_rate_uncorrected(params, ctx, 1.5)
+    gamma = decay_rate_corrected(PARAMS, ctx)
+    gamma_unc = decay_rate_uncorrected(PARAMS, ctx, 1.5)
     f = boundary_term_f(1.5, 1.5, ctx)
     co = ctx.coefficients
     for i, w in enumerate(omega.tolist()):

@@ -102,6 +102,12 @@ def test_green_vacuum_1d_values():
         green_vacuum_1d(0.0, 1.0, 0.0)
 
 
+def test_green_vacuum_1d_phase_overflow_is_a_domain_error():
+    # The phase k |x - x'| overflows.
+    with pytest.raises(DomainError, match="wave phase is not finite"):
+        green_vacuum_1d(0.0, 1e300, 1e300)
+
+
 def test_im_green_at_source_reflection_form(lossy_ctx):
     k = lossy_ctx.k
     half = lossy_ctx.geometry.half_length

@@ -29,10 +29,10 @@ def test_scalar_wave_static_limit():
 
 
 def test_scalar_wave_imaginary_short_distance_limit():
-    # Im g0 -> omega / (4 pi c) as the separation shrinks.
-    omega = 1.0
-    got = scalar_green_g0(omega, [0.0, 0.0, 1e-4], [0.0, 0.0, 0.0])
-    assert got.imag == pytest.approx(omega / (4 * math.pi), rel=1e-8)
+    # Im g0 -> k / 4 pi as the separation shrinks.
+    k = 1.0
+    got = scalar_green_g0(k, [0.0, 0.0, 1e-4], [0.0, 0.0, 0.0])
+    assert got.imag == pytest.approx(k / (4 * math.pi), rel=1e-8)
 
 
 def test_scalar_wave_coincident_rejected():
@@ -40,6 +40,12 @@ def test_scalar_wave_coincident_rejected():
         scalar_green_g0(1.0, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         scalar_green_g0(-1.0, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+
+
+def test_scalar_wave_overflow_is_a_domain_error():
+    # The norm of the separation overflows.
+    with pytest.raises(DomainError, match="scalar Green function is not finite"):
+        scalar_green_g0(1.0, [1e300, 1e300, 0.0], [0.0, 0.0, 0.0])
 
 
 def _finite_difference_tensor(omega, r_a, r_b, h=1e-2):
@@ -147,14 +153,14 @@ def test_im_coincident_is_numeric_limit_of_tensor():
 
 
 def test_vacuum_decay_rate():
-    gamma0 = vacuum_decay_3d(EmissionParams(omega0=1.0))
+    gamma0 = vacuum_decay_3d(EmissionParams(), 1.0)
     assert gamma0 == pytest.approx(1.0 / (3 * math.pi), rel=1e-15)
     assert gamma0 == pytest.approx(0.1061033, abs=1e-7)
 
 
 def test_vacuum_decay_dipole_scaling():
-    base = vacuum_decay_3d(EmissionParams(omega0=1.0))
-    doubled = vacuum_decay_3d(EmissionParams(omega0=1.0, dipole_moment=2.0))
+    base = vacuum_decay_3d(EmissionParams(), 1.0)
+    doubled = vacuum_decay_3d(EmissionParams(dipole_moment=2.0), 1.0)
     assert doubled == pytest.approx(4.0 * base, rel=1e-15)
 
 
@@ -162,7 +168,6 @@ def test_vacuum_decay_routes_agree_over_frequency_grid():
     # vacuum_decay_3d raises internally if the closed form and the Im-G
     # contraction disagree beyond 1e-12 relative; sweep to exercise that.
     for exponent in range(-3, 4):
-        omega = 10.0**exponent
-        params = EmissionParams(omega0=omega)
-        expected = omega**3 / (3 * math.pi)
-        assert vacuum_decay_3d(params) == pytest.approx(expected, rel=1e-12)
+        k = 10.0**exponent
+        expected = k**3 / (3 * math.pi)
+        assert vacuum_decay_3d(EmissionParams(), k) == pytest.approx(expected, rel=1e-12)
