@@ -6,18 +6,12 @@ taken on the branch with Im n >= 0, so that exp(i*k*n*x) decays into an
 absorbing medium; ties on the real axis are broken toward Re n >= 0.
 """
 
-import cmath
 from dataclasses import InitVar, dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, check, plain
-
-
-def _require_finite(*values):
-    if not all(cmath.isfinite(v) for v in values):
-        raise DomainError("model parameters must be finite")
+from .errors import check, plain
 
 
 @dataclass(frozen=True)
@@ -41,21 +35,6 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Drude:
-    """Free-carrier response eps(omega) = 1 - wp^2 / (omega^2 + i*gamma*omega)."""
-
-    plasma_frequency: float
-    damping: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self.plasma_frequency, self.damping)
-        if not self.plasma_frequency > 0.0:
-            raise DomainError("plasma frequency must be positive")
-        if self.damping < 0.0:
-            raise DomainError("damping must be >= 0")
-
-
-@dataclass(frozen=True)
 class DrudeLorentz:
     """Sum of Lorentz oscillators: eps = 1 + sum_j s_j / (w_j^2 - omega^2 - i*g_j*omega).
 
@@ -69,15 +48,22 @@ class DrudeLorentz:
     def __post_init__(self):
         terms = tuple(tuple(float(v) for v in term) for term in self.terms)
         object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise DomainError("at least one oscillator term is required")
+        check(len(terms) > 0, "at least one oscillator term is required")
         for term in terms:
-            if len(term) != 3:
-                raise DomainError("each term must be (strength, resonance, damping)")
-            _require_finite(*term)
-            strength, resonance, damping = term
-            if strength < 0.0 or resonance < 0.0 or damping < 0.0:
-                raise DomainError("oscillator strength, resonance and damping must be >= 0")
+            check(len(term) == 3, "each term must be (strength, resonance, damping)")
+            check(np.isfinite(term), "model parameters must be finite")
+            check(np.greater_equal(term, 0.0), "oscillator strength, resonance and damping must be >= 0")
+
+
+def Drude(plasma_frequency: float, damping: float = 0.0) -> DrudeLorentz:
+    """Free-carrier response eps(omega) = 1 - wp^2 / (omega^2 + i*gamma*omega).
+
+    It is the Drude-Lorentz pole of zero resonance and strength wp^2.
+    """
+    check(np.isfinite([plasma_frequency, damping]), "model parameters must be finite")
+    check(plasma_frequency > 0.0, "plasma frequency must be positive")
+    check(damping >= 0.0, "damping must be >= 0")
+    return DrudeLorentz(((plasma_frequency * plasma_frequency, 0.0, damping),))
 
 
 @dataclass(frozen=True)
@@ -92,18 +78,16 @@ class Tabulated:
         values = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
-        if len(omegas) < 2:
-            raise DomainError("tabulated model needs at least 2 samples")
-        if len(omegas) != len(values):
-            raise DomainError("sample frequencies and values must have equal length")
-        _require_finite(*omegas, *values)
-        if any(b <= a for a, b in zip(omegas, omegas[1:])):
-            raise DomainError("sample frequencies must be strictly increasing")
-        if any(v.imag < 0.0 for v in values):
-            raise DomainError("gain media are not supported: Im epsilon must be >= 0")
+        check(len(omegas) >= 2, "tabulated model needs at least 2 samples")
+        check(len(omegas) == len(values), "sample frequencies and values must have equal length")
+        check(np.isfinite([*omegas, *values]), "model parameters must be finite")
+        check(np.less(omegas[:-1], omegas[1:]), "sample frequencies must be strictly increasing")
+        # The interpolation weight divides by distances within the span.
+        check(np.isfinite(omegas[-1] - omegas[0]), "sample frequency span omegas[-1] - omegas[0] overflows")
+        check(np.imag(values) >= 0.0, "gain media are not supported: Im epsilon must be >= 0")
 
 
-DielectricModel = Union[Constant, Drude, DrudeLorentz, Tabulated]
+DielectricModel = Union[Constant, DrudeLorentz, Tabulated]
 
 
 @np.errstate(all="ignore")
@@ -119,8 +103,6 @@ def permittivity(model: DielectricModel, omega, errors=None):
     check(w > 0.0, "frequency must be positive", errors)
     if isinstance(model, Constant):
         eps = np.broadcast_arrays(np.asarray(model.epsilon, complex), w)[0]
-    elif isinstance(model, Drude):
-        eps = 1.0 - model.plasma_frequency**2 / (w * (w + 1j * model.damping))
     elif isinstance(model, DrudeLorentz):
         eps = np.ones(w.shape, complex)
         for strength, resonance, damping in model.terms:

@@ -53,17 +53,20 @@ class EmissionParams:
             value = getattr(self, name)
             check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
 
-    @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
+    # np.divide: a denominator that underflows to 0 gives inf, not ZeroDivisionError.
+    # The rates fail a row whose prefactor is not a normal float (_normal_prefactor).
+
+    @np.errstate(all="ignore")
     def gamma_vacuum_1d(self, k):
         """One-dimensional free-space reference rate k |d|^2 / (hbar eps0 S)."""
         d = self.dipole_moment
-        return k * (d * d) / (self.hbar * self.epsilon0 * self.surface_unit)
+        return plain(np.divide(k * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
 
-    @np.errstate(all="ignore")  # an overflow gives inf, which the rate checks report
+    @np.errstate(all="ignore")
     def rate_prefactor(self, k):
         """2 k^2 |d|^2 / (hbar eps0 S), multiplying Im G + F."""
         d = self.dipole_moment
-        return 2.0 * (k * k) * (d * d) / (self.hbar * self.epsilon0 * self.surface_unit)
+        return plain(np.divide(2.0 * (k * k) * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
 
 
 # The rates take arrays of rows: the context's fields and the source
@@ -74,6 +77,12 @@ class EmissionParams:
 def _finite_rate(rate, errors):
     check(np.isfinite(rate), "emission rate is not finite: its prefactor overflows", errors)
     return plain(rate)
+
+
+def _normal_prefactor(prefactor, errors):
+    """Fail the rows whose prefactor is 0, subnormal or not finite: it would not carry the rate's digits."""
+    normal = (prefactor >= np.finfo(float).tiny) & np.isfinite(prefactor)
+    check(normal, "emission prefactor is not a normal positive float: it under- or overflows", errors)
 
 
 @np.errstate(all="ignore")
@@ -109,9 +118,11 @@ def decay_from_quadrature(
     message; without one, the QuadratureError or DomainError propagates.
     """
     lhs, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol, errors=errors)
+    prefactor = params.rate_prefactor(ctx.k)
     with np.errstate(all="ignore"):  # failed rows carry any k
-        rate = params.rate_prefactor(ctx.k) * np.real(lhs)
-    return _finite_rate(rate, errors)
+        rate = _finite_rate(prefactor * np.real(lhs), errors)
+    _normal_prefactor(prefactor, errors)
+    return rate
 
 
 @dataclass(frozen=True)
@@ -143,12 +154,9 @@ def decay_report(
     gamma_quad = None
     if oracle_tol is not None:
         gamma_quad = decay_from_quadrature(params, ctx, x_source, tol=oracle_tol, errors=errors)
-    return DecayRateReport(
-        gamma_corrected=gamma,
-        gamma_uncorrected=gamma_unc,
-        gamma_quadrature=gamma_quad,
-        gamma_vac_1d=params.gamma_vacuum_1d(ctx.k),
-    )
+    gamma_vac = params.gamma_vacuum_1d(ctx.k)
+    _normal_prefactor(gamma_vac, errors)
+    return DecayRateReport(gamma, gamma_unc, gamma_quad, gamma_vac)
 
 
 @dataclass(frozen=True)

@@ -62,17 +62,14 @@ class WaveContext:
     """One (geometry, medium, wavenumber) evaluation point with cached amplitudes.
 
     The fields may also be arrays of rows, as `make_context` builds them for a
-    sweep; `take` picks rows out of such a context.
+    sweep; `take` picks rows out of such a context. It is a plain record:
+    `coefficients` checks the wavenumber before any context is built.
     """
 
     k: float
     n: complex
     geometry: SlabGeometry
     coefficients: SlabCoefficients
-    errors: InitVar = None
-
-    def __post_init__(self, errors):
-        check((self.k > 0.0) & np.isfinite(self.k), "wavenumber must be positive and finite", errors)
 
     @property
     def epsilon(self) -> complex:
@@ -114,7 +111,9 @@ def coefficients(geometry: SlabGeometry, n, k, errors=None) -> SlabCoefficients:
     errors.check) failing rows are marked instead of raising.
     """
     n = np.asarray(n, complex)
-    check(np.greater(k, 0.0), "wavenumber must be positive", errors)
+    # The one wavenumber check of every context. G divides by k, so 1/k must be finite too.
+    k_ok = np.greater(k, 0.0) & np.isfinite(k) & np.isfinite(np.divide(1.0, k))
+    check(k_ok, "wavenumber k and 1/k must be positive and finite", errors)
     check(np.logical_not(n.imag < 0.0), "refractive index must have Im n >= 0", errors)
     l = geometry.half_length
     e4 = np.exp(4j * k * n * l)
@@ -151,7 +150,7 @@ def make_context(
     omega = plain(np.asarray(omega, float))
     n = refractive_index(permittivity(model, omega, errors), errors)
     k = omega / c
-    return WaveContext(k=k, n=n, geometry=geometry, coefficients=coefficients(geometry, n, k, errors), errors=errors)
+    return WaveContext(k=k, n=n, geometry=geometry, coefficients=coefficients(geometry, n, k, errors))
 
 
 def context_from_index(geometry: SlabGeometry, n: complex, k: float) -> WaveContext:

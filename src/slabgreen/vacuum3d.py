@@ -84,9 +84,13 @@ def vacuum_decay_3d(params: EmissionParams, k: float) -> float:
     dipole = np.array([0.0, 0.0, d])
     with np.errstate(all="ignore"):  # numpy powers round like Python's but overflow to inf
         contraction = dipole @ im_green_coincident(k) @ dipole  # raises for k <= 0
-        closed = k**3 * (d * d) / (3.0 * math.pi * params.hbar * params.epsilon0)
+        k3, d2, den = k**3, d * d, 3.0 * math.pi * params.hbar * params.epsilon0
+        closed = k3 * d2 / den
     check(np.isfinite(closed), "vacuum decay rate is not finite: its prefactor overflows")
     contracted = 2.0 * (k * k) / (params.hbar * params.epsilon0) * contraction
     if abs(contracted - closed) > 1e-12 * closed:
+        # Below the normal float range the two routes round away different digits.
+        normal = min(k3, d2, den, closed) >= np.finfo(float).tiny
+        check(normal, "vacuum decay rate underflows: a factor is below the normal float range")
         raise RuntimeError("vacuum rate routes disagree beyond rounding; internal bug")
     return float(closed)

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -126,6 +127,20 @@ def test_verify_identity_unreachable_tolerance(tmp_path, capsys):
         f = complex(float(row["f_re"]), float(row["f_im"]))
         assert complex(float(row["residual_corrected_re"]), float(row["residual_corrected_im"])) == lhs - im_g - f
         assert complex(float(row["residual_uncorrected_re"]), float(row["residual_uncorrected_im"])) == lhs - im_g
+
+
+def test_verify_identity_nan_residual_is_a_violation(tmp_path, monkeypatch):
+    # A NaN residual fails `abs(r) > tol`; it must still exit 2.
+    real = cli.identity_report
+
+    def nan_lhs(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, lhs=np.full_like(report.lhs, math.nan))
+
+    monkeypatch.setattr(cli, "identity_report", nan_lhs)
+    rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", write_config(tmp_path)])
+    assert rc == 2
+    assert [row["error"] for row in rows] == [""]
 
 
 def test_verify_identity_factorised_grid(tmp_path):
@@ -394,6 +409,48 @@ def test_limit_study_source_errors_exit_1(tmp_path, capsys, overrides, message):
     path.write_text(json.dumps({"slab": {"half_length": 1.0}, **overrides}))
     assert cli.main(["limit-study", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+K_MESSAGE = "wavenumber k and 1/k must be positive and finite"
+PREFACTOR_MESSAGE = "emission prefactor is not a normal positive float: it under- or overflows"
+SOURCES = {"start": 1.5, "stop": 2.0, "count": 2}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags, code, message",
+    [
+        # At omega = 1e-320 the reciprocal 1/k overflows.
+        ("verify-identity", {"omega": 1e-320, "source": SOURCES}, [], 1, K_MESSAGE),
+        ("limit-study", {"omega": 1e-320}, [], 2, K_MESSAGE),
+        ("decay-scan", {"omega": {"start": 1e-320, "stop": 1e-319, "count": 3}}, [], 2, K_MESSAGE),
+        # |d|^2 underflows to 0, or the reference rate k |d|^2 / S is subnormal.
+        ("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-200}}, ["--oracle"], 2,
+         PREFACTOR_MESSAGE),
+        ("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-10, "surface_unit": 1e300}}, [], 2,
+         PREFACTOR_MESSAGE),
+        ("limit-study", {"emission": {"dipole_moment": 1e-200}}, [], 2, PREFACTOR_MESSAGE),
+        # hbar eps0 S underflows to 0, so the prefactor is inf.
+        ("limit-study", {"emission": {"surface_unit": 1e-320}}, ["--units", "si"], 2,
+         "emission rate is not finite: its prefactor overflows"),
+        ("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150}, "separations": [[1.0, 0.0, 0.0]]},
+         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
+    ],
+    ids=["verify_k", "limit_k", "decay_k", "decay_dipole_oracle", "decay_subnormal_reference",
+         "limit_dipole", "limit_surface_si", "tensor3d_underflow"],
+)
+def test_out_of_range_scales_fail_without_nan(tmp_path, capsys, command, overrides, flags, code, message):
+    # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", write_config(tmp_path, **overrides), *flags, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "nan" not in err
+    if code == 1:
+        assert err == f"error: {message}\n"
+        return
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows and all(row["error"] == message for row in rows)
+    assert not any(cell == "nan" for row in rows for cell in row.values())
 
 
 def test_row_template_matches_fmt(tmp_path):

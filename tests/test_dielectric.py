@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +10,13 @@ from slabgreen import (
     DomainError,
     Drude,
     DrudeLorentz,
+    SlabGeometry,
     Tabulated,
+    make_context,
     permittivity,
     refractive_index,
 )
+from slabgreen.errors import row_errors
 
 
 def test_constant_vacuum():
@@ -33,10 +37,17 @@ def test_drude_lossy_value_and_imaginary_part():
 
 
 def test_drude_lorentz_zero_resonance_reduces_to_drude():
-    dl = DrudeLorentz(terms=((4.0, 0.0, 1.0),))
     drude = Drude(plasma_frequency=2.0, damping=1.0)
-    for omega in (0.3, 1.0, 2.7, 9.0):
-        assert permittivity(dl, omega) == pytest.approx(permittivity(drude, omega), rel=1e-14)
+    assert drude == DrudeLorentz(terms=((4.0, 0.0, 1.0),))
+    omega = np.linspace(0.01, 20.0, 2001)
+    # The explicit free-carrier formula, bit for bit.
+    assert np.array_equal(permittivity(drude, omega), 1.0 - 4.0 / (omega * (omega + 1j * 1.0)))
+
+
+def test_drude_plasma_frequency_overflow_is_a_domain_error():
+    # wp^2 overflows to inf, which the pole's finiteness check rejects.
+    with pytest.raises(DomainError, match="model parameters must be finite"):
+        Drude(plasma_frequency=1e200, damping=0.1)
 
 
 def test_drude_lorentz_resonance_absorbs():
@@ -69,6 +80,9 @@ def test_tabulated_validation():
         Tabulated(omegas=(3.0, 1.0), values=(2.0, 2.0))
     with pytest.raises(DomainError):
         Tabulated(omegas=(1.0, 3.0), values=(2.0 - 0.1j, 2.0))
+    # The span 2e308 overflows, and the interpolation weight would divide by it.
+    with pytest.raises(DomainError, match="span"):
+        Tabulated(omegas=(-1e308, 1e308), values=(2.0 + 0.1j, 3.0 + 0.2j))
 
 
 def test_gain_models_rejected():
@@ -127,6 +141,35 @@ def test_passivity_sampled_sweep():
 )
 def test_passivity_random_drude(wp, damping, omega):
     assert permittivity(Drude(plasma_frequency=wp, damping=damping), omega).imag >= 0.0
+
+
+# Finite parameters from 0 and the subnormals up to the largest float.
+EXTREME = st.one_of(
+    st.sampled_from([0.0, 1e-320, 1e-300, 1e-160, 1.0, 1e160, 1e300, 1.7e308]),
+    st.floats(0.0, 1.7e308, allow_subnormal=True),
+)
+MODELS = {
+    "constant": lambda a, b, c: Constant(complex(a, b)),
+    "drude": lambda a, b, c: Drude(plasma_frequency=a, damping=b),
+    "drude_lorentz": lambda a, b, c: DrudeLorentz(terms=((a, b, c),)),
+    "tabulated": lambda a, b, c: Tabulated(omegas=(a, b), values=(complex(c, a), complex(b, c))),
+}
+
+
+@given(kind=st.sampled_from(sorted(MODELS)), a=EXTREME, b=EXTREME, c=EXTREME, omega=EXTREME, half=EXTREME)
+def test_extreme_models_raise_or_mark_rows(kind, a, b, c, omega, half):
+    # Either the model is rejected, or every row of the context is finite or
+    # marked; any other exception or a RuntimeWarning fails the test.
+    try:
+        model = MODELS[kind](a, b, c)
+    except DomainError:
+        return
+    errors = row_errors(2)
+    ctx = make_context(SlabGeometry(half, errors=errors), model, np.array([omega, 1.0]), errors=errors)
+    good = np.equal(errors, None)
+    co = ctx.coefficients
+    for field in (ctx.k, ctx.n, co.A, co.B, co.C, co.D, co.Y):
+        assert np.isfinite(np.broadcast_to(field, good.shape)[good]).all()
 
 
 def test_refractive_index_trivial_cases():

@@ -121,6 +121,14 @@ def test_params_validation():
         EmissionParams(dipole_moment=-1.0)
 
 
+def test_prefactor_outside_normal_range_is_a_domain_error(lossy_ctx):
+    # hbar eps0 S underflows to 0: a Python-float k divides to inf, not ZeroDivisionError.
+    assert EmissionParams(hbar=1e-34, epsilon0=1e-11, surface_unit=1e-320).gamma_vacuum_1d(1.0) == math.inf
+    for params in (EmissionParams(dipole_moment=1e-200), EmissionParams(dipole_moment=1e-10, surface_unit=1e300)):
+        with pytest.raises(DomainError, match="emission prefactor is not a normal positive float"):
+            decay_report(params, lossy_ctx, 2.0)
+
+
 def test_dipole_scaling(lossy_ctx):
     doubled = EmissionParams(dipole_moment=2.0)
     assert decay_rate_corrected(doubled, lossy_ctx) == pytest.approx(

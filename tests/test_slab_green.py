@@ -233,6 +233,13 @@ def test_geometry_and_context_validation():
         coefficients(SlabGeometry(1.0), 2.0 + 0.1j, 0.0)
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan, 1e-320])
+def test_wavenumber_and_its_reciprocal_checked_once(k):
+    # k = 1e-320 is positive and finite, but G's 1/k overflows; a Python 0.0 must not divide.
+    with pytest.raises(DomainError, match="wavenumber k and 1/k must be positive and finite"):
+        coefficients(SlabGeometry(1.0), 2.0 + 0.5j, k)
+
+
 def test_context_coefficient_consistency(lossy_ctx):
     n, k, half = lossy_ctx.n, lossy_ctx.k, lossy_ctx.geometry.half_length
     y = (n + 1) ** 2 - (n - 1) ** 2 * cmath.exp(4j * k * n * half)

@@ -171,3 +171,9 @@ def test_vacuum_decay_routes_agree_over_frequency_grid():
         k = 10.0**exponent
         expected = k**3 / (3 * math.pi)
         assert vacuum_decay_3d(EmissionParams(), k) == pytest.approx(expected, rel=1e-12)
+
+
+def test_vacuum_decay_underflow_is_a_domain_error():
+    # k^3 underflows to 0 while the contraction route keeps about 1.06e-151.
+    with pytest.raises(DomainError, match="vacuum decay rate underflows"):
+        vacuum_decay_3d(EmissionParams(dipole_moment=1e150), 1e-150)
