@@ -124,10 +124,15 @@ def _scalar_or_sweep(node, path):
             return np.array([start])
         if spacing == "log":
             # Python's power per element: numpy's vector power may round differently.
-            ratio = stop / start
-            return np.array([start * ratio ** (i / (count - 1)) for i in range(count)])
-        with np.errstate(all="ignore"):  # a span that overflows gives nan and inf, as Python floats do
-            return start + np.arange(count) * ((stop - start) / (count - 1))
+            ratio, formula = stop / start, "start * (stop / start) ** (i / (count - 1))"
+            values = np.array([start * ratio ** (i / (count - 1)) for i in range(count)])
+        else:
+            formula = "start + i * (stop - start) / (count - 1)"
+            with np.errstate(all="ignore"):  # an overflowing span gives nan and inf, rejected below
+                values = start + np.arange(count) * ((stop - start) / (count - 1))
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{path}.stop", f"the sweep overflows: {formula} is not finite")
+        return values
     return _number(node, path)
 
 

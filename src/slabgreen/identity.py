@@ -20,12 +20,31 @@ import numpy as np
 from .errors import DomainError, QuadratureError, check, plain, raise_first, row_errors
 from .slab_green import WaveContext, _require_right_sources, _wave_factor, _waves, green, green_dx
 
-# Gauss-Legendre pair on one panel: the 16-node value is kept, the 8-node
-# value only feeds the error estimate. The rules share no nodes, so a panel
-# costs 24 integrand values.
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(8)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(16)
-_NODES = np.concatenate([_NODES_LO, _NODES_HI])
+# Gauss-Kronrod pair on one panel (QUADPACK qk15, Piessens et al. 1983): the
+# 15-node Kronrod value is kept, and the 7-node Gauss rule on its odd-indexed
+# nodes only feeds the error estimate, so a panel costs 15 integrand values.
+# Positive halves, outermost first; K15 is exact to degree 22, G7 to degree 13.
+_KRONROD_X = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_KRONROD_W = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GAUSS_W = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_NODES = np.array([-x for x in _KRONROD_X[:-1]] + list(_KRONROD_X[::-1]))
+# Column 0 weighs all 15 values (K15), column 1 the odd-indexed ones (G7).
+_WEIGHTS = np.zeros((15, 2))
+_WEIGHTS[:, 0] = _KRONROD_W + _KRONROD_W[-2::-1]
+_WEIGHTS[1::2, 1] = _GAUSS_W + _GAUSS_W[-2::-1]
 _MAX_PANELS = 4096
 # Panels per integrand call; bounds the integrand's temporaries.
 _BLOCK = 128
@@ -34,16 +53,13 @@ _GROUP = 64
 
 
 def _panels(f, lo, hi, rows):
-    """16-node value and |GL16 - GL8| error estimate of each panel [lo, hi] of row `rows`."""
+    """K15 value and |K15 - G7| error estimate of each panel [lo, hi] of row `rows`."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fine, coarse = np.empty((2, len(lo)), complex)
+    sums = np.empty((len(lo), 2), complex)
     for start in range(0, len(lo), _BLOCK):
         block = slice(start, start + _BLOCK)
-        values = f(mid[block, None] + half[block, None] * _NODES, rows[block])
-        coarse[block] = (values[:, :8] * _WEIGHTS_LO).sum(axis=1)
-        fine[block] = (values[:, 8:] * _WEIGHTS_HI).sum(axis=1)
-    fine *= half
-    coarse *= half
+        sums[block] = f(mid[block, None] + half[block, None] * _NODES, rows[block]) @ _WEIGHTS
+    fine, coarse = half * sums.T
     # The two rules can agree to the last bit; a panel's estimate never drops below its rounding.
     return fine, np.maximum(np.abs(fine - coarse), np.finfo(float).eps * np.abs(fine))
 
@@ -158,8 +174,8 @@ def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
     a source on the face, so the integrand is e^{ik(x_a - x_b)} (Im eps/4)
     |v|^2: one batched integral per row of the context serves every source
     pair, with the same error estimate since the phase has modulus one. v
-    oscillates like exp(i k n x), so the initial panels are capped at a
-    tenth of the interior wavelength (and their number at the budget).
+    varies like exp(i k n x), so each row starts at one panel per interior
+    wavelength 2 pi / (k |n|), at most half the budget.
     Returns (value, error_estimate). With an error record (see errors.check)
     failing rows are marked and rows it fails are skipped; else they raise.
     """
@@ -177,9 +193,10 @@ def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
         v = sum(a for a, _ in _waves(x, at.geometry.half_length, at, "inside"))
         return (0.25 * at.epsilon.imag) * (v.real * v.real + v.imag * v.imag)
 
-    with np.errstate(divide="ignore"):
-        wavelength = 2.0 * math.pi / (rows.k * rows.n.real)
-    seeds = np.where(rows.n.real > 0.0, np.ceil(np.minimum(2.0 * half / (wavelength / 10.0), _MAX_PANELS)), 1)
+    # |n|, not Re n: an opaque slab's panels could otherwise be far wider than its skin
+    # depth 1 / (k Im n), and K15 and G7 would both miss the skin layer at a panel's end
+    # and agree. Half the budget at most, so one round can still split every seed panel.
+    seeds = np.ceil(np.minimum(half * rows.k * abs(rows.n) / math.pi, _MAX_PANELS // 2))
     stalls = None if errors is None else row_errors(index.shape)
     value, estimate, failed = np.full(shape, math.nan, complex), np.full(shape, math.nan), row_errors(shape)
     value.flat[index], estimate.flat[index] = integrate_adaptive(integrand, -half, half, tol, seeds, stalls)

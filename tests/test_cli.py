@@ -70,6 +70,25 @@ def test_bad_sweep_spec(tmp_path, capsys):
     assert "start" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decay-scan", "coefficients"])
+@pytest.mark.parametrize(
+    "sweep, formula",
+    [
+        # The step is inf, so the values were nan, inf, inf.
+        ({"start": -1e308, "stop": 1e308, "count": 3}, "start + i * (stop - start) / (count - 1)"),
+        # The step is finite, but the last value rounds past the largest float.
+        ({"start": 0.0, "stop": 1.7976931348623157e308, "count": 4}, "start + i * (stop - start) / (count - 1)"),
+        # stop / start is inf, so every value after the first was inf.
+        ({"start": 1e-300, "stop": 1e300, "count": 9, "spacing": "log"},
+         "start * (stop / start) ** (i / (count - 1))"),
+    ],
+    ids=["linear_step", "linear_last_value", "log_ratio"],
+)
+def test_overflowing_sweep_rejected(tmp_path, capsys, command, sweep, formula):
+    assert cli.main([command, "--config", write_config(tmp_path, omega=sweep)]) == 1
+    assert capsys.readouterr().err == f"error: omega.stop: the sweep overflows: {formula} is not finite\n"
+
+
 def test_coefficients_vacuum(tmp_path):
     path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": [1.0, 0.0]})
     rc, rows = run_to_rows(tmp_path, ["coefficients", "--config", path])
@@ -183,8 +202,8 @@ def test_verify_identity_opaque_slab(tmp_path):
 
 
 def test_verify_identity_extreme_frequency(tmp_path):
-    # k = 1e300: the seed of a tenth of a wavelength per panel would be
-    # 2e301 panels; it is capped at the panel budget.
+    # k = 1e300: a seed of one panel per interior wavelength would be
+    # 7e299 panels; it is capped at half the panel budget.
     path = write_config(tmp_path, omega=1e300)
     rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", path])
     assert rc == 0

@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slabgreen import (
     DomainError,
@@ -21,6 +25,36 @@ from slabgreen import (
     make_context,
 )
 from slabgreen.errors import row_errors
+from slabgreen.identity import _NODES, _WEIGHTS
+
+
+@pytest.mark.parametrize("rule, nodes, weights, degree", [
+    ("K15", _NODES, _WEIGHTS[:, 0], 22),
+    ("G7", _NODES[1::2], _WEIGHTS[1::2, 1], 13),
+])
+def test_pinned_rule_exact_for_monomials(rule, nodes, weights, degree):
+    for d in range(degree + 1):
+        terms = weights * nodes**d
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        # A few rounding units of the sum of the terms' magnitudes.
+        assert abs(terms.sum() - exact) <= 4 * np.finfo(float).eps * abs(terms).sum(), (rule, d)
+    d = degree + 1 if degree % 2 else degree + 2
+    assert abs(weights @ nodes**d - 2.0 / (d + 1)) > 1e-12  # and no further
+
+
+def test_pinned_gauss_rule_is_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.abs(_NODES[1::2] - nodes).max() <= 2 * np.finfo(float).eps
+    assert np.abs(_WEIGHTS[1::2, 1] - weights).max() <= 2 * np.finfo(float).eps
+    assert not _WEIGHTS[::2, 1].any()  # the Kronrod-only nodes do not enter G7
+
+
+def test_package_import_leaves_numpy_polynomial_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, slabgreen.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_integrator_polynomial_exact():
@@ -306,3 +340,33 @@ def test_identity_closes_in_hard_regimes(n_re, log_n_im, k, half, offsets):
               rep.residual_corrected, rep.residual_uncorrected]
     assert all(cmath.isfinite(value) for value in values)
     assert abs(rep.residual_corrected) <= 1e-8
+
+
+@settings(max_examples=40)
+@given(
+    n_re=st.floats(0.05, 3.0),
+    log_n_im=st.floats(-3.0, 1.0),
+    k=st.floats(0.5, 300.0),
+    half=st.floats(0.1, 5.0),
+    offset=st.floats(0.01, 2.0),
+    log_tol=st.floats(-12.0, -8.0),
+)
+# Seeded by Re n alone this opaque slab is one panel, on which K15 and G7 both
+# miss the skin layer: the left side came out 900 times too small, "converged".
+@example(n_re=0.05, log_n_im=1.0, k=59.0, half=1.0, offset=1.0, log_tol=-8.0)
+@example(n_re=2.0, log_n_im=math.log10(0.5), k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
+@example(n_re=1.5, log_n_im=-6.0, k=50.0, half=5.0, offset=1.0, log_tol=-10.0)
+@example(n_re=1.5, log_n_im=-3.0, k=300.0, half=5.0, offset=1.0, log_tol=-10.0)
+@example(n_re=0.1, log_n_im=math.log10(3.0), k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
+@example(n_re=3.0, log_n_im=-2.0, k=200.0, half=2.0, offset=1.0, log_tol=-10.0)
+def test_energy_balance_in_hard_regimes(n_re, log_n_im, k, half, offset, log_tol):
+    # Poynting's theorem for the slab: the absorbed power 4k LHS(x_s, x_s) is
+    # what is neither reflected nor transmitted. The right side uses no
+    # quadrature, so a seed panel on which K15 and G7 agree before it is
+    # resolved (false convergence) shows here.
+    ctx = context_from_index(SlabGeometry(half), complex(n_re, 10.0**log_n_im), k)
+    tol = 10.0**log_tol
+    lhs, estimate = lhs_quadrature(half + offset, half + offset, ctx, tol=tol)
+    co = ctx.coefficients
+    assert estimate <= tol
+    assert abs(4.0 * k * lhs.real - (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2)) <= 4.0 * k * tol + 1e-13
