@@ -45,7 +45,6 @@ from .slab_green import (
     helmholtz_residual,
     interface_mismatch,
     make_context,
-    region,
 )
 from .vacuum3d import (
     green_tensor_vacuum,
@@ -94,7 +93,6 @@ __all__ = [
     "make_context",
     "permittivity",
     "refractive_index",
-    "region",
     "scalar_green_g0",
     "vacuum_decay_3d",
 ]

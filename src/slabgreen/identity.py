@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, check, plain, raise_first, row_errors
+from .errors import QuadratureError, check, plain, raise_first, row_errors
 from .slab_green import WaveContext, _require_right_sources, _wave_factor, _waves, green, green_dx
 
 # Gauss-Kronrod pair on one panel (QUADPACK qk15, Piessens et al. 1983): the
@@ -130,20 +130,19 @@ def integrate_adaptive(f, a, b, tol, initial_panels=1, errors=None):
     return plain(value.reshape(shape)), plain(estimate.reshape(shape))
 
 
-def boundary_term_b(x_b: float, x_a: float, ctx: WaveContext, box_half_length: float) -> complex:
+def boundary_term_b(x_b, x_a, ctx: WaveContext, box_half_length):
     """Flux product b(x_b, x_a) = -[G*(x, x_b) dG/dx(x, x_a)] between the box edges.
 
     Evaluated with the analytic branch derivatives at x = -L and x = +L,
     where L = box_half_length must exceed the slab and both source points.
-    The value is independent of L; tests pin that instead of assuming it.
+    The value is independent of L, which tests pin; all arguments may be arrays.
     """
-    _require_right_sources(ctx.geometry.half_length, x_a, x_b)
-    big_l = box_half_length
-    if not big_l > max(ctx.geometry.half_length, x_a, x_b):
-        raise DomainError("box must strictly contain the slab and both source points")
-    at_left = green(-big_l, x_b, ctx).conjugate() * green_dx(-big_l, x_a, ctx)
-    at_right = green(big_l, x_b, ctx).conjugate() * green_dx(big_l, x_a, ctx)
-    return at_left - at_right
+    l, big_l = ctx.geometry.half_length, box_half_length
+    _require_right_sources(l, x_a, x_b)
+    contains = np.greater(big_l, np.maximum(np.maximum(l, x_a), x_b)) & np.isfinite(big_l)
+    check(contains, "box must be finite and strictly contain the slab and both source points")
+    at_left, at_right = (np.conj(green(x, x_b, ctx)) * green_dx(x, x_a, ctx) for x in (-big_l, big_l))
+    return plain(at_left - at_right)
 
 
 @np.errstate(all="ignore")
@@ -243,6 +242,4 @@ def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None) 
     f = boundary_term_f(x_a, x_b, ctx, errors)
     raise_first(errors)
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors)
-    # Both sources lie on the right, so G(x_a, x_b) is the sum of the right-hand waves.
-    im_g = ((0.5j / ctx.k) * sum(a for a, _ in _waves(x_a, x_b, ctx, "right"))).imag
-    return IdentityReport(lhs, plain(im_g), f, quad_err, plain(errors))
+    return IdentityReport(lhs, plain(np.imag(green(x_a, x_b, ctx))), f, quad_err, plain(errors))

@@ -29,7 +29,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .dielectric import DielectricModel, permittivity, refractive_index
-from .errors import DomainError, check, plain
+from .errors import check, plain
+
+_PHASE_OVERFLOW = "wave phase is not finite: k times a distance overflows"
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,6 @@ class WaveContext:
         return WaveContext(k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
 
 
-def region(x: float, half_length: float) -> str:
-    """Classify a coordinate as 'left', 'inside' or 'right' of the slab."""
-    if x < -half_length:
-        return "left"
-    if x > half_length:
-        return "right"
-    return "inside"
-
-
 @np.errstate(all="ignore")
 def coefficients(geometry: SlabGeometry, n, k, errors=None) -> SlabCoefficients:
     """Fabry-Perot amplitudes of the slab for a unit exterior wave.
@@ -111,9 +104,7 @@ def coefficients(geometry: SlabGeometry, n, k, errors=None) -> SlabCoefficients:
     errors.check) failing rows are marked instead of raising.
     """
     n = np.asarray(n, complex)
-    # The one wavenumber check of every context. G divides by k, so 1/k must be finite too.
-    k_ok = np.greater(k, 0.0) & np.isfinite(k) & np.isfinite(np.divide(1.0, k))
-    check(k_ok, "wavenumber k and 1/k must be positive and finite", errors)
+    _check_wavenumber(k, errors)  # the one wavenumber check of every context
     check(np.logical_not(n.imag < 0.0), "refractive index must have Im n >= 0", errors)
     l = geometry.half_length
     e4 = np.exp(4j * k * n * l)
@@ -153,18 +144,24 @@ def make_context(
     return WaveContext(k=k, n=n, geometry=geometry, coefficients=coefficients(geometry, n, k, errors))
 
 
-def context_from_index(geometry: SlabGeometry, n: complex, k: float) -> WaveContext:
-    """Context built directly from an index at wavenumber k."""
-    return WaveContext(k=k, n=complex(n), geometry=geometry, coefficients=coefficients(geometry, n, k))
+def context_from_index(geometry: SlabGeometry, n, k) -> WaveContext:
+    """Context built directly from an index at wavenumber k; n and k may be arrays of rows."""
+    return WaveContext(k, plain(np.asarray(n, complex)), geometry, coefficients(geometry, n, k))
+
+
+def _check_wavenumber(k, errors=None):
+    """G divides by k, so 1/k must be finite too; callers ignore floating-point warnings."""
+    ok = np.greater(k, 0.0) & np.isfinite(k) & np.isfinite(np.divide(1.0, k))
+    check(ok, "wavenumber k and 1/k must be positive and finite", errors)
 
 
 def _waves(x, x_s, ctx, where):
     """Plane waves (amplitude a, wavenumber q) of region `where` for x_s > l.
 
-    The amplitudes sum to (2k/i) G(x, x_s) and each has x-derivative i q a.
-    `x` may be an array of points that all lie in `where`. Interior exponents
-    are measured from the interface the wave decays away from, so no factor
-    overflows however opaque the slab is.
+    For x in `where` the amplitudes sum to (2k/i) G(x, x_s) and each has
+    x-derivative i q a; x, x_s and the rows of ctx may be arrays. Interior
+    exponents are measured from the interface the wave decays away from, so
+    no factor overflows however opaque the slab is, for x inside it.
     """
     co = ctx.coefficients
     k, n, l = ctx.k, ctx.n, ctx.geometry.half_length
@@ -183,11 +180,6 @@ def _waves(x, x_s, ctx, where):
     )
 
 
-def _require_exterior_source(x_s, half_length):
-    if abs(x_s) <= half_length:
-        raise DomainError("source must lie strictly outside the slab")
-
-
 def _require_right_sources(half_length, *sources, errors=None):
     for x_s in sources:
         check(np.greater(x_s, half_length), "source must lie in the right exterior region", errors)
@@ -195,73 +187,85 @@ def _require_right_sources(half_length, *sources, errors=None):
 
 def _wave_factor(phase, errors=None):
     """e^{i phase} for a real phase k*(...); a phase that overflowed fails its row."""
-    check(np.isfinite(phase), "wave phase is not finite: k times a distance overflows", errors)
+    check(np.isfinite(phase), _PHASE_OVERFLOW, errors)
     return np.exp(1j * phase)
 
 
-def green(x: float, x_source: float, ctx: WaveContext) -> complex:
-    """Evaluate G(x, x_source) for an exterior source.
+@np.errstate(all="ignore")
+def _green_and_dx(x, x_source, ctx):
+    """G and dG/dx at observers x for exterior sources x_source, broadcast against ctx's rows.
 
-    The value is continuous everywhere, including at x = x_source where only
-    the derivative jumps.
+    Each region's wave sum counts where x lies in it (the faces are inside);
+    adding the zeros of the other regions is exact. A left source is mirrored.
     """
     l = ctx.geometry.half_length
-    _require_exterior_source(x_source, l)
-    if x_source < 0:
-        x, x_source = -x, -x_source
-    return complex((0.5j / ctx.k) * sum(a for a, _ in _waves(x, x_source, ctx, region(x, l))))
+    check(np.abs(x_source) > l, "source must lie strictly outside the slab")
+    check(np.isfinite(x), "observer position must be finite")
+    x, x_s = np.sign(x_source) * x, np.abs(x_source)
+    g = dg = 0
+    for where, inside in (("left", x < -l), ("inside", np.abs(x) <= l), ("right", x > l)):
+        waves = _waves(x, x_s, ctx, where)
+        g = g + np.where(inside, sum(a for a, _ in waves), 0)
+        dg = dg + np.where(inside, sum(q * a for a, q in waves), 0)
+    g, dg = (0.5j / ctx.k) * g, (-0.5 * np.sign(x_source) / ctx.k) * dg
+    check(np.isfinite(g) & np.isfinite(dg), _PHASE_OVERFLOW)
+    return g, dg
 
 
-def green_dx(x: float, x_source: float, ctx: WaveContext) -> complex:
+def green(x, x_source, ctx: WaveContext):
+    """G(x, x_source) for exterior sources: a plain complex, or an array for arrays of points or rows.
+
+    Continuous everywhere, including at x = x_source where only the derivative jumps.
+    """
+    return plain(_green_and_dx(x, x_source, ctx)[0])
+
+
+def green_dx(x, x_source, ctx: WaveContext):
     """Analytic observer derivative dG/dx; undefined exactly at the source."""
-    l = ctx.geometry.half_length
-    _require_exterior_source(x_source, l)
-    if x == x_source:
-        raise DomainError("derivative is discontinuous at the source position")
-    scale = -0.5 / ctx.k
-    if x_source < 0:
-        x, x_source, scale = -x, -x_source, -scale
-    return complex(scale * sum(q * a for a, q in _waves(x, x_source, ctx, region(x, l))))
+    check(np.not_equal(x, x_source), "derivative is discontinuous at the source position")
+    return plain(_green_and_dx(x, x_source, ctx)[1])
 
 
-def green_vacuum_1d(x: float, x_prime: float, k: float) -> complex:
-    """Free-space Green function (i/2k) e^{ik|x - x'|}."""
-    if not k > 0.0:
-        raise DomainError("wavenumber must be positive")
-    return complex((0.5j / k) * _wave_factor(k * abs(x - x_prime)))
+@np.errstate(all="ignore")
+def green_vacuum_1d(x, x_prime, k):
+    """Free-space Green function (i/2k) e^{ik|x - x'|}, for arrays too."""
+    _check_wavenumber(k)
+    return plain((0.5j / k) * _wave_factor(k * np.abs(np.subtract(x, x_prime))))
 
 
-def helmholtz_residual(x: float, x_source: float, ctx: WaveContext, h: float) -> float:
+def helmholtz_residual(x, x_source, ctx: WaveContext, h):
     """Second-order finite-difference residual of the defining equation at x.
 
     Returns |(2G(x) - G(x+h) - G(x-h))/h^2 - k^2 eps(x) G(x)|, which decays
     like h^2 wherever G is smooth. The stencil must stay clear of the source
     and of the interfaces, where G or its derivatives are not smooth.
     """
-    if not h > 0.0:
-        raise DomainError("step must be positive")
+    check((h > 0.0) & (0.0 < h * h) & (h * h < np.inf), "step h and h^2 must be positive and finite")
     l = ctx.geometry.half_length
-    if min(abs(x - x_source), abs(x - l), abs(x + l)) < 2.0 * h:
-        raise DomainError("stencil crosses the source or an interface")
-    g0 = green(x, x_source, ctx)
-    gp = green(x + h, x_source, ctx)
-    gm = green(x - h, x_source, ctx)
-    eps_x = ctx.epsilon if region(x, l) == "inside" else 1.0 + 0.0j
-    return abs((2.0 * g0 - gp - gm) / (h * h) - ctx.k * ctx.k * eps_x * g0)
+    clearance = np.minimum(np.abs(np.subtract(x, x_source)), np.abs(np.abs(x) - l))
+    check(np.logical_not(clearance < 2.0 * h), "stencil crosses the source or an interface")
+    g0, gp, gm = (green(np.add(x, d), x_source, ctx) for d in (0.0, h, -h))
+    eps_x = np.where(np.abs(x) <= l, ctx.epsilon, 1.0 + 0.0j)
+    with np.errstate(all="ignore"):
+        residual = abs((2.0 * g0 - gp - gm) / (h * h) - ctx.k * ctx.k * eps_x * g0)
+    check(np.isfinite(residual), "Helmholtz residual is not finite: h^2 or k^2 eps G is out of range")
+    return plain(residual)
 
 
-def interface_mismatch(ctx: WaveContext, x_source: float) -> float:
-    """Worst continuity defect of G and dG/dx across the two interfaces.
+@np.errstate(all="ignore")
+def interface_mismatch(ctx: WaveContext, x_source):
+    """Worst continuity defect of G and dG/dx across the two interfaces, per row.
 
     Both one-sided limits come from the plane waves of the adjacent regions,
     so the result is a pure consistency check on the amplitudes.
     """
     l = ctx.geometry.half_length
     _require_right_sources(l, x_source)
-    defects = []
+    worst = 0.0
     for x, outside in ((l, "right"), (-l, "left")):
         # Inside minus outside waves; the sums are 2k/i and -2k times the jumps.
-        outer = tuple((-a, q) for a, q in _waves(x, x_source, ctx, outside))
-        waves = _waves(x, x_source, ctx, "inside") + outer
-        defects += [sum(a for a, _ in waves), sum(q * a for a, q in waves)]
-    return max(abs(d) for d in defects) / (2 * ctx.k)
+        waves = _waves(x, x_source, ctx, "inside") + tuple((-a, q) for a, q in _waves(x, x_source, ctx, outside))
+        for defect in (sum(a for a, _ in waves), sum(q * a for a, q in waves)):
+            worst = np.maximum(worst, abs(defect))
+    check(np.isfinite(worst), _PHASE_OVERFLOW)
+    return plain(worst / (2 * ctx.k))

@@ -154,11 +154,11 @@ def test_lhs_batch_matches_scipy_quad_vec():
     terms = ((4.0, 1.0, 0.3), (1.0, 0.0, 0.1))  # Drude-Lorentz as in the oracle workload
     omega = np.linspace(0.2, 5.0, 50)
     geometry, x_s = SlabGeometry(1.0), 1.5
-    lhs, estimate = lhs_quadrature(x_s, x_s, make_context(geometry, DrudeLorentz(terms), omega), tol=1e-10)
-    rows = [make_context(geometry, DrudeLorentz(terms), w) for w in omega.tolist()]
+    ctx = make_context(geometry, DrudeLorentz(terms), omega)
+    lhs, estimate = lhs_quadrature(x_s, x_s, ctx, tol=1e-10)
 
     def integrand(x):
-        return np.array([ctx.k**2 * ctx.epsilon.imag * abs(green(x, x_s, ctx)) ** 2 for ctx in rows])
+        return ctx.k**2 * ctx.epsilon.imag * abs(green(x, x_s, ctx)) ** 2
 
     reference, _ = integrate.quad_vec(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=0.0, norm="max")
     assert np.all(estimate <= 1e-10)
@@ -232,6 +232,37 @@ def test_f_coincident_closed_form(lossy_ctx):
             + 2.0 * (co.D * cmath.exp(-2j * k * (half - x_s))).real
         ) / (4.0 * k)
         assert boundary_term_f(x_s, x_s, lossy_ctx) == pytest.approx(expected, rel=1e-14)
+
+
+@settings(max_examples=40)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.05, 3.0),  # Re n
+            st.floats(-14.0, math.log10(0.5)),  # log10 Im n
+            st.floats(0.05, 500.0),  # k l
+            st.floats(-1.0, 2.0),  # log10 k
+            st.floats(0.01, 100.0),  # k (x_a - l)
+            st.floats(0.01, 100.0),  # k (x_b - l)
+            st.floats(0.01, 400.0),  # k (L - max(x_a, x_b)), so k L stays below ~1e3
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_flux_route_f_matches_closed_form_in_hard_regimes(rows):
+    # The third route to F: F = (b(x_b, x_a) - conj b(x_a, x_b)) / 2i from the flux at the
+    # box edges, against the closed form, over near-lossless, opaque and high k l rows at once.
+    n_re, log_n_im, k_half, log_k, k_da, k_db, k_margin = np.array(rows).T
+    k = 10.0**log_k
+    half = k_half / k
+    ctx = context_from_index(SlabGeometry(half), n_re + 1j * 10.0**log_n_im, k)
+    x_a, x_b = half + k_da / k, half + k_db / k
+    box = np.maximum(x_a, x_b) + k_margin / k
+    flux = (boundary_term_b(x_b, x_a, ctx, box) - np.conj(boundary_term_b(x_a, x_b, ctx, box))) / 2j
+    co = ctx.coefficients
+    scale = (1.0 + abs(co.A) ** 2 + abs(co.D) ** 2 + 2.0 * abs(co.D)) / (4.0 * k)
+    assert np.all(abs(flux - boundary_term_f(x_a, x_b, ctx)) <= 1e-12 * scale)
 
 
 def test_f_assembled_from_b(lossy_ctx):

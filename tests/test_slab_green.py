@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from slabgreen import (
     Constant,
     DomainError,
     SlabGeometry,
+    boundary_term_b,
     coefficients,
     context_from_index,
     green,
@@ -17,7 +19,6 @@ from slabgreen import (
     interface_mismatch,
     make_context,
     refractive_index,
-    region,
 )
 from conftest import N_LOSSY
 
@@ -69,29 +70,29 @@ def test_vacuum_interface_mismatch_is_exact(vacuum_ctx):
     assert interface_mismatch(vacuum_ctx, 2.0) <= 1e-16
 
 
+def _face_scale(ctx, x_s):
+    """Largest |G| or |dG/dx| on the two faces, per row."""
+    half = ctx.geometry.half_length
+    faces = [f(x, x_s, ctx) for f in (green, green_dx) for x in (half, -half)]
+    return np.max(np.abs(np.broadcast_arrays(*faces)), axis=0)
+
+
 def test_interface_mismatch_grid():
+    # 10 indices x 10 values of k l x 10 source offsets, one array context.
     indices = [1.0, 1.5, 2.0, 3.5, 1.2 + 0.05j, 2.0 + 0.5j, 1.0 + 1.0j, 0.5 + 1.5j, 0.1 + 3.0j, 4.0 + 0.2j]
-    k_half_products = [0.1 + 1.1 * i for i in range(10)]
-    offsets = [0.001 + 0.7 * i for i in range(10)]
-    for n in indices:
-        for k_half in k_half_products:
-            ctx = context_from_index(SlabGeometry(1.0), n, k_half)
-            for off in offsets:
-                x_s = 1.0 + off
-                scale = max(
-                    abs(green(1.0, x_s, ctx)),
-                    abs(green(-1.0, x_s, ctx)),
-                    abs(green_dx(1.0, x_s, ctx)),
-                    abs(green_dx(-1.0, x_s, ctx)),
-                )
-                assert interface_mismatch(ctx, x_s) <= 1e-12 * scale
+    n = np.array(indices)[:, None, None]
+    k_half = (0.1 + 1.1 * np.arange(10))[:, None]
+    x_s = 1.0 + (0.001 + 0.7 * np.arange(10))
+    ctx = context_from_index(SlabGeometry(1.0), n, k_half)
+    mismatch = interface_mismatch(ctx, x_s)
+    assert mismatch.shape == (10, 10, 10)
+    assert np.all(mismatch <= 1e-12 * _face_scale(ctx, x_s))
 
 
 def test_vacuum_green_equals_free_space(vacuum_ctx):
-    k = vacuum_ctx.k
-    for x in (-5.0, -1.0, 0.0, 0.4, 1.0, 2.0, 2.5, 7.0):
-        got = green(x, 2.5, vacuum_ctx)
-        assert got == pytest.approx(green_vacuum_1d(x, 2.5, k), rel=1e-14, abs=1e-15)
+    x = np.array([-5.0, -1.0, 0.0, 0.4, 1.0, 2.0, 2.5, 7.0])
+    got = green(x, 2.5, vacuum_ctx)
+    assert got == pytest.approx(green_vacuum_1d(x, 2.5, vacuum_ctx.k), rel=1e-14, abs=1e-15)
 
 
 def test_green_vacuum_1d_values():
@@ -143,13 +144,6 @@ def test_mirror_symmetry(x, x_s, flip):
     mirrored = green(-x, -source, ctx)
     assert isinstance(direct, complex)
     assert direct == mirrored
-
-
-def test_region_tags():
-    half = 1.0
-    assert [region(x, half) for x in (-4.0, -2.0)] == ["left", "left"]
-    assert [region(x, half) for x in (-1.0, 0.2, 1.0)] == ["inside"] * 3
-    assert [region(x, half) for x in (2.0, 3.0)] == ["right", "right"]
 
 
 def test_radiation_condition(lossy_ctx):
@@ -267,17 +261,10 @@ def test_opaque_slab_stays_finite():
     assert n == pytest.approx(0.1 + 3.0j, rel=1e-12)
     ctx = context_from_index(SlabGeometry(3.0), n, 100.0)
     x_s = 4.0
-    for i in range(61):
-        x = -3.0 + 0.1 * i
-        assert cmath.isfinite(green(x, x_s, ctx))
-        assert cmath.isfinite(green_dx(x, x_s, ctx))
-    scale = max(
-        abs(green(3.0, x_s, ctx)),
-        abs(green(-3.0, x_s, ctx)),
-        abs(green_dx(3.0, x_s, ctx)),
-        abs(green_dx(-3.0, x_s, ctx)),
-    )
-    assert interface_mismatch(ctx, x_s) <= 1e-12 * scale
+    x = -3.0 + 0.1 * np.arange(61)
+    assert np.all(np.isfinite(green(x, x_s, ctx)))
+    assert np.all(np.isfinite(green_dx(x, x_s, ctx)))
+    assert interface_mismatch(ctx, x_s) <= 1e-12 * _face_scale(ctx, x_s)
 
 
 @given(
@@ -295,3 +282,73 @@ def test_green_dx_matches_central_difference(x, x_s, flip):
         return
     fd = (green(x + h, source, ctx) - green(x - h, source, ctx)) / (2 * h)
     assert abs(green_dx(x, source, ctx) - fd) <= 1e-8
+
+
+K10 = context_from_index(SlabGeometry(1.0), N_LOSSY, 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: green(math.nan, 2.0, K10), "observer position must be finite", id="green-nan-x"),
+        pytest.param(lambda: green(0.3, math.nan, K10), "source must lie strictly outside", id="green-nan-source"),
+        pytest.param(lambda: green(0.3, math.inf, K10), "wave phase is not finite", id="green-inf-source"),
+        *(
+            pytest.param(lambda f=f, x=x: f(x, 2.0, K10), message, id=f"{f.__name__}-{x:g}")
+            for f in (green, green_dx)
+            for x, message in (
+                (1e308, "wave phase is not finite"),
+                (-1e308, "wave phase is not finite"),
+                (math.inf, "observer position must be finite"),
+                (-math.inf, "observer position must be finite"),
+            )
+        ),
+        pytest.param(lambda: interface_mismatch(K10, 1e308), "wave phase is not finite", id="mismatch-1e308"),
+        pytest.param(lambda: boundary_term_b(2.0, 2.0, K10, 1e308), "wave phase is not finite", id="b-box-1e308"),
+        pytest.param(lambda: boundary_term_b(2.0, 2.0, K10, math.inf), "box must be finite", id="b-box-inf"),
+        pytest.param(lambda: helmholtz_residual(math.nan, 2.0, K10, 1e-3), "observer position", id="fd-nan-x"),
+        pytest.param(lambda: helmholtz_residual(0.3, 2.0, K10, math.inf), r"step h and h\^2 must be", id="fd-inf-step"),
+        pytest.param(lambda: helmholtz_residual(0.3, 2.0, K10, 1e-200), r"step h and h\^2 must be", id="fd-tiny-step"),
+        pytest.param(
+            lambda: helmholtz_residual(0.3, 2.0, context_from_index(SlabGeometry(1.0), 1.5, 1e160), 1e-3),
+            "residual is not finite",
+            id="fd-k-squared-overflows",
+        ),
+        pytest.param(lambda: green_vacuum_1d(0.0, 1.0, 1e-320), "1/k must be", id="vacuum-tiny-k"),
+    ],
+)
+def test_check_routes_fail_with_domain_error(call, message):
+    # RuntimeWarnings are errors in this suite, so an overflow that only warned fails here too.
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_check_routes_scalar_and_array_results(lossy_ctx):
+    assert type(green(0.3, 2.0, lossy_ctx)) is complex
+    assert type(green_dx(0.3, 2.0, lossy_ctx)) is complex
+    assert type(boundary_term_b(2.0, 2.5, lossy_ctx, 5.0)) is complex
+    assert type(green_vacuum_1d(0.3, 2.0, 1.0)) is complex
+    assert type(helmholtz_residual(0.3, 2.0, lossy_ctx, 1e-3)) is float
+    assert type(interface_mismatch(lossy_ctx, 2.0)) is float
+    # Rows (3, 1) against points (4,): every route broadcasts to (3, 4), entry by entry equal to scalar calls.
+    n = np.array([[N_LOSSY], [1.5 + 0.1j], [0.1 + 3.0j]])
+    ctx = context_from_index(SlabGeometry(1.0), n, 2.0)
+    x = np.array([-2.0, 0.3, 0.5, 4.0])
+    sources = np.array([1.5, 2.0, 2.5, 3.0])
+    # numpy's array loops may round a complex product differently from its scalar path, so
+    # entries agree to rounding. The finite difference divides that rounding by h^2 = 1e-4 and
+    # subtracts terms some 1e5 times its ~2e-5 result; the mismatch is itself rounding.
+    close, fd, rounding = dict(rel=1e-14, abs=0.0), dict(rel=1e-6, abs=0.0), dict(rel=0.0, abs=1e-15)
+    routes = [
+        (lambda c, i: green(x[i], -2.5, c), green(x, -2.5, ctx), close),
+        (lambda c, i: green_dx(x[i], 2.5, c), green_dx(x, 2.5, ctx), close),
+        (lambda c, i: helmholtz_residual(x[i], 2.5, c, 1e-2), helmholtz_residual(x, 2.5, ctx, 1e-2), fd),
+        (lambda c, i: interface_mismatch(c, sources[i]), interface_mismatch(ctx, sources), rounding),
+        (lambda c, i: boundary_term_b(sources[i], 2.0, c, 5.0), boundary_term_b(sources, 2.0, ctx, 5.0), close),
+        (lambda c, i: green_vacuum_1d(x[i], 2.5, c.k), green_vacuum_1d(x, 2.5, np.full((3, 1), 2.0)), close),
+    ]
+    for scalar, array, tolerance in routes:
+        assert isinstance(array, np.ndarray) and array.shape == (3, 4)
+        for row, index in np.ndindex(3, 4):
+            one = context_from_index(SlabGeometry(1.0), n[row, 0], 2.0)
+            assert array[row, index] == pytest.approx(scalar(one, index), **tolerance)
