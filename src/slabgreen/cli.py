@@ -20,7 +20,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -44,19 +44,11 @@ _BLOCK_ROWS = 1024
 _DEFAULT_LIMIT_PATH = [complex(1.0, 10.0**-m) for m in range(1, 9)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    units: str
-    slab_half_length: object
-    dielectric: object
-    omega: object
-    source: object
-    dipole_moment: float
-    surface_unit: float
-    quad_tol: float
-    limit_path: list
-    separations: list
-    output_path: str | None
+RunConfig = namedtuple(
+    "RunConfig",
+    "units slab_half_length dielectric omega source dipole_moment surface_unit quad_tol limit_path separations "
+    "output_path",
+)
 
 
 def _object(node, path, allowed, required=()):
@@ -247,19 +239,15 @@ def parse_config(path: str) -> RunConfig:
     )
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(namedtuple("_Table", "values errors kept", defaults=(None, 0))):
     """CSV rows of a subcommand.
 
     Each row of the float array `values` is one line. With an error record
-    (see errors.row_errors, one entry per row in row order) every line ends
-    in an error cell: empty on a good row, while a failed row keeps its
-    first `kept` cells, leaves the others blank and ends in its message.
+    (see errors.row_errors, one entry per row in row order) the header ends
+    in an `error` column and every line in an error cell: empty on a good
+    row, while a failed row keeps its first `kept` cells, leaves the others
+    blank and ends in its message. No `__slots__`: `failed` is cached.
     """
-
-    values: np.ndarray
-    errors: np.ndarray | None = None
-    kept: int = 0
 
     @cached_property
     def failed(self) -> list:
@@ -298,15 +286,26 @@ def _emission_params(config, consts, errors=None):
     )
 
 
+def _complex(name, z):
+    """The real and imaginary parts of z as the columns name_re and name_im."""
+    return [(f"{name}_re", np.real(z)), (f"{name}_im", np.imag(z))]
+
+
+def _columns(columns):
+    """The header and the float rows of a subcommand's (name, values) columns.
+
+    The values broadcast against each other; the rows run over the broadcast
+    shape in C order. The writer adds the `error` column of a table that has
+    an error record.
+    """
+    header, arrays = zip(*columns)
+    return header, np.stack(np.broadcast_arrays(*arrays), axis=-1).reshape(-1, len(header))
+
+
 def _cmd_coefficients(config, consts, args):
     """Slab amplitudes A, B, C, D, Y per frequency."""
     geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
     model = _require(config.dielectric, "dielectric")
-    header = [
-        "omega", "k", "n_re", "n_im",
-        "a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "d_re", "d_im", "y_re", "y_im",
-        "abs_a_sq", "abs_d_sq", "unitarity_defect",
-    ]
     omega = _values(config.omega, "omega")
     errors = row_errors(omega.shape)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
@@ -315,15 +314,14 @@ def _cmd_coefficients(config, consts, args):
     abs_a_sq = abs(co.A) ** 2
     abs_d_sq = abs(co.D) ** 2
     defect = 1.0 - abs_a_sq - abs_d_sq
-    table = np.column_stack([
-        omega, ctx.k, ctx.n.real, ctx.n.imag,
-        co.A.real, co.A.imag, co.B.real, co.B.imag, co.C.real, co.C.imag,
-        co.D.real, co.D.imag, co.Y.real, co.Y.imag,
-        abs_a_sq, abs_d_sq, defect,
+    header, values = _columns([
+        ("omega", omega), ("k", ctx.k), *_complex("n", ctx.n),
+        *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
+        ("abs_a_sq", abs_a_sq), ("abs_d_sq", abs_d_sq), ("unitarity_defect", defect),
     ])
     worst = float(np.max(abs(defect), initial=0.0))
-    summary = [f"coefficients: {len(table)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
-    return header, _Table(table), summary, 0
+    summary = [f"coefficients: {len(values)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
+    return header, _Table(values), summary, 0
 
 
 def _cmd_verify_identity(config, consts, args):
@@ -332,12 +330,6 @@ def _cmd_verify_identity(config, consts, args):
     model = _require(config.dielectric, "dielectric")
     sources = _values(config.source, "source")
     tol = _tolerance(config, args)
-    header = [
-        "omega", "x_a", "x_b", "lhs_re", "lhs_im", "im_g", "f_re", "f_im",
-        "residual_corrected_re", "residual_corrected_im",
-        "residual_uncorrected_re", "residual_uncorrected_im",
-        "quadrature_error", "error",
-    ]
     # Rows run over omega, then x_a, then x_b: one context row per omega.
     omega = _values(config.omega, "omega")[:, None, None]
     x_a, x_b = sources[:, None], sources
@@ -346,10 +338,12 @@ def _cmd_verify_identity(config, consts, args):
     grid = np.broadcast_to(errors, (len(omega), len(sources), len(sources))).copy()
     rep = identity_report(x_a, x_b, ctx, tol=tol, errors=grid)
     res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
-    columns = [omega, x_a, x_b, rep.lhs.real, rep.lhs.imag, rep.im_g, rep.f.real, rep.f.imag,
-               res_corr.real, res_corr.imag, res_unc.real, res_unc.imag, rep.quadrature_estimate_error]
-    values = np.column_stack([column.ravel() for column in np.broadcast_arrays(*columns)])
-    table = _Table(values, rep.error, values.shape[1])
+    header, values = _columns([
+        ("omega", omega), ("x_a", x_a), ("x_b", x_b), *_complex("lhs", rep.lhs), ("im_g", rep.im_g),
+        *_complex("f", rep.f), *_complex("residual_corrected", res_corr), *_complex("residual_uncorrected", res_unc),
+        ("quadrature_error", rep.quadrature_estimate_error),
+    ])
+    table = _Table(values, rep.error, len(header))
     worst = np.max(abs(res_corr))  # a NaN residual shows
     summary = [f"verify-identity: {len(values)} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
     status = 2 if table.failed or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
@@ -376,11 +370,6 @@ def _cmd_decay_scan(config, consts, args):
     """Emission rates over a position, thickness or frequency sweep."""
     axis = _sweep_axis(config)
     tol = _tolerance(config, args)
-    header = ["omega", "half_length", "x_s", "gamma", "gamma_uncorrected", "gamma_vac_1d",
-              "normalized_corrected", "normalized_uncorrected"]
-    if args.oracle:
-        header += ["gamma_quadrature", "quadrature_error_scaled"]
-    header.append("error")
 
     # _sweep_axis leaves exactly one of the three as a sweep; the other two
     # are one-element arrays that broadcast along it.
@@ -396,13 +385,15 @@ def _cmd_decay_scan(config, consts, args):
     rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
     with np.errstate(all="ignore"):  # the numbers of failed rows are never written
         columns = [
-            omega, half_length, x_s, rep.gamma_corrected, rep.gamma_uncorrected, rep.gamma_vac_1d,
-            rep.normalized_corrected, rep.normalized_uncorrected,
+            ("omega", omega), ("half_length", half_length), ("x_s", x_s), ("gamma", rep.gamma_corrected),
+            ("gamma_uncorrected", rep.gamma_uncorrected), ("gamma_vac_1d", rep.gamma_vac_1d),
+            ("normalized_corrected", rep.normalized_corrected), ("normalized_uncorrected", rep.normalized_uncorrected),
         ]
         if args.oracle:
             scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
-            columns += [rep.gamma_quadrature, scaled]
-    table = _Table(np.column_stack(np.broadcast_arrays(*columns)), errors, 3)
+            columns += [("gamma_quadrature", rep.gamma_quadrature), ("quadrature_error_scaled", scaled)]
+    header, values = _columns(columns)
+    table = _Table(values, errors, 3)
     summary = [f"decay-scan ({axis}): {len(errors)} rows, {len(table.failed)} failed"]
     return header, table, summary, 2 if table.failed else 0
 
@@ -416,12 +407,12 @@ def _cmd_limit_study(config, consts, args):
     path = config.limit_path if config.limit_path is not None else _DEFAULT_LIMIT_PATH
     errors = row_errors(len(path))
     study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
-    header = ["eps_re", "eps_im", "gamma", "gamma_uncorrected", "f_plus_im_g0",
-              "abs_a_sq", "abs_d_sq", "error"]
     eps = study.epsilon
-    columns = [eps.real, eps.imag, study.gamma, study.gamma_uncorrected, study.f_plus_im_g0,
-               study.abs_a_sq, study.abs_d_sq]
-    table = _Table(np.column_stack(columns), errors, 2)
+    header, values = _columns([
+        *_complex("eps", eps), ("gamma", study.gamma), ("gamma_uncorrected", study.gamma_uncorrected),
+        ("f_plus_im_g0", study.f_plus_im_g0), ("abs_a_sq", study.abs_a_sq), ("abs_d_sq", study.abs_d_sq),
+    ])
+    table = _Table(values, errors, 2)
     summary = [f"limit-study: {len(path)} rows, {len(table.failed)} failed"]
     good = np.flatnonzero(np.equal(errors, None))
     if good.size:
@@ -440,17 +431,18 @@ def _cmd_tensor3d(config, consts, args):
     separations = _require(config.separations, "separations")
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
-    tensor = [f"g_{i}{j}_{part}" for i in "xyz" for j in "xyz" for part in ("re", "im")]
-    header = ["r_x", "r_y", "r_z", *tensor, "im_g0_coincident_diag", "gamma0"]
     tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
-    # Viewed as floats, each complex component is its (re, im) pair of columns.
-    constants = np.full((len(tensors), 2), [im_diag, gamma0])
-    table = np.column_stack([separations, tensors.reshape(-1, 9).view(float), constants])
+    components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
+    header, values = _columns([
+        *zip(("r_x", "r_y", "r_z"), np.transpose(separations)),
+        *(column for name, z in components for column in _complex(name, z)),
+        ("im_g0_coincident_diag", im_diag), ("gamma0", gamma0),
+    ])
     summary = [
-        f"tensor3d: {len(table)} rows at omega = {omega}",
+        f"tensor3d: {len(values)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",
     ]
-    return header, _Table(table), summary, 0
+    return header, _Table(values), summary, 0
 
 
 _COMMANDS = {
@@ -471,7 +463,10 @@ def _write_csv(path, header, table):
     """
     values, kept = table.values, table.kept
     width = values.shape[1]
-    line = ",".join(["%.17g"] * width) + ("" if table.errors is None else ",") + "\n"
+    row = ["%.17g"] * width
+    if table.errors is not None:  # the error column, empty on a good row
+        header, row = [*header, "error"], [*row, ""]
+    line = ",".join(row) + "\n"
     output = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with output as handle:
         handle.write(",".join(header) + "\n")

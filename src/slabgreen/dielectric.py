@@ -6,7 +6,7 @@ taken on the branch with Im n >= 0, so that exp(i*k*n*x) decays into an
 absorbing medium; ties on the real axis are broken toward Re n >= 0.
 """
 
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 from typing import Union
 
 import numpy as np
@@ -14,28 +14,26 @@ import numpy as np
 from .errors import check, plain
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(namedtuple("Constant", "epsilon")):
     """Frequency-independent permittivity.
 
     `epsilon` may be an array, one medium per row; with an error record
     (`errors`, see errors.check) invalid rows are marked instead of raising.
     """
 
-    epsilon: complex
-    errors: InitVar = None
+    __slots__ = ()
 
-    def __post_init__(self, errors):
-        check(np.isfinite(self.epsilon), "model parameters must be finite", errors)
+    def __new__(cls, epsilon, errors=None):
+        check(np.isfinite(epsilon), "model parameters must be finite", errors)
         check(
-            np.logical_not(np.imag(self.epsilon) < 0.0),
+            np.logical_not(np.imag(epsilon) < 0.0),
             "gain media are not supported: Im epsilon must be >= 0",
             errors,
         )
+        return super().__new__(cls, epsilon)
 
 
-@dataclass(frozen=True)
-class DrudeLorentz:
+class DrudeLorentz(namedtuple("DrudeLorentz", "terms")):
     """Sum of Lorentz oscillators: eps = 1 + sum_j s_j / (w_j^2 - omega^2 - i*g_j*omega).
 
     Each term is (strength, resonance, damping); the strength is an absolute
@@ -43,16 +41,16 @@ class DrudeLorentz:
     term into a Drude pole with s_j = wp^2.
     """
 
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        terms = tuple(tuple(float(v) for v in term) for term in self.terms)
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, terms):
+        terms = tuple(tuple(float(v) for v in term) for term in terms)
         check(len(terms) > 0, "at least one oscillator term is required")
         for term in terms:
             check(len(term) == 3, "each term must be (strength, resonance, damping)")
             check(np.isfinite(term), "model parameters must be finite")
             check(np.greater_equal(term, 0.0), "oscillator strength, resonance and damping must be >= 0")
+        return super().__new__(cls, terms)
 
 
 def Drude(plasma_frequency: float, damping: float = 0.0) -> DrudeLorentz:
@@ -66,18 +64,14 @@ def Drude(plasma_frequency: float, damping: float = 0.0) -> DrudeLorentz:
     return DrudeLorentz(((plasma_frequency * plasma_frequency, 0.0, damping),))
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(namedtuple("Tabulated", "omegas values")):
     """Sampled permittivity, linearly interpolated in omega; no extrapolation."""
 
-    omegas: tuple
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        omegas = tuple(float(w) for w in self.omegas)
-        values = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, omegas, values):
+        omegas = tuple(float(w) for w in omegas)
+        values = tuple(complex(v) for v in values)
         check(len(omegas) >= 2, "tabulated model needs at least 2 samples")
         check(len(omegas) == len(values), "sample frequencies and values must have equal length")
         check(np.isfinite([*omegas, *values]), "model parameters must be finite")
@@ -85,6 +79,7 @@ class Tabulated:
         # The interpolation weight divides by distances within the span.
         check(np.isfinite(omegas[-1] - omegas[0]), "sample frequency span omegas[-1] - omegas[0] overflows")
         check(np.imag(values) >= 0.0, "gain media are not supported: Im epsilon must be >= 0")
+        return super().__new__(cls, omegas, values)
 
 
 DielectricModel = Union[Constant, DrudeLorentz, Tabulated]

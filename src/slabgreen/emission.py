@@ -14,7 +14,7 @@ route recomputes the corrected rate from the identity's left-hand side and
 serves as an independent check.
 """
 
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .slab_green import (
 )
 
 
-@dataclass(frozen=True)
-class EmissionParams:
+class EmissionParams(namedtuple("EmissionParams", "dipole_moment hbar epsilon0 surface_unit")):
     """Dipole moment and unit-system constants.
 
     The frequency enters only through the wavenumber k = omega / c, which
@@ -42,16 +41,13 @@ class EmissionParams:
     instead of raising.
     """
 
-    dipole_moment: float = 1.0
-    hbar: float = 1.0
-    epsilon0: float = 1.0
-    surface_unit: float = 1.0
-    errors: InitVar = None
+    __slots__ = ()
 
-    def __post_init__(self, errors):
-        for name in ("dipole_moment", "hbar", "epsilon0", "surface_unit"):
-            value = getattr(self, name)
+    def __new__(cls, dipole_moment=1.0, hbar=1.0, epsilon0=1.0, surface_unit=1.0, errors=None):
+        self = super().__new__(cls, dipole_moment, hbar, epsilon0, surface_unit)
+        for name, value in zip(self._fields, self):
             check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
+        return self
 
     # np.divide: a denominator that underflows to 0 gives inf, not ZeroDivisionError.
     # The rates fail a row whose prefactor is not a normal float (_normal_prefactor).
@@ -125,12 +121,8 @@ def decay_from_quadrature(
     return rate
 
 
-@dataclass(frozen=True)
-class DecayRateReport:
-    gamma_corrected: float
-    gamma_uncorrected: float
-    gamma_quadrature: float | None
-    gamma_vac_1d: float
+class DecayRateReport(namedtuple("DecayRateReport", "gamma_corrected gamma_uncorrected gamma_quadrature gamma_vac_1d")):
+    __slots__ = ()
 
     @property
     def normalized_corrected(self) -> float:
@@ -159,16 +151,8 @@ def decay_report(
     return DecayRateReport(gamma, gamma_unc, gamma_quad, gamma_vac)
 
 
-@dataclass(frozen=True)
-class LimitStudyReport:
-    """Columns along a permittivity path; the numbers of a failed entry carry no meaning."""
-
-    epsilon: np.ndarray
-    gamma: np.ndarray
-    gamma_uncorrected: np.ndarray
-    f_plus_im_g0: np.ndarray
-    abs_a_sq: np.ndarray
-    abs_d_sq: np.ndarray
+LimitStudyReport = namedtuple("LimitStudyReport", "epsilon gamma gamma_uncorrected f_plus_im_g0 abs_a_sq abs_d_sq")
+LimitStudyReport.__doc__ = "Columns along a permittivity path; the numbers of a failed entry carry no meaning."
 
 
 def limit_study(

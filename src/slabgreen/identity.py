@@ -13,7 +13,7 @@ and packages the residuals of the corrected and uncorrected versions.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -205,19 +205,14 @@ def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
     return plain(phase * value), plain(estimate)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "lhs im_g f quadrature_estimate_error error", defaults=(None,))):
     """Both sides of the identity at one (x_a, x_b) pair, or arrays of pairs, and their residuals.
 
     When the quadrature stalls, `lhs` and `quadrature_estimate_error` hold its
     best estimate and `error` says why; otherwise `error` is None.
     """
 
-    lhs: complex
-    im_g: float
-    f: complex
-    quadrature_estimate_error: float
-    error: str | None = None
+    __slots__ = ()
 
     @property
     def residual_corrected(self) -> complex:

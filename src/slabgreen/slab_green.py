@@ -24,7 +24,7 @@ frequency or thickness) in one pass; a single evaluation point is a sweep of
 one row.
 """
 
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,33 +34,24 @@ from .errors import check, plain
 _PHASE_OVERFLOW = "wave phase is not finite: k times a distance overflows"
 
 
-@dataclass(frozen=True)
-class SlabGeometry:
+class SlabGeometry(namedtuple("SlabGeometry", "half_length")):
     """Slab spanning [-half_length, half_length].
 
     `half_length` may be an array, one slab per row; with an error record
     (`errors`, see errors.check) invalid rows are marked instead of raising.
     """
 
-    half_length: float
-    errors: InitVar = None
+    __slots__ = ()
 
-    def __post_init__(self, errors):
-        l = self.half_length
-        check((l > 0.0) & np.isfinite(l), "slab half length must be positive and finite", errors)
-
-
-@dataclass(frozen=True)
-class SlabCoefficients:
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    Y: complex
+    def __new__(cls, half_length, errors=None):
+        check((half_length > 0.0) & np.isfinite(half_length), "slab half length must be positive and finite", errors)
+        return super().__new__(cls, half_length)
 
 
-@dataclass(frozen=True)
-class WaveContext:
+SlabCoefficients = namedtuple("SlabCoefficients", "A B C D Y")
+
+
+class WaveContext(namedtuple("WaveContext", "k n geometry coefficients")):
     """One (geometry, medium, wavenumber) evaluation point with cached amplitudes.
 
     The fields may also be arrays of rows, as `make_context` builds them for a
@@ -68,27 +59,21 @@ class WaveContext:
     `coefficients` checks the wavenumber before any context is built.
     """
 
-    k: float
-    n: complex
-    geometry: SlabGeometry
-    coefficients: SlabCoefficients
+    __slots__ = ()
 
     @property
     def epsilon(self) -> complex:
         return self.n * self.n
 
-    def _fields(self):
-        co = self.coefficients
-        return (self.k, self.n, self.geometry.half_length, co.A, co.B, co.C, co.D, co.Y)
-
     @property
     def shape(self):
         """Shape of the rows: the fields broadcast against each other."""
-        return np.broadcast(*self._fields()).shape
+        return np.broadcast(self.k, self.n, self.geometry.half_length, *self.coefficients).shape
 
     def take(self, index):
         """The context of the rows `index`, counted in the flattened `shape`."""
-        k, n, l, *amplitudes = (v.reshape(-1)[index] for v in np.broadcast_arrays(*self._fields()))
+        columns = np.broadcast_arrays(self.k, self.n, self.geometry.half_length, *self.coefficients)
+        k, n, l, *amplitudes = (v.reshape(-1)[index] for v in columns)
         return WaveContext(k, n, SlabGeometry(l), SlabCoefficients(*amplitudes))
 
 
@@ -238,13 +223,15 @@ def helmholtz_residual(x, x_source, ctx: WaveContext, h):
 
     Returns |(2G(x) - G(x+h) - G(x-h))/h^2 - k^2 eps(x) G(x)|, which decays
     like h^2 wherever G is smooth. The stencil must stay clear of the source
-    and of the interfaces, where G or its derivatives are not smooth.
+    and of the interfaces, where G or its derivatives are not smooth, and
+    x + h and x - h must differ from x.
     """
     check((h > 0.0) & (0.0 < h * h) & (h * h < np.inf), "step h and h^2 must be positive and finite")
     l = ctx.geometry.half_length
     clearance = np.minimum(np.abs(np.subtract(x, x_source)), np.abs(np.abs(x) - l))
     check(np.logical_not(clearance < 2.0 * h), "stencil crosses the source or an interface")
     g0, gp, gm = (green(np.add(x, d), x_source, ctx) for d in (0.0, h, -h))
+    check((np.add(x, h) != x) & (np.subtract(x, h) != x), "step h is below the rounding of x: x + h or x - h equals x")
     eps_x = np.where(np.abs(x) <= l, ctx.epsilon, 1.0 + 0.0j)
     with np.errstate(all="ignore"):
         residual = abs((2.0 * g0 - gp - gm) / (h * h) - ctx.k * ctx.k * eps_x * g0)

@@ -41,8 +41,7 @@ def _spherical_wave(k, r_a, r_b, singular):
 @np.errstate(all="ignore")  # a separation whose norm overflows gives a non-finite value, checked below
 def scalar_green_g0(k: float, r_a, r_b) -> complex:
     """Scalar spherical wave e^{ikR} / (4 pi R); singular at R = 0."""
-    if k < 0.0:
-        raise DomainError("wavenumber must be >= 0")
+    check((k >= 0.0) & np.isfinite(k), "wavenumber must be >= 0 and finite")
     _, _, _, g0 = _spherical_wave(k, r_a, r_b, "scalar Green function is singular at coincident points")
     check(np.isfinite(g0), "scalar Green function is not finite: k times the separation overflows")
     return plain(g0)
@@ -56,8 +55,7 @@ def green_tensor_vacuum(k: float, r_a, r_b) -> np.ndarray:
     broadcast against each other; the result has shape (..., 3, 3), a 3x3
     complex array for one pair.
     """
-    if not k > 0.0:
-        raise DomainError("wavenumber must be positive")
+    check((k > 0.0) & np.isfinite(k), "wavenumber must be positive and finite")
     s, dist, kr, g0 = _spherical_wave(k, r_a, r_b, "tensor real part is singular at coincident points")
     u = s / dist[..., None]
     diag = g0 * (1.0 + 1j / kr - 1.0 / kr**2)
@@ -69,8 +67,7 @@ def green_tensor_vacuum(k: float, r_a, r_b) -> np.ndarray:
 
 def im_green_coincident(k: float) -> np.ndarray:
     """Finite coincident-point limit of Im G: (k / 6 pi) times the identity."""
-    if not k > 0.0:
-        raise DomainError("wavenumber must be positive")
+    check((k > 0.0) & np.isfinite(k), "wavenumber must be positive and finite")
     return (k / (6.0 * math.pi)) * np.eye(3)
 
 
@@ -83,7 +80,7 @@ def vacuum_decay_3d(params: EmissionParams, k: float) -> float:
     k, d = np.float64(k), params.dipole_moment
     dipole = np.array([0.0, 0.0, d])
     with np.errstate(all="ignore"):  # numpy powers round like Python's but overflow to inf
-        contraction = dipole @ im_green_coincident(k) @ dipole  # raises for k <= 0
+        contraction = dipole @ im_green_coincident(k) @ dipole  # raises unless 0 < k < inf
         k3, d2, den = k**3, d * d, 3.0 * math.pi * params.hbar * params.epsilon0
         closed = k3 * d2 / den
     check(np.isfinite(closed), "vacuum decay rate is not finite: its prefactor overflows")

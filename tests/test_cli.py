@@ -1,6 +1,5 @@
 import cmath
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -154,7 +153,7 @@ def test_verify_identity_nan_residual_is_a_violation(tmp_path, monkeypatch):
 
     def nan_lhs(*args, **kwargs):
         report = real(*args, **kwargs)
-        return dataclasses.replace(report, lhs=np.full_like(report.lhs, math.nan))
+        return report._replace(lhs=np.full_like(report.lhs, math.nan))
 
     monkeypatch.setattr(cli, "identity_report", nan_lhs)
     rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", write_config(tmp_path)])

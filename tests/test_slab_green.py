@@ -7,8 +7,16 @@ from hypothesis import given, strategies as st
 
 from slabgreen import (
     Constant,
+    DecayRateReport,
     DomainError,
+    DrudeLorentz,
+    EmissionParams,
+    IdentityReport,
+    LimitStudyReport,
+    SlabCoefficients,
     SlabGeometry,
+    Tabulated,
+    WaveContext,
     boundary_term_b,
     coefficients,
     context_from_index,
@@ -20,6 +28,7 @@ from slabgreen import (
     make_context,
     refractive_index,
 )
+from slabgreen.errors import row_errors
 from conftest import N_LOSSY
 
 
@@ -309,6 +318,12 @@ K10 = context_from_index(SlabGeometry(1.0), N_LOSSY, 10.0)
         pytest.param(lambda: helmholtz_residual(math.nan, 2.0, K10, 1e-3), "observer position", id="fd-nan-x"),
         pytest.param(lambda: helmholtz_residual(0.3, 2.0, K10, math.inf), r"step h and h\^2 must be", id="fd-inf-step"),
         pytest.param(lambda: helmholtz_residual(0.3, 2.0, K10, 1e-200), r"step h and h\^2 must be", id="fd-tiny-step"),
+        pytest.param(lambda: helmholtz_residual(0.3, 2.0, K10, 1e-17), "below the rounding of x", id="fd-step-below-ulp"),
+        pytest.param(
+            lambda: helmholtz_residual(np.array([3.0, 1e6]), 2.0, K10, 1e-11),
+            "below the rounding of x",
+            id="fd-step-below-ulp-array",
+        ),
         pytest.param(
             lambda: helmholtz_residual(0.3, 2.0, context_from_index(SlabGeometry(1.0), 1.5, 1e160), 1e-3),
             "residual is not finite",
@@ -352,3 +367,67 @@ def test_check_routes_scalar_and_array_results(lossy_ctx):
         for row, index in np.ndindex(3, 4):
             one = context_from_index(SlabGeometry(1.0), n[row, 0], 2.0)
             assert array[row, index] == pytest.approx(scalar(one, index), **tolerance)
+
+
+_UNIT = SlabCoefficients(1, 2, 3, 4, 5)
+# (record, its repr, None or a build with invalid rows given an error record, the rows it marks)
+_RECORDS = [
+    (
+        SlabGeometry(1.0),
+        "SlabGeometry(half_length=1.0)",
+        lambda errors: SlabGeometry(np.array([1.0, -1.0]), errors=errors),
+        [None, "slab half length must be positive and finite"],
+    ),
+    (
+        Constant(2 + 1j),
+        "Constant(epsilon=(2+1j))",
+        lambda errors: Constant(np.array([2 - 1j, 2 + 1j]), errors=errors),
+        ["gain media are not supported: Im epsilon must be >= 0", None],
+    ),
+    (
+        EmissionParams(hbar=2.0),
+        "EmissionParams(dipole_moment=1.0, hbar=2.0, epsilon0=1.0, surface_unit=1.0)",
+        lambda errors: EmissionParams(surface_unit=math.inf, errors=errors),
+        ["surface_unit must be positive and finite"] * 2,
+    ),
+    (DrudeLorentz([(4, 0, 0.5)]), "DrudeLorentz(terms=((4.0, 0.0, 0.5),))", None, None),
+    (Tabulated([1, 2], [2, 3j]), "Tabulated(omegas=(1.0, 2.0), values=((2+0j), 3j))", None, None),
+    (_UNIT, "SlabCoefficients(A=1, B=2, C=3, D=4, Y=5)", None, None),
+    (
+        WaveContext(1.0, 2.0, SlabGeometry(1.0), _UNIT),
+        "WaveContext(k=1.0, n=2.0, geometry=SlabGeometry(half_length=1.0), coefficients=" + repr(_UNIT) + ")",
+        None,
+        None,
+    ),
+    (
+        IdentityReport(1j, 0.5, 0.25j, 1e-9),
+        "IdentityReport(lhs=1j, im_g=0.5, f=0.25j, quadrature_estimate_error=1e-09, error=None)",
+        None,
+        None,
+    ),
+    (
+        DecayRateReport(1.0, 2.0, None, 4.0),
+        "DecayRateReport(gamma_corrected=1.0, gamma_uncorrected=2.0, gamma_quadrature=None, gamma_vac_1d=4.0)",
+        None,
+        None,
+    ),
+    (
+        LimitStudyReport(1, 2, 3, 4, 5, 6),
+        "LimitStudyReport(epsilon=1, gamma=2, gamma_uncorrected=3, f_plus_im_g0=4, abs_a_sq=5, abs_d_sq=6)",
+        None,
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text, invalid, marked", _RECORDS, ids=[type(r[0]).__name__ for r in _RECORDS])
+def test_public_records_are_immutable_field_reprs(record, text, invalid, marked):
+    # Immutable records can be shared freely across threads.
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    assert repr(record) == text
+    if invalid is not None:
+        errors = row_errors(2)
+        invalid(errors)  # marks rows instead of raising
+        assert errors.tolist() == marked

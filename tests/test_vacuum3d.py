@@ -38,8 +38,17 @@ def test_scalar_wave_imaginary_short_distance_limit():
 def test_scalar_wave_coincident_rejected():
     with pytest.raises(DomainError):
         scalar_green_g0(1.0, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        scalar_green_g0(-1.0, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    # Wavenumbers outside the domain: k >= 0 and finite for g0, whose static k = 0 stays allowed.
+    for k in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="wavenumber must be >= 0 and finite"):
+            scalar_green_g0(k, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    assert scalar_green_g0(0.0, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]) == 1.0 / (4 * math.pi)
+    # k > 0 and finite for the tensor and its coincident limit.
+    for k in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="wavenumber must be positive and finite"):
+            green_tensor_vacuum(k, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="wavenumber must be positive and finite"):
+            im_green_coincident(k)
 
 
 def test_scalar_wave_overflow_is_a_domain_error():
