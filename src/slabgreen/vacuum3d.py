@@ -31,6 +31,7 @@ def _spherical_wave(k, r_a, r_b, singular):
     r_b = np.asarray(r_b, dtype=float)
     if r_a.shape[-1:] != (3,) or r_b.shape[-1:] != (3,):
         raise DomainError("positions must be 3-vectors")
+    check(np.isfinite(r_a).all() & np.isfinite(r_b).all(), "positions must be finite")
     s = r_a - r_b
     dist = np.linalg.norm(s, axis=-1)
     check(dist != 0.0, singular)

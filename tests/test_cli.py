@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,7 +478,7 @@ def test_row_template_matches_fmt(tmp_path):
     out = tmp_path / "out.csv"
     errors = cli.row_errors(3)  # rows 0 and 1 are good: empty error cells
     errors[2] = "row failed, for a reason"
-    table = cli._Table(np.array([values, values[::-1], values]), errors, kept=5)
+    table = cli._Table(list(np.array([values, values[::-1], values]).T), errors, kept=5)
     cli._write_csv(str(out), ["a"] * len(values), table)
     lines = out.read_text().splitlines()
     text = [format(float(v), ".17g") for v in values]
@@ -485,6 +486,45 @@ def test_row_template_matches_fmt(tmp_path):
     assert lines[2] == ",".join(text[::-1]) + ","
     # A failed row keeps its first `kept` cells, blanks the rest and ends in its comma-free message.
     assert lines[3] == ",".join(text[:5] + [""] * (len(values) - 5) + ["row failed; for a reason"])
+
+
+def test_broadcast_column_writes_like_a_copied_column(tmp_path):
+    rows = cli._BLOCK_ROWS + 3
+    x = np.linspace(0.1, 7.0, rows)
+    y = np.sin(x) / 3.0
+    y[5] = math.nan
+    header, columns = cli._columns([("x", x), ("c", np.float64(1.0) / 3.0), ("y", y), ("d", np.array([-2.5e-310]))])
+    assert [column.strides[0] for column in columns] == [8, 0, 8, 0]
+    errors = cli.row_errors(rows)
+    # Failed rows at the first row, on a block boundary and at the last row; each keeps x and c.
+    for i in (0, cli._BLOCK_ROWS, rows - 1):
+        errors[i] = f"row {i} failed"
+    out = {}
+    for name, cols in (("broadcast", columns), ("copied", [np.array(column) for column in columns])):
+        out[name] = tmp_path / f"{name}.csv"
+        cli._write_csv(str(out[name]), header, cli._Table(cols, errors, kept=2))
+    assert out["broadcast"].read_bytes() == out["copied"].read_bytes()
+    lines = out["broadcast"].read_text().splitlines()
+    assert len(lines) == rows + 1
+    text = [format(float(value), ".17g") for value in (x[1], 1.0 / 3.0, y[1], -2.5e-310, x[cli._BLOCK_ROWS])]
+    assert lines[2] == ",".join(text[:4]) + ","
+    assert lines[1 + cli._BLOCK_ROWS] == f"{text[4]},{text[1]},,,row {cli._BLOCK_ROWS} failed"
+
+
+def test_writer_makes_no_full_table_copy(tmp_path):
+    rows = 64 * cli._BLOCK_ROWS
+    # 17-digit values: the longest text per number.
+    arrays = list(np.random.default_rng(3).normal(size=(17, rows)))
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        header, columns = cli._columns([(f"c{j}", array) for j, array in enumerate(arrays)])
+        cli._write_csv(str(out), header, cli._Table(columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rows * 17 * 8
+    assert out.read_text().count("\n") == rows + 1
 
 
 def test_non_finite_config_numbers_rejected(tmp_path, capsys):
@@ -514,6 +554,35 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys):
 def test_number_rows_rejected(tmp_path, capsys, command, make, path, rows, where):
     assert cli.main([command, "--config", write_config(tmp_path, **make(rows))]) == 1
     assert f"error: {path}{where}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        # Each list also holds a later bad entry: the first one in row-then-column order is reported.
+        ("tensor3d", {"separations": [[1.0, 0.0, 0.0]] * 700 + [[1.0, "x", True], [1.0, 0.0]]},
+         "separations[700][1]: expected a number"),
+        ("tensor3d", {"separations": [[1.0, 0.0, 0.0]] * 700 + [[1.0, 0.0, True], ["x", 0.0, 0.0]]},
+         "separations[700][2]: expected a number"),
+        ("limit-study", {"limit_path": [[1.0, 0.1]] * 5999 + [[1.0, "x"]]}, "limit_path[5999][1]: expected a number"),
+        ("limit-study", {"limit_path": [[1.0, 0.1]] * 10 + [[1.0], [True, 0.1]]},
+         "limit_path[10]: expected a number or a [re, im] pair"),
+        ("coefficients", {"dielectric": {"type": "tabulated", "samples": [[0.5, 2.0, 0.1]] * 3 + [[1.0, 2.5], [1.0]]}},
+         "dielectric.samples[3]: expected [omega, re, im]"),
+        ("coefficients", {"dielectric": {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.1], ["INF", "x", 0.1]]}},
+         "dielectric.terms[1][0]: expected a finite number"),
+    ],
+    ids=["separations_string_before_bool", "separations_bool", "limit_path_string", "limit_path_short_pair",
+         "samples_short_row", "terms_overflow"],
+)
+def test_long_number_lists_report_first_bad_path(tmp_path, capsys, command, overrides, message):
+    path = tmp_path / "config.json"
+    config = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": LOSSY_EPS},
+              "omega": 1.0, **overrides}
+    # 1e400 is a JSON number that Python's json module reads as inf.
+    path.write_text(json.dumps(config).replace('"INF"', "1e400"))
+    assert cli.main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,12 @@ def test_tensor_array_rejects_any_coincident_pair():
         green_tensor_vacuum(1.0, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     with pytest.raises(DomainError, match="3-vectors"):
         green_tensor_vacuum(1.0, [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+    # A non-finite coordinate is a bad position, not k times the separation overflowing.
+    for r_a in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [[0.0, 0.0, 1.0], [0.0, -math.inf, 0.0]]):
+        with pytest.raises(DomainError, match="^positions must be finite$"):
+            green_tensor_vacuum(1.0, r_a, [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="^positions must be finite$"):
+            scalar_green_g0(1.0, [0.0, 0.0, 0.0], r_a)
 
 
 def test_tensor_coincident_rejected():
