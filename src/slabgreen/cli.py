@@ -17,8 +17,10 @@ I/O error.
 
 import argparse
 import contextlib
+import gc
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from functools import cached_property
@@ -64,6 +66,18 @@ def _object(node, path, allowed, required=()):
     for key in required:
         if key not in node:
             raise ConfigError(prefix + key, "required")
+    return node
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice is an error, like an unknown key."""
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(key, "duplicate key")
+            seen.add(key)
     return node
 
 
@@ -173,13 +187,17 @@ def _parse_dielectric(node, path):
 
 
 def parse_config(path: str) -> RunConfig:
-    """Load and validate a JSON run configuration; unknown keys are errors."""
+    """Load and validate a JSON run configuration; unknown and repeated keys are errors.
+
+    The file is read as bytes, so json detects UTF-8, -16 or -32 (RFC 8259)
+    whatever the locale's encoding.
+    """
     try:
-        with open(path) as handle:
-            raw = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = json.loads(handle.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(None, f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(None, f"invalid JSON: {exc}") from exc
     _object(
         raw,
@@ -488,6 +506,8 @@ def _write_csv(path, header, table):
         header, row = [*header, "error"], [*row, ""]
     line = ",".join(row) + "\n"
     block = np.empty((_BLOCK_ROWS, len(varying)))
+    if path is None and sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError("standard output is closed; give --out")
     output = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with output as handle:
         handle.write(",".join(header) + "\n")
@@ -503,6 +523,7 @@ def _write_csv(path, header, table):
                 # The message lands in a CSV cell; keep it comma-free.
                 handle.write(cells + "," * (len(columns) - kept) + table.errors.flat[stop].replace(",", ";") + "\n")
             start = stop + 1
+        handle.flush()  # a write error on stdout surfaces here, as exit 3, not at shutdown
 
 
 class _Parser(argparse.ArgumentParser):
@@ -551,5 +572,26 @@ def main(argv=None) -> int:
     return status
 
 
+def run():
+    """The process entry of `slabgreen` and `python -m slabgreen.cli`: exit with main()'s status.
+
+    Once main() has returned, gc.freeze() moves every live object, most of
+    them numpy's and the package's from import, out of the collector's
+    reach, so the full collections of interpreter shutdown have next to
+    nothing to scan. main() itself freezes nothing: tests and library
+    callers run it in-process.
+    """
+    status = main()
+    gc.freeze()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # main() has reported it (exit 3). Point fd 1 at devnull, so that
+        # shutdown's flush of the unwritten text cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import gc
 import json
 import math
 import os
@@ -54,6 +55,37 @@ def test_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["coefficients", "--config", str(path)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"omega": 1.0, "\xff": 2}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"omega": 1, "omega": 2, "separations": [[1, 2, 3]]}', "omega: duplicate key"),
+        (b'{"dielectric": {"type": "constant", "epsilon": 2.0, "epsilon": 3.0}}', "epsilon: duplicate key"),
+    ],
+    ids=["not_utf8", "too_deep", "duplicate_key", "duplicate_nested_key"],
+)
+def test_unreadable_json_is_a_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert cli.main(["tensor3d", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32-be"])
+def test_config_encoding_is_detected(tmp_path, capsys, encoding):
+    text = json.dumps({"omega": 1.0, "separations": [[1.0, 2.0, 3.0]]})
+    (tmp_path / "utf8.json").write_text(text, encoding="utf-8")
+    (tmp_path / "other.json").write_text(text, encoding=encoding)
+    outputs = []
+    for name in ("utf8.json", "other.json"):
+        assert cli.main(["tensor3d", "--config", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_required_section(tmp_path, capsys):
@@ -338,11 +370,92 @@ def test_sweep_row_errors_per_axis(tmp_path, flags, overrides, expected):
     assert [row["error"] for row in rows] == expected
 
 
-def run_module(*args):
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, stdout=subprocess.PIPE, **kwargs):
+    """Run the interpreter on `args` in a child process that imports the package from this checkout.
+
+    The child's stdout is buffered, as users get it: PYTHONUNBUFFERED is
+    dropped, so a write error waits for a flush, as it does for them.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def run_module(*args, **kwargs):
     """Run `python -m slabgreen.cli` in a child process, as users and the benchmark do."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "slabgreen.cli", *args], capture_output=True, env=env)
+    return run_python("-m", "slabgreen.cli", *args, **kwargs)
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, out, stdout, code, err",
+    [
+        pytest.param("coefficients", {}, None, "pipe", 0, b"coefficients: 1 rows, ", id="ok"),
+        pytest.param("coefficients", {"wavelength": 3.0}, None, "pipe", 1, b"error: wavelength: unknown key\n",
+                     id="config"),
+        pytest.param("decay-scan", {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1],
+                                    "source": 1.5}, None, "pipe", 2, b"decay-scan (frequency): 10 rows, 2 failed\n",
+                     id="tolerance"),
+        pytest.param("coefficients", {}, "missing/out.csv", "pipe", 3, b"error: [Errno 2] No such file or directory",
+                     id="out_file"),
+        pytest.param("coefficients", {}, None, "full", 3, b"error: [Errno 28] No space left on device\n",
+                     id="stdout_full", marks=DEV_FULL),
+        pytest.param("coefficients", {"omega": {"start": 0.1, "stop": 5.0, "count": 30000}}, None, "full", 3,
+                     b"error: [Errno 28] No space left on device\n", id="stdout_full_30000_rows", marks=DEV_FULL),
+        pytest.param("coefficients", {}, None, "closed", 3, b"error: standard output is closed; give --out\n",
+                     id="stdout_closed"),
+    ],
+)
+def test_module_exit_codes(tmp_path, command, overrides, out, stdout, code, err):
+    argv = [command, "--config", write_config(tmp_path, **overrides)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    if stdout == "full":
+        with open("/dev/full", "wb") as full:
+            result = run_module(*argv, stdout=full)
+    elif stdout == "closed":
+        result = run_module(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    else:
+        result = run_module(*argv)
+    assert result.returncode == code
+    assert result.stderr.startswith(err)
+    assert b"Traceback" not in result.stderr
+    assert b"Exception ignored" not in result.stderr
+    if code in (1, 3):  # one error line, no summary
+        assert result.stderr.count(b"\n") == 1
+    if code == 0:
+        assert result.stdout.startswith(b"omega,k,")
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
+    assert cli.main(["coefficients", "--config", write_config(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+# Runs slabgreen.cli as __main__ with an exit hook that reports whether the heap is frozen.
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("slabgreen.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_after_main(tmp_path):
+    overrides = {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}
+    result = run_python("-c", FREEZE_PROBE, "decay-scan", "--config", write_config(tmp_path, **overrides))
+    assert result.returncode == 2  # main()'s status
+    assert result.stderr == b"decay-scan (frequency): 10 rows, 2 failed\nfrozen at exit: True\n"
+
+
+def test_installed_command_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"slabgreen": "slabgreen.cli:run"}
 
 
 def test_module_stdout_matches_out_file(tmp_path):
