@@ -5,6 +5,8 @@ Everything is a pure function of immutable inputs; contexts and models can be
 shared freely across threads.
 """
 
+import types
+
 from .dielectric import (
     Constant,
     DielectricModel,
@@ -55,44 +57,5 @@ from .vacuum3d import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "Constant",
-    "DecayRateReport",
-    "DielectricModel",
-    "DomainError",
-    "Drude",
-    "DrudeLorentz",
-    "EmissionParams",
-    "IdentityReport",
-    "LimitStudyReport",
-    "QuadratureError",
-    "SlabCoefficients",
-    "SlabGeometry",
-    "Tabulated",
-    "WaveContext",
-    "boundary_term_b",
-    "boundary_term_f",
-    "coefficients",
-    "context_from_index",
-    "decay_from_quadrature",
-    "decay_rate_corrected",
-    "decay_rate_uncorrected",
-    "decay_report",
-    "green",
-    "green_dx",
-    "green_tensor_vacuum",
-    "green_vacuum_1d",
-    "helmholtz_residual",
-    "identity_report",
-    "im_green_coincident",
-    "integrate_adaptive",
-    "interface_mismatch",
-    "lhs_quadrature",
-    "limit_study",
-    "make_context",
-    "permittivity",
-    "refractive_index",
-    "scalar_green_g0",
-    "vacuum_decay_3d",
-]
+# The public names are the ones imported above; the submodules are not.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, types.ModuleType)))

@@ -39,20 +39,12 @@ _CONSTANTS = {
     "si": {"hbar": 1.054571817e-34, "epsilon0": 8.8541878128e-12, "c": 299792458.0},
 }
 
-_DEFAULT_TOL = 1e-8
 # CSV rows formatted and written at a time. At 256 the writer's floats and
 # text for a 17-column table stay near 0.3 MB, below the compute peak of a
 # 30000-row sweep, and the write is no slower than with larger blocks.
 _BLOCK_ROWS = 256
-# Default permittivity path for limit-study: eps = 1 + i 10^-m.
-_DEFAULT_LIMIT_PATH = [complex(1.0, 10.0**-m) for m in range(1, 9)]
-
-
-RunConfig = namedtuple(
-    "RunConfig",
-    "units slab_half_length dielectric omega source dipole_moment surface_unit quad_tol limit_path separations "
-    "output_path",
-)
+# The most values a sweep may hold. A 300000-row coefficients run peaks at 77 MB.
+_MAX_COUNT = 10**6
 
 
 def _object(node, path, allowed, required=()):
@@ -133,6 +125,8 @@ def _scalar_or_sweep(node, path):
         count = node["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError(f"{path}.count", "expected an integer >= 1")
+        if count > _MAX_COUNT:
+            raise ConfigError(f"{path}.count", f"expected an integer <= {_MAX_COUNT}")
         spacing = node.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(f"{path}.spacing", "expected 'linear' or 'log'")
@@ -186,11 +180,69 @@ def _parse_dielectric(node, path):
     raise ConfigError(f"{path}.type", "expected one of constant, drude, drude_lorentz, tabulated")
 
 
-def parse_config(path: str) -> RunConfig:
-    """Load and validate a JSON run configuration; unknown and repeated keys are errors.
+def _choice(choices, message):
+    """A reader that accepts one of `choices`, a tuple, so an unhashable node fails the test, not a hash."""
+    def read(node, path):
+        if node not in choices:
+            raise ConfigError(path, message)
+        return node
+    return read
 
-    The file is read as bytes, so json detects UTF-8, -16 or -32 (RFC 8259)
-    whatever the locale's encoding.
+
+def _positive(node, path):
+    value = _number(node, path)
+    if not value > 0.0:
+        raise ConfigError(path, "must be positive")
+    return value
+
+
+def _complex_list(node, path):
+    if not isinstance(node, list) or not node:
+        raise ConfigError(path, "expected a non-empty list of [re, im] pairs")
+    return [_complex_pair(item, (path, i)) for i, item in enumerate(node)]
+
+
+def _separations(node, path):
+    separations = _rows(node, path, "[x, y, z]")
+    for i, point in enumerate(separations):
+        if point == (0.0, 0.0, 0.0):
+            raise ConfigError(f"{path}[{i}]", "coincident points: the full tensor is singular at r = 0")
+    return separations
+
+
+def _string(node, path):
+    if not isinstance(node, str):
+        raise ConfigError(path, "expected a string")
+    return node
+
+
+_REQUIRED = object()
+# Every config key: its dotted path -> (reader, default), in the order the
+# keys are read and checked. A key missing from its object takes the
+# default. A _REQUIRED key must be in its object whenever the object is
+# given, and is None when the object is not.
+_KEYS = {
+    "units": (_choice(("natural", "si"), "expected 'natural' or 'si'"), "natural"),
+    "slab.half_length": (_scalar_or_sweep, _REQUIRED),
+    "dielectric": (_parse_dielectric, None),
+    "omega": (_scalar_or_sweep, None),
+    "source": (_scalar_or_sweep, None),
+    "emission.dipole_moment": (_number, 1.0),
+    "emission.surface_unit": (_number, 1.0),
+    "tolerances.quadrature": (_positive, 1e-8),
+    # limit-study's permittivity path: eps = 1 + i 10^-m.
+    "limit_path": (_complex_list, tuple(complex(1.0, 10.0**-m) for m in range(1, 9))),
+    "separations": (_separations, None),
+    "output.format": (_choice(("csv",), "only 'csv' is supported"), "csv"),
+    "output.path": (_string, None),
+}
+
+
+def parse_config(path: str) -> dict:
+    """Load and validate a JSON run configuration: the value of each _KEYS path.
+
+    Unknown and repeated keys are errors. The file is read as bytes, so json
+    detects UTF-8, -16 or -32 (RFC 8259) whatever the locale's encoding.
     """
     try:
         with open(path, "rb") as handle:
@@ -199,76 +251,17 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(None, f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(None, f"invalid JSON: {exc}") from exc
-    _object(
-        raw,
-        None,
-        {"units", "slab", "dielectric", "omega", "source", "emission", "tolerances",
-         "limit_path", "separations", "output"},
-    )
-
-    units = raw.get("units", "natural")
-    if units not in _CONSTANTS:
-        raise ConfigError("units", "expected 'natural' or 'si'")
-
-    half_length = None
-    if "slab" in raw:
-        slab = _object(raw["slab"], "slab", {"half_length"}, ("half_length",))
-        half_length = _scalar_or_sweep(slab["half_length"], "slab.half_length")
-
-    dielectric = _parse_dielectric(raw["dielectric"], "dielectric") if "dielectric" in raw else None
-    omega = _scalar_or_sweep(raw["omega"], "omega") if "omega" in raw else None
-    source = _scalar_or_sweep(raw["source"], "source") if "source" in raw else None
-
-    dipole, surface = 1.0, 1.0
-    if "emission" in raw:
-        emission = _object(raw["emission"], "emission", {"dipole_moment", "surface_unit"})
-        dipole = _number(emission.get("dipole_moment", 1.0), "emission.dipole_moment")
-        surface = _number(emission.get("surface_unit", 1.0), "emission.surface_unit")
-
-    quad_tol = _DEFAULT_TOL
-    if "tolerances" in raw:
-        tolerances = _object(raw["tolerances"], "tolerances", {"quadrature"})
-        quad_tol = _number(tolerances.get("quadrature", _DEFAULT_TOL), "tolerances.quadrature")
-        if not quad_tol > 0.0:
-            raise ConfigError("tolerances.quadrature", "must be positive")
-
-    limit_path = None
-    if "limit_path" in raw:
-        node = raw["limit_path"]
-        if not isinstance(node, list) or not node:
-            raise ConfigError("limit_path", "expected a non-empty list of [re, im] pairs")
-        limit_path = [_complex_pair(item, ("limit_path", i)) for i, item in enumerate(node)]
-
-    separations = None
-    if "separations" in raw:
-        separations = _rows(raw["separations"], "separations", "[x, y, z]")
-        for i, point in enumerate(separations):
-            if point == (0.0, 0.0, 0.0):
-                raise ConfigError(f"separations[{i}]", "coincident points: the full tensor is singular at r = 0")
-
-    output_path = None
-    if "output" in raw:
-        output = _object(raw["output"], "output", {"path", "format"})
-        if output.get("format", "csv") != "csv":
-            raise ConfigError("output.format", "only 'csv' is supported")
-        if "path" in output:
-            if not isinstance(output["path"], str):
-                raise ConfigError("output.path", "expected a string")
-            output_path = output["path"]
-
-    return RunConfig(
-        units=units,
-        slab_half_length=half_length,
-        dielectric=dielectric,
-        omega=omega,
-        source=source,
-        dipole_moment=dipole,
-        surface_unit=surface,
-        quad_tol=quad_tol,
-        limit_path=limit_path,
-        separations=separations,
-        output_path=output_path,
-    )
+    objects = {"": _object(raw, None, {key.partition(".")[0] for key in _KEYS})}
+    config = {}
+    for key, (read, default) in _KEYS.items():
+        parent, _, name = key.rpartition(".")
+        if parent not in objects:  # the first key of a nested object checks the object
+            names = {k.rpartition(".")[2]: d for k, (_, d) in _KEYS.items() if k.startswith(f"{parent}.")}
+            required = [n for n, d in names.items() if d is _REQUIRED]
+            objects[parent] = _object(raw[parent], parent, names, required) if parent in raw else {}
+        node = objects[parent]
+        config[key] = read(node[name], key) if name in node else (None if default is _REQUIRED else default)
+    return config
 
 
 class _Table(namedtuple("_Table", "columns errors kept", defaults=(None, 0))):
@@ -288,33 +281,29 @@ class _Table(namedtuple("_Table", "columns errors kept", defaults=(None, 0))):
         return [] if self.errors is None else np.flatnonzero(np.not_equal(self.errors, None)).tolist()
 
 
-def _require(value, path):
-    if value is None:
+def _require(config, path):
+    if config[path] is None:
         raise ConfigError(path, "required for this subcommand")
-    return value
+    return config[path]
 
 
-def _scalar(value, path):
-    value = _require(value, path)
+def _scalar(config, path):
+    value = _require(config, path)
     if isinstance(value, np.ndarray):
         raise ConfigError(path, "a sweep is not allowed here; give a single number")
     return value
 
 
-def _values(value, path):
-    return np.atleast_1d(_require(value, path))
-
-
-def _tolerance(config, args):
-    return args.tol if args.tol is not None else config.quad_tol
+def _values(config, path):
+    return np.atleast_1d(_require(config, path))
 
 
 def _emission_params(config, consts, errors=None):
     return EmissionParams(
-        dipole_moment=config.dipole_moment,
+        dipole_moment=config["emission.dipole_moment"],
         hbar=consts["hbar"],
         epsilon0=consts["epsilon0"],
-        surface_unit=config.surface_unit,
+        surface_unit=config["emission.surface_unit"],
         errors=errors,
     )
 
@@ -338,9 +327,9 @@ def _columns(columns):
 
 def _cmd_coefficients(config, consts, args):
     """Slab amplitudes A, B, C, D, Y per frequency."""
-    geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
-    model = _require(config.dielectric, "dielectric")
-    omega = _values(config.omega, "omega")
+    geometry = SlabGeometry(_scalar(config, "slab.half_length"))
+    model = _require(config, "dielectric")
+    omega = _values(config, "omega")
     errors = row_errors(omega.shape)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
     raise_first(errors)
@@ -360,12 +349,12 @@ def _cmd_coefficients(config, consts, args):
 
 def _cmd_verify_identity(config, consts, args):
     """Check the corrected identity on an (x_a, x_b) grid."""
-    geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
-    model = _require(config.dielectric, "dielectric")
-    sources = _values(config.source, "source")
-    tol = _tolerance(config, args)
+    geometry = SlabGeometry(_scalar(config, "slab.half_length"))
+    model = _require(config, "dielectric")
+    sources = _values(config, "source")
+    tol = config["tolerances.quadrature"]
     # Rows run over omega, then x_a, then x_b: one context row per omega.
-    omega = _values(config.omega, "omega")[:, None, None]
+    omega = _values(config, "omega")[:, None, None]
     x_a, x_b = sources[:, None], sources
     errors = row_errors(omega.shape)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
@@ -386,9 +375,9 @@ def _cmd_verify_identity(config, consts, args):
 
 def _sweep_axis(config):
     axes = {
-        "position": config.source,
-        "thickness": config.slab_half_length,
-        "frequency": config.omega,
+        "position": config["source"],
+        "thickness": config["slab.half_length"],
+        "frequency": config["omega"],
     }
     swept = [name for name, value in axes.items() if isinstance(value, np.ndarray)]
     if len(swept) != 1:
@@ -403,15 +392,15 @@ def _sweep_axis(config):
 def _cmd_decay_scan(config, consts, args):
     """Emission rates over a position, thickness or frequency sweep."""
     axis = _sweep_axis(config)
-    tol = _tolerance(config, args)
+    tol = config["tolerances.quadrature"]
 
     # _sweep_axis leaves exactly one of the three as a sweep; the other two
     # are one-element arrays that broadcast along it.
-    omega = _values(config.omega, "omega")
-    half_length = _values(config.slab_half_length, "slab.half_length")
-    x_s = _values(config.source, "source")
+    omega = _values(config, "omega")
+    half_length = _values(config, "slab.half_length")
+    x_s = _values(config, "source")
 
-    model = _require(config.dielectric, "dielectric")
+    model = _require(config, "dielectric")
     errors = row_errors(max(map(len, (omega, half_length, x_s))))
     geometry = SlabGeometry(half_length, errors=errors)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
@@ -434,11 +423,11 @@ def _cmd_decay_scan(config, consts, args):
 
 def _cmd_limit_study(config, consts, args):
     """Diagnostics along a permittivity path approaching vacuum."""
-    geometry = SlabGeometry(_scalar(config.slab_half_length, "slab.half_length"))
-    k = _scalar(config.omega, "omega") / consts["c"]
+    geometry = SlabGeometry(_scalar(config, "slab.half_length"))
+    k = _scalar(config, "omega") / consts["c"]
     params = _emission_params(config, consts)
-    x_source = None if config.source is None else _scalar(config.source, "source")
-    path = config.limit_path if config.limit_path is not None else _DEFAULT_LIMIT_PATH
+    x_source = None if config["source"] is None else _scalar(config, "source")
+    path = config["limit_path"]
     errors = row_errors(len(path))
     study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
     eps = study.epsilon
@@ -460,9 +449,9 @@ def _cmd_limit_study(config, consts, args):
 
 def _cmd_tensor3d(config, consts, args):
     """Free-space dyadic tensor components and the vacuum rate."""
-    omega = _scalar(config.omega, "omega")
+    omega = _scalar(config, "omega")
     k = omega / consts["c"]
-    separations = _require(config.separations, "separations")
+    separations = _require(config, "separations")
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
     tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
@@ -557,10 +546,11 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
         if args.tol is not None and not 0.0 < args.tol < math.inf:
             raise ConfigError(None, "--tol must be positive and finite")
-        units = args.units if args.units is not None else config.units
-        consts = _CONSTANTS[units]
-        header, table, summary, status = _COMMANDS[args.command](config, consts, args)
-        _write_csv(args.out if args.out is not None else config.output_path, header, table)
+        for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
+            if flag is not None:
+                config[key] = flag
+        header, table, summary, status = _COMMANDS[args.command](config, _CONSTANTS[config["units"]], args)
+        _write_csv(config["output.path"], header, table)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -581,14 +571,20 @@ def run():
     nothing to scan. main() itself freezes nothing: tests and library
     callers run it in-process.
     """
-    status = main()
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        status = exc.code
     gc.freeze()
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
-    except OSError:
-        # main() has reported it (exit 3). Point fd 1 at devnull, so that
-        # shutdown's flush of the unwritten text cannot fail again.
+    except OSError as exc:
+        if status == 0:  # --help's text; main() reports a failed CSV write itself (exit 3)
+            print(f"error: {exc}", file=sys.stderr)
+            status = 3
+        # Point fd 1 at devnull, so that shutdown's flush of the unwritten
+        # text cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 

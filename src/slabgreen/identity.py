@@ -166,6 +166,7 @@ def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
     return plain(-((abs(co.A) ** 2 + abs(co.D) ** 2) * phase + 1.0 / phase + cross) / (4.0 * k))
 
 
+@np.errstate(all="ignore")  # a non-finite integrand gives a non-finite estimate, which fails its row
 def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
     """Adaptive quadrature of k^2 Im(eps) G(x, x_a) G*(x, x_b) over the slab, for arrays of rows too.
 

@@ -1,6 +1,8 @@
 import cmath
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slabgreen import cli
 
@@ -889,3 +892,163 @@ def test_stdout_output(tmp_path, capsys):
     assert captured.out.startswith("omega,k,")
     assert captured.out.endswith("\n")
     assert "coefficients:" in captured.err
+
+
+@pytest.mark.parametrize("units", [[], {}, ["si"]], ids=["list", "object", "one_item_list"])
+def test_units_must_be_a_unit_system_name(tmp_path, capsys, units):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"units": units, "omega": 1.0, "separations": [[1.0, 2.0, 3.0]]}))
+    assert cli.main(["tensor3d", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: units: expected 'natural' or 'si'\n"
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [{"count": 10**30}, {"count": 10**12}, {"count": 10**12, "spacing": "log"}, {"count": cli._MAX_COUNT + 1}],
+    ids=["1e30", "1e12", "1e12_log", "cap_plus_one"],
+)
+def test_sweep_count_is_capped(tmp_path, capsys, sweep):
+    path = write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, **sweep})
+    assert cli.main(["coefficients", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: omega.count: expected an integer <= {cli._MAX_COUNT}\n"
+
+
+def test_sweep_count_cap_is_allowed(tmp_path):
+    config = cli.parse_config(write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, "count": cli._MAX_COUNT}))
+    assert config["omega"].shape == (cli._MAX_COUNT,)
+    assert config["omega"][-1] == 2.0
+
+
+@pytest.mark.parametrize(
+    "stdout, code, stderr",
+    [("pipe", 0, b""), pytest.param("full", 3, b"error: [Errno 28] No space left on device\n", marks=DEV_FULL)],
+    ids=["pipe", "stdout_full"],
+)
+def test_module_help_exit_codes(stdout, code, stderr):
+    if stdout == "full":
+        with open("/dev/full", "wb") as full:
+            result = run_module("--help", stdout=full)
+    else:
+        result = run_module("--help")
+        assert result.stdout.startswith(b"usage: slabgreen ")
+    assert result.returncode == code
+    assert result.stderr == stderr
+
+
+def test_process_entry_freezes_after_help():
+    result = run_python("-c", FREEZE_PROBE, "--help")
+    assert result.returncode == 0
+    assert result.stderr == b"frozen at exit: True\n"
+
+
+def test_readme_config_parses_and_names_every_key(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Library quick start")]
+    start = section.index("```json\n") + len("```json\n")
+    path = tmp_path / "readme.json"
+    path.write_text(section[start:section.index("```", start)])
+    config = cli.parse_config(str(path))
+    assert config["source"].shape == (11,)
+    for key in cli._KEYS:
+        assert f"`{key}`" in section
+
+
+# Config values for the fuzz of main(): two numbers in three moderate, the
+# third an extreme (zero, the subnormals, the edges of the float range,
+# integers past it), and now and then a list or an object where a scalar
+# belongs.
+FUZZ_EXTREME = st.sampled_from([
+    0, 5e-324, -5e-324, 1e-300, 1e-160, 1e-12, 1e12, 1e154, 1e160, 1e300, 1.7e308, -1.0, -1e160, -1.7e308,
+    10**400, -(2**64),
+])
+FUZZ_NUMBER = st.integers(0, 2).flatmap(lambda i: FUZZ_EXTREME if i == 2 else st.floats(0.1, 10.0))
+FUZZ_PAIR = st.lists(FUZZ_NUMBER, min_size=2, max_size=2)
+FUZZ_TRIPLES = st.lists(st.lists(FUZZ_NUMBER, min_size=3, max_size=3), min_size=1, max_size=3)
+FUZZ_JUNK = st.sampled_from([None, True, "x", [], {}, [1.0], {"start": 1.0}, {"type": "constant"}])
+FUZZ_SWEEP = st.fixed_dictionaries(
+    {"start": FUZZ_NUMBER, "stop": FUZZ_NUMBER, "count": st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from([0, True, 10**12, 10**30]) if i == 3 else st.integers(1, 3))},
+    optional={"spacing": st.sampled_from(["linear", "log", []])},
+)
+# A value of the shape each reader of cli._KEYS takes; the readers of a set
+# of words are looked up by path in FUZZ_WORDS.
+FUZZ_SHAPES = {
+    cli._scalar_or_sweep: FUZZ_NUMBER | FUZZ_SWEEP,
+    cli._number: FUZZ_NUMBER,
+    cli._positive: FUZZ_NUMBER,
+    cli._parse_dielectric: st.one_of(
+        st.fixed_dictionaries({"type": st.just("constant"), "epsilon": FUZZ_NUMBER | FUZZ_PAIR}),
+        st.fixed_dictionaries({"type": st.just("drude"), "plasma_frequency": FUZZ_NUMBER},
+                              optional={"damping": FUZZ_NUMBER}),
+        st.fixed_dictionaries({"type": st.just("drude_lorentz"), "terms": FUZZ_TRIPLES}),
+        st.fixed_dictionaries({"type": st.just("tabulated"),
+                               "samples": st.lists(st.lists(FUZZ_NUMBER, min_size=3, max_size=3), min_size=2, max_size=3)}),
+    ),
+    cli._complex_list: st.lists(FUZZ_NUMBER | FUZZ_PAIR, min_size=1, max_size=3),
+    cli._separations: FUZZ_TRIPLES,
+    cli._string: st.just("unused.csv"),  # --out overrides it
+}
+FUZZ_WORDS = {"units": st.sampled_from(["natural", "si"]), "output.format": st.just("csv")}
+
+
+# A config that every subcommand runs, by _KEYS path; decay-scan sweeps the source.
+FUZZ_BASE = {
+    "units": "natural", "slab.half_length": 1.0, "dielectric": {"type": "constant", "epsilon": LOSSY_EPS},
+    "omega": 1.0, "source": {"start": 1.5, "stop": 3.0, "count": 2}, "emission.dipole_moment": 1.0,
+    "emission.surface_unit": 1.0, "tolerances.quadrature": 1e-8, "limit_path": [[1.0, 0.1]],
+    "separations": [[1.0, 2.0, 3.0]], "output.format": "csv", "output.path": "unused.csv",
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """FUZZ_BASE with some keys of cli._KEYS drawn anew, left out or given junk.
+
+    Of 16 draws per key, 11 keep the base value, 3 draw a value of the key
+    reader's shape, 1 leaves the key out and 1 gives it junk. Hypothesis
+    favours 0, so 0 keeps the base value.
+    """
+    config = {}
+    for key, (reader, _) in cli._KEYS.items():
+        kind = draw(st.integers(0, 15))
+        if kind == 14:
+            continue
+        if kind < 11:
+            value = FUZZ_BASE[key]
+        else:
+            value = draw(FUZZ_JUNK if kind == 15 else FUZZ_SHAPES[reader] if reader in FUZZ_SHAPES else FUZZ_WORDS[key])
+        *parents, name = key.split(".")
+        node = config
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[name] = value
+    return config
+
+
+FUZZ_SLAB = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": 2.0}}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command=st.sampled_from(list(cli._COMMANDS)), oracle=st.booleans(), config=fuzz_configs())
+@example(command="tensor3d", oracle=False, config={"units": [], "omega": 1.0, "separations": [[1.0, 2.0, 3.0]]})
+@example(command="verify-identity", oracle=False, config={
+    "slab": {"half_length": 1e-12}, "dielectric": {"type": "constant", "epsilon": [-1e160, 50]},
+    "omega": 1e300, "source": 2})
+@example(command="coefficients", oracle=False, config={**FUZZ_SLAB, "omega": {"start": 1, "stop": 2, "count": 10**30}})
+@example(command="decay-scan", oracle=True, config={
+    **FUZZ_SLAB, "source": 2.0, "omega": {"start": 1, "stop": 2, "count": 10**12, "spacing": "log"}})
+def test_main_fuzz_exits_cleanly(tmp_path_factory, command, oracle, config):
+    """Every config ends in a documented exit code, with no warning, and exit 0 writes only finite rows."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, out = folder / "config.json", folder / "out.csv"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(out), *(["--oracle"] if oracle else [])]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)  # a RuntimeWarning is an error in this suite
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 0:
+        with open(out, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row[:len(header) - ("error" in header)]), row
+            assert "error" not in header or row[-1] == ""
