@@ -52,7 +52,10 @@ def check(ok, message, errors=None):
         if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise DomainError(message if isinstance(message, str) else message(np.logical_not(ok))[0])
         return
-    new = np.logical_not(ok) & np.equal(errors, None)
+    failed = np.logical_not(ok)
+    if not failed.any():  # the record is read only when some row fails
+        return
+    new = failed & np.equal(errors, None)
     if new.any():
         errors[new] = message if isinstance(message, str) else message(new)
 

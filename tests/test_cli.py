@@ -16,6 +16,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slabgreen import cli
+from slabgreen.config import (
+    _KEYS,
+    _MAX_COUNT,
+    _complex_list,
+    _number,
+    _parse_dielectric,
+    _positive,
+    _scalar_or_sweep,
+    _separations,
+    _string,
+)
 
 LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
@@ -904,19 +915,69 @@ def test_units_must_be_a_unit_system_name(tmp_path, capsys, units):
 
 @pytest.mark.parametrize(
     "sweep",
-    [{"count": 10**30}, {"count": 10**12}, {"count": 10**12, "spacing": "log"}, {"count": cli._MAX_COUNT + 1}],
+    [{"count": 10**30}, {"count": 10**12}, {"count": 10**12, "spacing": "log"}, {"count": _MAX_COUNT + 1}],
     ids=["1e30", "1e12", "1e12_log", "cap_plus_one"],
 )
 def test_sweep_count_is_capped(tmp_path, capsys, sweep):
     path = write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, **sweep})
     assert cli.main(["coefficients", "--config", path]) == 1
-    assert capsys.readouterr().err == f"error: omega.count: expected an integer <= {cli._MAX_COUNT}\n"
+    assert capsys.readouterr().err == f"error: omega.count: expected an integer <= {_MAX_COUNT}\n"
 
 
 def test_sweep_count_cap_is_allowed(tmp_path):
-    config = cli.parse_config(write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, "count": cli._MAX_COUNT}))
-    assert config["omega"].shape == (cli._MAX_COUNT,)
+    config = cli.parse_config(write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, "count": _MAX_COUNT}))
+    assert config["omega"].shape == (_MAX_COUNT,)
     assert config["omega"][-1] == 2.0
+
+
+class _ContextReached(Exception):
+    pass
+
+
+def _context_reached(*args, **kwargs):
+    raise _ContextReached
+
+
+@pytest.mark.parametrize(
+    "omega, sources, rows",
+    [(1.0, 100000, 10**10), ({"start": 1.0, "stop": 2.0, "count": 2}, 708, 1002528)],
+    ids=["1e5_sources", "2_omegas_708_sources"],
+)
+def test_verify_identity_grid_is_capped(tmp_path, capsys, monkeypatch, omega, sources, rows):
+    monkeypatch.setattr(cli, "make_context", _context_reached)  # the cap comes first
+    path = write_config(tmp_path, omega=omega, source={"start": 1.5, "stop": 3.0, "count": sources})
+    assert cli.main(["verify-identity", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: source: the omega x source x source grid has {rows} rows, more than {_MAX_COUNT}\n"
+    )
+
+
+def test_verify_identity_grid_cap_is_allowed(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "make_context", _context_reached)
+    path = write_config(tmp_path, source={"start": 1.5, "stop": 3.0, "count": 1000})
+    with pytest.raises(_ContextReached):
+        cli.main(["verify-identity", "--config", path])
+
+
+# A near-lossless Drude slab at its plasma frequency, where the closed-form
+# rate and the quadrature part at tol 1e-14 (ROADMAP item 1): the scaled
+# disagreement is 0.98, 0.69, 340, 1.65 and 1.2 times 2 k tol on the rows.
+NEAR_LOSSLESS_DRUDE = {
+    "dielectric": {"type": "drude", "plasma_frequency": 1.0, "damping": 1e-12},
+    "source": 1.5, "omega": {"start": 0.999999, "stop": 1.000001, "count": 5},
+}
+
+
+@pytest.mark.parametrize("flags, over", [(["--tol", "1e-14"], 3), ([], 0)], ids=["tol_1e-14", "default_tol"])
+def test_decay_scan_oracle_gate(tmp_path, capsys, flags, over):
+    path = write_config(tmp_path, **NEAR_LOSSLESS_DRUDE)
+    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, "--oracle", *flags])
+    assert rc == (2 if over else 0)
+    assert len(rows) == 5 and all(row["error"] == "" for row in rows)  # the rows are written as they are
+    tol = float(flags[1]) if flags else 1e-8
+    assert sum(float(row["quadrature_error_scaled"]) > 2.0 * float(row["omega"]) * tol for row in rows) == over
+    gate = f"decay-scan: {over} rows with quadrature_error_scaled > 2 k tol (tol {tol:.1e})\n"
+    assert capsys.readouterr().err == "decay-scan (frequency): 5 rows, 0 failed\n" + (gate if over else "")
 
 
 @pytest.mark.parametrize(
@@ -949,7 +1010,7 @@ def test_readme_config_parses_and_names_every_key(tmp_path):
     path.write_text(section[start:section.index("```", start)])
     config = cli.parse_config(str(path))
     assert config["source"].shape == (11,)
-    for key in cli._KEYS:
+    for key in _KEYS:
         assert f"`{key}`" in section
 
 
@@ -970,13 +1031,13 @@ FUZZ_SWEEP = st.fixed_dictionaries(
         lambda i: st.sampled_from([0, True, 10**12, 10**30]) if i == 3 else st.integers(1, 3))},
     optional={"spacing": st.sampled_from(["linear", "log", []])},
 )
-# A value of the shape each reader of cli._KEYS takes; the readers of a set
+# A value of the shape each reader of _KEYS takes; the readers of a set
 # of words are looked up by path in FUZZ_WORDS.
 FUZZ_SHAPES = {
-    cli._scalar_or_sweep: FUZZ_NUMBER | FUZZ_SWEEP,
-    cli._number: FUZZ_NUMBER,
-    cli._positive: FUZZ_NUMBER,
-    cli._parse_dielectric: st.one_of(
+    _scalar_or_sweep: FUZZ_NUMBER | FUZZ_SWEEP,
+    _number: FUZZ_NUMBER,
+    _positive: FUZZ_NUMBER,
+    _parse_dielectric: st.one_of(
         st.fixed_dictionaries({"type": st.just("constant"), "epsilon": FUZZ_NUMBER | FUZZ_PAIR}),
         st.fixed_dictionaries({"type": st.just("drude"), "plasma_frequency": FUZZ_NUMBER},
                               optional={"damping": FUZZ_NUMBER}),
@@ -984,39 +1045,41 @@ FUZZ_SHAPES = {
         st.fixed_dictionaries({"type": st.just("tabulated"),
                                "samples": st.lists(st.lists(FUZZ_NUMBER, min_size=3, max_size=3), min_size=2, max_size=3)}),
     ),
-    cli._complex_list: st.lists(FUZZ_NUMBER | FUZZ_PAIR, min_size=1, max_size=3),
-    cli._separations: FUZZ_TRIPLES,
-    cli._string: st.just("unused.csv"),  # --out overrides it
+    _complex_list: st.lists(FUZZ_NUMBER | FUZZ_PAIR, min_size=1, max_size=3),
+    _separations: FUZZ_TRIPLES,
+    _string: st.just("unused.csv"),  # --out overrides it
 }
 FUZZ_WORDS = {"units": st.sampled_from(["natural", "si"]), "output.format": st.just("csv")}
 
 
-# A config that every subcommand runs, by _KEYS path; decay-scan sweeps the source.
+FUZZ_MEDIA = [
+    {"type": "constant", "epsilon": LOSSY_EPS},
+    {"type": "drude", "plasma_frequency": 2.0, "damping": 0.5},
+    {"type": "drude_lorentz", "terms": [[1.0, 1.5, 0.3]]},
+    {"type": "tabulated", "samples": [[0.5, 2.0, 0.5], [2.5, 3.0, 1.0]]},
+]
+# A config that every subcommand runs, by _KEYS path.
 FUZZ_BASE = {
-    "units": "natural", "slab.half_length": 1.0, "dielectric": {"type": "constant", "epsilon": LOSSY_EPS},
-    "omega": 1.0, "source": {"start": 1.5, "stop": 3.0, "count": 2}, "emission.dipole_moment": 1.0,
-    "emission.surface_unit": 1.0, "tolerances.quadrature": 1e-8, "limit_path": [[1.0, 0.1]],
-    "separations": [[1.0, 2.0, 3.0]], "output.format": "csv", "output.path": "unused.csv",
+    "units": "natural", "slab.half_length": 1.0, "dielectric": FUZZ_MEDIA[0], "omega": 1.0, "source": 2.0,
+    "emission.dipole_moment": 1.0, "emission.surface_unit": 1.0, "tolerances.quadrature": 1e-8,
+    "limit_path": [[1.0, 0.1]], "separations": [[1.0, 2.0, 3.0]], "output.format": "csv", "output.path": "unused.csv",
 }
+# The sweeps of decay-scan's three axes; verify-identity sweeps the source.
+# The last thickness reaches past the source, and the last frequency lies
+# past the tabulated samples, so those rows fail and the others run.
+FUZZ_SWEEPS = {
+    "source": {"start": 1.5, "stop": 3.0, "count": 2},
+    "slab.half_length": {"start": 0.5, "stop": 2.5, "count": 3},
+    "omega": {"start": 1.0, "stop": 3.0, "count": 3},
+}
+# One draw of the subcommand, shared by the test's command and its config.
+FUZZ_COMMAND = st.shared(st.sampled_from(list(cli._COMMANDS)), key="command")
 
 
-@st.composite
-def fuzz_configs(draw):
-    """FUZZ_BASE with some keys of cli._KEYS drawn anew, left out or given junk.
-
-    Of 16 draws per key, 11 keep the base value, 3 draw a value of the key
-    reader's shape, 1 leaves the key out and 1 gives it junk. Hypothesis
-    favours 0, so 0 keeps the base value.
-    """
+def nested(flat):
+    """The JSON config of a dict keyed by _KEYS path."""
     config = {}
-    for key, (reader, _) in cli._KEYS.items():
-        kind = draw(st.integers(0, 15))
-        if kind == 14:
-            continue
-        if kind < 11:
-            value = FUZZ_BASE[key]
-        else:
-            value = draw(FUZZ_JUNK if kind == 15 else FUZZ_SHAPES[reader] if reader in FUZZ_SHAPES else FUZZ_WORDS[key])
+    for key, value in flat.items():
         *parents, name = key.split(".")
         node = config
         for parent in parents:
@@ -1025,11 +1088,37 @@ def fuzz_configs(draw):
     return config
 
 
+@st.composite
+def fuzz_configs(draw, command):
+    """A base config for `command` with some keys of _KEYS drawn anew, left out or given junk.
+
+    The base takes a medium of any dielectric type; decay-scan sweeps one of
+    its three axes and verify-identity the source. Of 32 draws per key, 27
+    keep the base value, 3 draw a value of the key reader's shape, 1 leaves
+    the key out and 1 gives it junk. Hypothesis favours 0, so 0 keeps the
+    base value.
+    """
+    base = {**FUZZ_BASE, "dielectric": draw(st.sampled_from(FUZZ_MEDIA))}
+    if command in ("decay-scan", "verify-identity"):
+        axis = draw(st.sampled_from(list(FUZZ_SWEEPS))) if command == "decay-scan" else "source"
+        base[axis] = FUZZ_SWEEPS[axis]
+    config = {}
+    for key, (reader, _) in _KEYS.items():
+        kind = draw(st.integers(0, 31))
+        if kind < 27:
+            config[key] = base[key]
+        elif kind < 30:
+            config[key] = draw(FUZZ_SHAPES[reader] if reader in FUZZ_SHAPES else FUZZ_WORDS[key])
+        elif kind == 31:
+            config[key] = draw(FUZZ_JUNK)
+    return nested(config)
+
+
 FUZZ_SLAB = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": 2.0}}
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(command=st.sampled_from(list(cli._COMMANDS)), oracle=st.booleans(), config=fuzz_configs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(command=FUZZ_COMMAND, oracle=st.booleans(), config=FUZZ_COMMAND.flatmap(fuzz_configs))
 @example(command="tensor3d", oracle=False, config={"units": [], "omega": 1.0, "separations": [[1.0, 2.0, 3.0]]})
 @example(command="verify-identity", oracle=False, config={
     "slab": {"half_length": 1e-12}, "dielectric": {"type": "constant", "epsilon": [-1e160, 50]},
@@ -1037,8 +1126,19 @@ FUZZ_SLAB = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "e
 @example(command="coefficients", oracle=False, config={**FUZZ_SLAB, "omega": {"start": 1, "stop": 2, "count": 10**30}})
 @example(command="decay-scan", oracle=True, config={
     **FUZZ_SLAB, "source": 2.0, "omega": {"start": 1, "stop": 2, "count": 10**12, "spacing": "log"}})
+# Each sweep axis of decay-scan, with failed rows among good ones.
+@example(command="decay-scan", oracle=True, config=nested({
+    **FUZZ_BASE, "dielectric": FUZZ_MEDIA[3], "omega": FUZZ_SWEEPS["omega"]}))
+@example(command="decay-scan", oracle=False, config=nested({
+    **FUZZ_BASE, "dielectric": FUZZ_MEDIA[1], "slab.half_length": FUZZ_SWEEPS["slab.half_length"]}))
+@example(command="decay-scan", oracle=True, config=nested({
+    **FUZZ_BASE, "dielectric": FUZZ_MEDIA[2], "source": FUZZ_SWEEPS["source"]}))
 def test_main_fuzz_exits_cleanly(tmp_path_factory, command, oracle, config):
-    """Every config ends in a documented exit code, with no warning, and exit 0 writes only finite rows."""
+    """Every config ends in a documented exit code, with no warning, and only finite numbers in the CSV.
+
+    On exit 0 no row fails. On exit 2 a failed row keeps finite leading cells,
+    leaves the rest blank and ends in its message; every other row is finite.
+    """
     folder = tmp_path_factory.mktemp("fuzz")
     path, out = folder / "config.json", folder / "out.csv"
     path.write_text(json.dumps(config))
@@ -1046,9 +1146,12 @@ def test_main_fuzz_exits_cleanly(tmp_path_factory, command, oracle, config):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)  # a RuntimeWarning is an error in this suite
     assert code in (0, 1, 2, 3), err.getvalue()
-    if code == 0:
+    if code in (0, 2):
         with open(out, newline="") as handle:
             header, *rows = list(csv.reader(handle))
         for row in rows:
-            assert all(math.isfinite(float(cell)) for cell in row[:len(header) - ("error" in header)]), row
-            assert "error" not in header or row[-1] == ""
+            cells, message = (row[:-1], row[-1]) if header[-1] == "error" else (row, "")
+            kept = cells[:cells.index("")] if message and "" in cells else cells
+            assert all(math.isfinite(float(cell)) for cell in kept), row
+            assert cells[len(kept):] == [""] * (len(cells) - len(kept)), row
+            assert code == 2 or message == "", row
