@@ -21,8 +21,6 @@ import gc
 import math
 import os
 import sys
-from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -42,23 +40,6 @@ _CONSTANTS = {
 # text for a 17-column table stay near 0.3 MB, below the compute peak of a
 # 30000-row sweep, and the write is no slower than with larger blocks.
 _BLOCK_ROWS = 256
-
-
-class _Table(namedtuple("_Table", "columns errors kept", defaults=(None, 0))):
-    """CSV rows of a subcommand, held as its columns.
-
-    `columns` are 1-d float arrays of one length, one per CSV column, and
-    their i-th entries make line i. With an error record
-    (see errors.row_errors, one entry per row in row order) the header ends
-    in an `error` column and every line in an error cell: empty on a good
-    row, while a failed row keeps its first `kept` cells, leaves the others
-    blank and ends in its message. No `__slots__`: `failed` is cached.
-    """
-
-    @cached_property
-    def failed(self) -> list:
-        """Indices of the rows that carry an error message."""
-        return [] if self.errors is None else np.flatnonzero(np.not_equal(self.errors, None)).tolist()
 
 
 def _require(config, path):
@@ -99,7 +80,7 @@ def _columns(columns):
     The values broadcast against each other; the rows run over the broadcast
     shape in C order. A column is a view where reshaping allows, so a value
     broadcast along a 1-d sweep stays one value with stride 0. The writer
-    adds the `error` column of a table that has an error record.
+    adds the `error` column when it is given an error record.
     """
     header, arrays = zip(*columns)
     return header, [array.reshape(-1) for array in np.broadcast_arrays(*arrays)]
@@ -117,14 +98,14 @@ def _cmd_coefficients(config, consts, args):
     abs_a_sq = abs(co.A) ** 2
     abs_d_sq = abs(co.D) ** 2
     defect = 1.0 - abs_a_sq - abs_d_sq
-    header, columns = _columns([
+    columns = [
         ("omega", omega), ("k", ctx.k), *_complex("n", ctx.n),
         *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
         ("abs_a_sq", abs_a_sq), ("abs_d_sq", abs_d_sq), ("unitarity_defect", defect),
-    ])
+    ]
     worst = float(np.max(abs(defect), initial=0.0))
     summary = [f"coefficients: {len(omega)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
-    return header, _Table(columns), summary, 0
+    return columns, None, 0, summary, 0
 
 
 def _cmd_verify_identity(config, consts, args):
@@ -141,19 +122,19 @@ def _cmd_verify_identity(config, consts, args):
     x_a, x_b = sources[:, None], sources
     errors = row_errors(omega.shape)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
-    grid = np.broadcast_to(errors, (len(omega), len(sources), len(sources))).copy()
-    rep = identity_report(x_a, x_b, ctx, tol=tol, errors=grid)
+    raise_first(errors)
+    rep = identity_report(x_a, x_b, ctx, tol=tol)
     res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
-    header, columns = _columns([
+    columns = [
         ("omega", omega), ("x_a", x_a), ("x_b", x_b), *_complex("lhs", rep.lhs), ("im_g", rep.im_g),
         *_complex("f", rep.f), *_complex("residual_corrected", res_corr), *_complex("residual_uncorrected", res_unc),
         ("quadrature_error", rep.quadrature_estimate_error),
-    ])
-    table = _Table(columns, rep.error, len(header))
+    ]
     worst = np.max(abs(res_corr))  # a NaN residual shows
-    summary = [f"verify-identity: {grid.size} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
-    status = 2 if table.failed or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
-    return header, table, summary, status
+    summary = [f"verify-identity: {rows} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
+    stalled = np.not_equal(rep.error, None).any()
+    status = 2 if stalled or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
+    return columns, rep.error, len(columns), summary, status
 
 
 def _sweep_axis(config):
@@ -198,17 +179,17 @@ def _cmd_decay_scan(config, consts, args):
         if args.oracle:
             scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
             columns += [("gamma_quadrature", rep.gamma_quadrature), ("quadrature_error_scaled", scaled)]
-    header, columns = _columns(columns)
-    table = _Table(columns, errors, 3)
-    summary = [f"decay-scan ({axis}): {len(errors)} rows, {len(table.failed)} failed"]
-    status = 2 if table.failed else 0
+    good = np.equal(errors, None)
+    failed = good.size - np.count_nonzero(good)
+    summary = [f"decay-scan ({axis}): {len(errors)} rows, {failed} failed"]
+    status = 2 if failed else 0
     if args.oracle:
         # A quadrature within tol moves the scaled column by at most 2k tol; NaN fails too.
-        over = np.count_nonzero(np.equal(errors, None) & ~(scaled <= 2.0 * ctx.k * tol))
+        over = np.count_nonzero(good & ~(scaled <= 2.0 * ctx.k * tol))
         if over:
             summary.append(f"decay-scan: {over} rows with quadrature_error_scaled > 2 k tol (tol {tol:.1e})")
             status = 2
-    return header, table, summary, status
+    return columns, errors, 3, summary, status
 
 
 def _cmd_limit_study(config, consts, args):
@@ -221,20 +202,20 @@ def _cmd_limit_study(config, consts, args):
     errors = row_errors(len(path))
     study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
     eps = study.epsilon
-    header, columns = _columns([
+    columns = [
         *_complex("eps", eps), ("gamma", study.gamma), ("gamma_uncorrected", study.gamma_uncorrected),
         ("f_plus_im_g0", study.f_plus_im_g0), ("abs_a_sq", study.abs_a_sq), ("abs_d_sq", study.abs_d_sq),
-    ])
-    table = _Table(columns, errors, 2)
-    summary = [f"limit-study: {len(path)} rows, {len(table.failed)} failed"]
+    ]
     good = np.flatnonzero(np.equal(errors, None))
+    failed = len(path) - good.size
+    summary = [f"limit-study: {len(path)} rows, {failed} failed"]
     if good.size:
         last = good[-1]
         summary.append(
             f"limit-study: at eps = {complex(eps[last])}, gamma/gamma_vac = "
             f"{study.gamma[last] / params.gamma_vacuum_1d(k):.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
         )
-    return header, table, summary, 2 if table.failed else 0
+    return columns, errors, 2, summary, 2 if failed else 0
 
 
 def _cmd_tensor3d(config, consts, args):
@@ -246,16 +227,16 @@ def _cmd_tensor3d(config, consts, args):
     im_diag = im_green_coincident(k)[0, 0]
     tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
     components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
-    header, columns = _columns([
+    columns = [
         *zip(("r_x", "r_y", "r_z"), np.transpose(separations)),
         *(column for name, z in components for column in _complex(name, z)),
         ("im_g0_coincident_diag", im_diag), ("gamma0", gamma0),
-    ])
+    ]
     summary = [
         f"tensor3d: {len(separations)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",
     ]
-    return header, _Table(columns), summary, 0
+    return columns, None, 0, summary, 0
 
 
 _COMMANDS = {
@@ -267,8 +248,14 @@ _COMMANDS = {
 }
 
 
-def _write_csv(path, header, table):
-    """Write the header and the rows, formatting a block of rows at a time.
+def _write_csv(path, columns, errors=None, kept=0):
+    """Write the table of a subcommand's (name, values) pairs, formatting a block of rows at a time.
+
+    `_columns` gives the header and the 1-d columns, whose i-th entries make
+    line i. With an error record (see errors.row_errors, one entry per row
+    in row order) the header ends in an `error` column and every line in an
+    error cell: empty on a good row, while a failed row keeps its first
+    `kept` cells, leaves the others blank and ends in its message.
 
     Every number goes through the "%.17g" template, which gives the same text
     as format(float(value), ".17g"). A column with stride 0 is one broadcast
@@ -277,11 +264,12 @@ def _write_csv(path, header, table):
     of the whole table is made. A failed row's kept cells go through a
     template of `kept` cells.
     """
-    columns, kept = table.columns, table.kept
+    header, columns = _columns(columns)
     rows = len(columns[0])
+    failed = [] if errors is None else np.flatnonzero(np.not_equal(errors, None)).tolist()
     varying = [column for column in columns if column.strides[0]]
     row = ["%.17g" if column.strides[0] else "%.17g" % float(column[0]) for column in columns]
-    if table.errors is not None:  # the error column, empty on a good row
+    if errors is not None:  # the error column, empty on a good row
         header, row = [*header, "error"], [*row, ""]
     line = ",".join(row) + "\n"
     block = np.empty((_BLOCK_ROWS, len(varying)))
@@ -291,7 +279,7 @@ def _write_csv(path, header, table):
     with output as handle:
         handle.write(",".join(header) + "\n")
         start = 0
-        for stop in [*table.failed, rows]:
+        for stop in [*failed, rows]:
             for first in range(start, stop, _BLOCK_ROWS):
                 cells = block[:min(_BLOCK_ROWS, stop - first)]
                 for j, column in enumerate(varying):
@@ -300,7 +288,7 @@ def _write_csv(path, header, table):
             if stop < rows:
                 cells = "%.17g," * kept % tuple(float(column[stop]) for column in columns[:kept])
                 # The message lands in a CSV cell; keep it comma-free.
-                handle.write(cells + "," * (len(columns) - kept) + table.errors.flat[stop].replace(",", ";") + "\n")
+                handle.write(cells + "," * (len(columns) - kept) + errors.flat[stop].replace(",", ";") + "\n")
             start = stop + 1
         handle.flush()  # a write error on stdout surfaces here, as exit 3, not at shutdown
 
@@ -339,8 +327,8 @@ def main(argv=None) -> int:
         for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
             if flag is not None:
                 config[key] = flag
-        header, table, summary, status = _COMMANDS[args.command](config, _CONSTANTS[config["units"]], args)
-        _write_csv(config["output.path"], header, table)
+        columns, errors, kept, summary, status = _COMMANDS[args.command](config, _CONSTANTS[config["units"]], args)
+        _write_csv(config["output.path"], columns, errors, kept)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

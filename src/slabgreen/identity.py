@@ -224,17 +224,15 @@ class IdentityReport(namedtuple("IdentityReport", "lhs im_g f quadrature_estimat
         return self.lhs - self.im_g
 
 
-def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None) -> IdentityReport:
+def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8) -> IdentityReport:
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
     For arrays of rows (a grid of source pairs per context row, say) every
     field is an array, `error` one message or None per row. F comes first:
     its DomainError for a phase k*(...) that overflows also guards the
-    quadrature and G. The first failing row raises its DomainError, counting
-    the rows that the context's error record `errors` already fails.
+    quadrature and G. The first failing row raises its DomainError.
     """
-    if errors is None:
-        errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
+    errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
     f = boundary_term_f(x_a, x_b, ctx, errors)
     raise_first(errors)
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors)

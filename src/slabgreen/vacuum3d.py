@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .emission import EmissionParams
 from .errors import DomainError, check, plain
 
 
@@ -72,8 +71,8 @@ def im_green_coincident(k: float) -> np.ndarray:
     return (k / (6.0 * math.pi)) * np.eye(3)
 
 
-def vacuum_decay_3d(params: EmissionParams, k: float) -> float:
-    """Vacuum rate k^3 |d|^2 / (3 pi hbar eps0), k = omega / c.
+def vacuum_decay_3d(params, k: float) -> float:
+    """Vacuum rate k^3 |d|^2 / (3 pi hbar eps0), k = omega / c, for the d, hbar and eps0 of an EmissionParams.
 
     Computed both in closed form and by contracting the dipole with the
     coincident Im G limit; the two routes must agree to rounding.

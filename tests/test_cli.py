@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,19 @@ def test_verify_identity_nan_residual_is_a_violation(tmp_path, monkeypatch):
     rc, rows = run_to_rows(tmp_path, ["verify-identity", "--config", write_config(tmp_path)])
     assert rc == 2
     assert [row["error"] for row in rows] == [""]
+
+
+def test_verify_identity_reports_a_context_failure_first(tmp_path, capsys):
+    # omega = 2 lies past the samples and x_a = 0.5 inside the slab: the
+    # context's failure is reported, as coefficients reports it.
+    path = write_config(
+        tmp_path,
+        dielectric={"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
+        omega={"start": 1, "stop": 2, "count": 2},
+        source={"start": 0.5, "stop": 2, "count": 2},
+    )
+    assert cli.main(["verify-identity", "--config", path]) == 1
+    assert capsys.readouterr().err == "error: frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation\n"
 
 
 def test_verify_identity_factorised_grid(tmp_path):
@@ -605,8 +619,8 @@ def test_row_template_matches_fmt(tmp_path):
     out = tmp_path / "out.csv"
     errors = cli.row_errors(3)  # rows 0 and 1 are good: empty error cells
     errors[2] = "row failed, for a reason"
-    table = cli._Table(list(np.array([values, values[::-1], values]).T), errors, kept=5)
-    cli._write_csv(str(out), ["a"] * len(values), table)
+    columns = [("a", column) for column in np.array([values, values[::-1], values]).T]
+    cli._write_csv(str(out), columns, errors, kept=5)
     lines = out.read_text().splitlines()
     text = [format(float(v), ".17g") for v in values]
     assert lines[1] == ",".join(text) + ","
@@ -620,16 +634,18 @@ def test_broadcast_column_writes_like_a_copied_column(tmp_path):
     x = np.linspace(0.1, 7.0, rows)
     y = np.sin(x) / 3.0
     y[5] = math.nan
-    header, columns = cli._columns([("x", x), ("c", np.float64(1.0) / 3.0), ("y", y), ("d", np.array([-2.5e-310]))])
+    pairs = [("x", x), ("c", np.float64(1.0) / 3.0), ("y", y), ("d", np.array([-2.5e-310]))]
+    header, columns = cli._columns(pairs)
     assert [column.strides[0] for column in columns] == [8, 0, 8, 0]
     errors = cli.row_errors(rows)
     # Failed rows at the first row, on a block boundary and at the last row; each keeps x and c.
     for i in (0, cli._BLOCK_ROWS, rows - 1):
         errors[i] = f"row {i} failed"
     out = {}
-    for name, cols in (("broadcast", columns), ("copied", [np.array(column) for column in columns])):
+    copied = [(name, np.array(column)) for name, column in zip(header, columns)]
+    for name, cols in (("broadcast", pairs), ("copied", copied)):
         out[name] = tmp_path / f"{name}.csv"
-        cli._write_csv(str(out[name]), header, cli._Table(cols, errors, kept=2))
+        cli._write_csv(str(out[name]), cols, errors, kept=2)
     assert out["broadcast"].read_bytes() == out["copied"].read_bytes()
     lines = out["broadcast"].read_text().splitlines()
     assert len(lines) == rows + 1
@@ -645,13 +661,48 @@ def test_writer_makes_no_full_table_copy(tmp_path):
     out = tmp_path / "out.csv"
     tracemalloc.start()
     try:
-        header, columns = cli._columns([(f"c{j}", array) for j, array in enumerate(arrays)])
-        cli._write_csv(str(out), header, cli._Table(columns))
+        cli._write_csv(str(out), [(f"c{j}", array) for j, array in enumerate(arrays)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * rows * 17 * 8
     assert out.read_text().count("\n") == rows + 1
+
+
+ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error
+
+
+@pytest.mark.parametrize(
+    "command, config, code, err",
+    [
+        ("coefficients", [1.0, 2.0], 1, "error: expected an object\n"),
+        ("coefficients", {"slab": 5}, 1, "error: slab: expected an object\n"),
+        ("coefficients", {"omega": {"start": 1, "stop": 2, "count": 2, "spacing": "cubic"}}, 1,
+         "error: omega.spacing: expected 'linear' or 'log'\n"),
+        ("coefficients", {"omega": ONE_VALUE_SWEEP}, 0, "coefficients: 1 rows"),
+        ("decay-scan", {"omega": ONE_VALUE_SWEEP}, 0, "decay-scan (frequency): 1 rows, 0 failed\n"),
+        ("limit-study", {"omega": ONE_VALUE_SWEEP}, 1,
+         "error: omega: a sweep is not allowed here; give a single number\n"),
+        ("verify-identity", {"tolerances": {"quadrature": 0}}, 1, "error: tolerances.quadrature: must be positive\n"),
+        ("coefficients", None, 1, "error: cannot read config: "),
+    ],
+    ids=["top_level_array", "slab_not_object", "unknown_spacing", "one_value_sweep_coefficients",
+         "one_value_sweep_decay_scan", "one_value_sweep_limit_study", "zero_tolerance", "missing_file"],
+)
+def test_config_branches(tmp_path, capsys, command, config, code, err):
+    # A config of None names a file that does not exist.
+    path = tmp_path / "config.json"
+    if isinstance(config, dict):
+        path = Path(write_config(tmp_path, **config))
+    elif config is not None:
+        path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(err)
+    if code == 1:
+        return
+    header, *rows = out.read_text().splitlines()
+    assert header.startswith("omega,") and len(rows) == 1 and rows[0].startswith("3,")
 
 
 def test_non_finite_config_numbers_rejected(tmp_path, capsys):
@@ -1014,6 +1065,20 @@ def test_readme_config_parses_and_names_every_key(tmp_path):
         assert f"`{key}`" in section
 
 
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(section[start:section.index("```", start)], {})
+    corrected, uncorrected, error, rate = out.getvalue().splitlines()
+    assert float(corrected) < 1e-12
+    assert abs(float(uncorrected) - 0.418) < 1e-3
+    assert error == "None"
+    assert math.isfinite(float(rate))
+
+
 # Config values for the fuzz of main(): two numbers in three moderate, the
 # third an extreme (zero, the subnormals, the edges of the float range,
 # integers past it), and now and then a list or an object where a scalar
@@ -1133,6 +1198,19 @@ FUZZ_SLAB = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "e
     **FUZZ_BASE, "dielectric": FUZZ_MEDIA[1], "slab.half_length": FUZZ_SWEEPS["slab.half_length"]}))
 @example(command="decay-scan", oracle=True, config=nested({
     **FUZZ_BASE, "dielectric": FUZZ_MEDIA[2], "source": FUZZ_SWEEPS["source"]}))
+# Near-lossless and near-vacuum media; accuracy there is not asserted.
+@example(command="decay-scan", oracle=True, config={
+    "slab": {"half_length": 1.0}, "dielectric": {"type": "drude", "plasma_frequency": 1, "damping": 1e-12},
+    "omega": {"start": 0.999999, "stop": 1.000001, "count": 5}, "source": 1.5})
+@example(command="limit-study", oracle=False, config={
+    "slab": {"half_length": 1.0}, "omega": 1.0, "source": 2.0, "limit_path": [[1, 1e-14], [1, 1e-300], [1, 0]]})
+@example(command="coefficients", oracle=False, config={
+    **FUZZ_SLAB, "dielectric": {"type": "constant", "epsilon": [0, 2e-12]}, "omega": 1.0})
+@example(command="coefficients", oracle=False, config={  # exit 1: "slab is degenerate"
+    **FUZZ_SLAB, "dielectric": {"type": "constant", "epsilon": [0, 2e-26]}, "omega": 1.0})
+@example(command="verify-identity", oracle=False, config={
+    **FUZZ_SLAB, "dielectric": {"type": "constant", "epsilon": [2.25, 3e-14]}, "omega": 3,
+    "source": {"start": 1.5, "stop": 2, "count": 2}})
 def test_main_fuzz_exits_cleanly(tmp_path_factory, command, oracle, config):
     """Every config ends in a documented exit code, with no warning, and only finite numbers in the CSV.
 
