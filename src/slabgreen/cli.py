@@ -18,13 +18,12 @@ I/O error.
 import argparse
 import contextlib
 import gc
-import math
 import os
 import sys
 
 import numpy as np
 
-from .config import _MAX_COUNT, parse_config
+from .config import _MAX_COUNT, _positive, parse_config
 from .emission import EmissionParams, decay_report, limit_study
 from .errors import ConfigError, DomainError, raise_first, row_errors
 from .identity import identity_report
@@ -59,13 +58,12 @@ def _values(config, path):
     return np.atleast_1d(_require(config, path))
 
 
-def _emission_params(config, consts, errors=None):
+def _emission_params(config, consts):
     return EmissionParams(
         dipole_moment=config["emission.dipole_moment"],
         hbar=consts["hbar"],
         epsilon0=consts["epsilon0"],
         surface_unit=config["emission.surface_unit"],
-        errors=errors,
     )
 
 
@@ -168,7 +166,7 @@ def _cmd_decay_scan(config, consts, args):
     errors = row_errors(max(map(len, (omega, half_length, x_s))))
     geometry = SlabGeometry(half_length, errors=errors)
     ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
-    params = _emission_params(config, consts, errors)
+    params = _emission_params(config, consts)
     rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
     with np.errstate(all="ignore"):  # the numbers of failed rows are never written
         columns = [
@@ -322,8 +320,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.tol is not None and not 0.0 < args.tol < math.inf:
-            raise ConfigError(None, "--tol must be positive and finite")
+        if args.tol is not None:
+            _positive(args.tol, "--tol")
         for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
             if flag is not None:
                 config[key] = flag

@@ -69,6 +69,7 @@ class Tabulated(namedtuple("Tabulated", "omegas values")):
 
     __slots__ = ()
 
+    @np.errstate(all="ignore")
     def __new__(cls, omegas, values):
         omegas = tuple(float(w) for w in omegas)
         values = tuple(complex(v) for v in values)
@@ -76,8 +77,10 @@ class Tabulated(namedtuple("Tabulated", "omegas values")):
         check(len(omegas) == len(values), "sample frequencies and values must have equal length")
         check(np.isfinite([*omegas, *values]), "model parameters must be finite")
         check(np.less(omegas[:-1], omegas[1:]), "sample frequencies must be strictly increasing")
-        # The interpolation weight divides by distances within the span.
+        # The interpolation divides by distances within the span and multiplies by each sample slope.
         check(np.isfinite(omegas[-1] - omegas[0]), "sample frequency span omegas[-1] - omegas[0] overflows")
+        slope = np.diff(values) / np.diff(omegas)
+        check(np.isfinite(slope), "sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows")
         check(np.imag(values) >= 0.0, "gain media are not supported: Im epsilon must be >= 0")
         return super().__new__(cls, omegas, values)
 
@@ -114,12 +117,7 @@ def permittivity(model: DielectricModel, omega, errors=None):
             ],
             errors,
         )
-        grid, values = np.array(model.omegas), np.array(model.values)
-        j = np.searchsorted(grid, w, side="right")
-        top = j == len(grid)
-        j = np.clip(j, 1, len(grid) - 1)
-        t = (w - grid[j - 1]) / (grid[j] - grid[j - 1])
-        eps = np.where(top, values[-1], values[j - 1] * (1.0 - t) + values[j] * t)
+        eps = np.interp(w, model.omegas, model.values)
     else:
         raise TypeError(f"unknown dielectric model type: {type(model).__name__}")
     return plain(eps)

@@ -36,17 +36,15 @@ class EmissionParams(namedtuple("EmissionParams", "dipole_moment hbar epsilon0 s
     The frequency enters only through the wavenumber k = omega / c, which
     the rates take from the wave context. surface_unit is the cross-section
     that keeps one-dimensional rates in 1/s; it cancels from every normalized
-    quantity. Natural units (hbar = eps0 = 1) are the default. With an error
-    record (`errors`, see errors.check) an invalid value marks every row
-    instead of raising.
+    quantity. Natural units (hbar = eps0 = 1) are the default.
     """
 
     __slots__ = ()
 
-    def __new__(cls, dipole_moment=1.0, hbar=1.0, epsilon0=1.0, surface_unit=1.0, errors=None):
+    def __new__(cls, dipole_moment=1.0, hbar=1.0, epsilon0=1.0, surface_unit=1.0):
         self = super().__new__(cls, dipole_moment, hbar, epsilon0, surface_unit)
         for name, value in zip(self._fields, self):
-            check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite", errors)
+            check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite")
         return self
 
     # np.divide: a denominator that underflows to 0 gives inf, not ZeroDivisionError.
@@ -180,7 +178,6 @@ def limit_study(
     _require_right_sources(l, x_source)
     eps = np.array([complex(raw) for raw in eps_path], complex)
     record = row_errors(eps.shape) if errors is None else errors
-    check(np.logical_not(eps.imag < 0.0), "path entries must be passive: Im eps >= 0", record)
     # A constant permittivity does not depend on the frequency: build the context at omega = k, c = 1.
     ctx = make_context(geometry, Constant(eps, errors=record), k, errors=record)
     f = boundary_term_f(x_source, x_source, ctx, errors=record)

@@ -504,9 +504,8 @@ def test_module_stdout_matches_out_file(tmp_path):
         ({"dielectric": ROW_ERRORS["constant"][0], "omega": ROW_ERRORS["constant"][1], "source": 1.5}, ["--oracle"]),
         ({"slab": {"half_length": 1e200}, "omega": {"start": 1e199, "stop": 1e200, "count": 3},
           "source": 2e200}, ["--oracle"]),
-        ({"omega": {"start": 0.5, "stop": 2.0, "count": 4}, "emission": {"dipole_moment": 0.0}}, []),
     ],
-    ids=["tabulated", "non_finite_oracle", "phase_overflow_oracle", "zero_dipole"],
+    ids=["tabulated", "non_finite_oracle", "phase_overflow_oracle"],
 )
 def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
     result = run_module("decay-scan", "--config", write_config(tmp_path, **overrides), *flags)
@@ -514,6 +513,22 @@ def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
     assert b"Traceback" not in result.stderr
     assert b"RuntimeWarning" not in result.stderr
     assert result.stderr.endswith(b" failed\n")
+
+
+@pytest.mark.parametrize("field, value", [("dipole_moment", 0.0), ("surface_unit", -1.0)])
+@pytest.mark.parametrize(
+    "argv",
+    [["decay-scan"], ["decay-scan", "--oracle"], ["limit-study"], ["tensor3d"]],
+    ids=["decay_scan", "decay_scan_oracle", "limit_study", "tensor3d"],
+)
+def test_bad_emission_parameters_fail_the_run(tmp_path, capsys, field, value, argv):
+    # One failure for every subcommand: no row is written, and the exit code is 1.
+    overrides = {"source": {"start": 1.5, "stop": 3.0, "count": 3}} if argv[0] == "decay-scan" else {}
+    path = write_config(tmp_path, emission={field: value}, separations=[[1.0, 0.0, 0.0]], **overrides)
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be positive and finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -685,9 +700,13 @@ ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > 
          "error: omega: a sweep is not allowed here; give a single number\n"),
         ("verify-identity", {"tolerances": {"quadrature": 0}}, 1, "error: tolerances.quadrature: must be positive\n"),
         ("coefficients", None, 1, "error: cannot read config: "),
+        # Both samples are finite, but the slope between them is 1e312.
+        ("coefficients", {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}},
+         1, "error: dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows\n"),
     ],
     ids=["top_level_array", "slab_not_object", "unknown_spacing", "one_value_sweep_coefficients",
-         "one_value_sweep_decay_scan", "one_value_sweep_limit_study", "zero_tolerance", "missing_file"],
+         "one_value_sweep_decay_scan", "one_value_sweep_limit_study", "zero_tolerance", "missing_file",
+         "tabulated_slope_overflow"],
 )
 def test_config_branches(tmp_path, capsys, command, config, code, err):
     # A config of None names a file that does not exist.
@@ -777,6 +796,24 @@ def test_exit_codes(tmp_path, flags, code):
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
+
+
+@pytest.mark.parametrize(
+    "tol, err",
+    [
+        ("0", "error: --tol: must be positive\n"),
+        ("-1", "error: --tol: must be positive\n"),
+        ("inf", "error: --tol: expected a finite number\n"),
+        ("nan", "error: --tol: expected a finite number\n"),
+    ],
+    ids=["zero", "negative", "inf", "nan"],
+)
+def test_tol_is_read_like_the_config_tolerance(tmp_path, capsys, tol, err):
+    assert cli.main(["verify-identity", "--config", write_config(tmp_path), "--tol", tol]) == 1
+    assert capsys.readouterr().err == err
+    # A bad config file is reported first.
+    assert cli.main(["verify-identity", "--config", write_config(tmp_path, slab=5), "--tol", tol]) == 1
+    assert capsys.readouterr().err == "error: slab: expected an object\n"
 
 
 def test_decay_scan_position_vacuum(tmp_path):

@@ -177,7 +177,7 @@ def test_limit_study_marks_failed_rows():
             limit_study(PARAMS, SlabGeometry(1.0), [path[i]], 1.0, x_source=2.0)
         assert errors[i] == str(scalar.value)
     assert "eps = 0" in errors[1]
-    assert "passive" in errors[2]
+    assert "gain media" in errors[2]
     good = limit_study(PARAMS, SlabGeometry(1.0), [path[0], path[3]], 1.0, x_source=2.0)
     assert study.gamma[[0, 3]] == pytest.approx(good.gamma, rel=1e-14)
     # Without a record the first failing entry raises, whatever check fails first.
