@@ -16,7 +16,6 @@ I/O error.
 """
 
 import argparse
-import contextlib
 import gc
 import os
 import sys
@@ -29,16 +28,12 @@ from .errors import ConfigError, DomainError, raise_first, row_errors
 from .identity import identity_report
 from .slab_green import SlabGeometry, make_context
 from .vacuum3d import green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
+from .writer import _blocks, _write_csv
 
 _CONSTANTS = {
     "natural": {"hbar": 1.0, "epsilon0": 1.0, "c": 1.0},
     "si": {"hbar": 1.054571817e-34, "epsilon0": 8.8541878128e-12, "c": 299792458.0},
 }
-
-# CSV rows formatted and written at a time. At 256 the writer's floats and
-# text for a 17-column table stay near 0.3 MB, below the compute peak of a
-# 30000-row sweep, and the write is no slower than with larger blocks.
-_BLOCK_ROWS = 256
 
 
 def _require(config, path):
@@ -72,38 +67,30 @@ def _complex(name, z):
     return [(f"{name}_re", np.real(z)), (f"{name}_im", np.imag(z))]
 
 
-def _columns(columns):
-    """The header and the 1-d columns of a subcommand's (name, values) pairs.
-
-    The values broadcast against each other; the rows run over the broadcast
-    shape in C order. A column is a view where reshaping allows, so a value
-    broadcast along a 1-d sweep stays one value with stride 0. The writer
-    adds the `error` column when it is given an error record.
-    """
-    header, arrays = zip(*columns)
-    return header, [array.reshape(-1) for array in np.broadcast_arrays(*arrays)]
-
-
 def _cmd_coefficients(config, consts, args):
     """Slab amplitudes A, B, C, D, Y per frequency."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
     omega = _values(config, "omega")
-    errors = row_errors(omega.shape)
-    ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
-    raise_first(errors)
-    co = ctx.coefficients
-    abs_a_sq = abs(co.A) ** 2
-    abs_d_sq = abs(co.D) ** 2
-    defect = 1.0 - abs_a_sq - abs_d_sq
-    columns = [
-        ("omega", omega), ("k", ctx.k), *_complex("n", ctx.n),
-        *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
-        ("abs_a_sq", abs_a_sq), ("abs_d_sq", abs_d_sq), ("unitarity_defect", defect),
-    ]
-    worst = float(np.max(abs(defect), initial=0.0))
-    summary = [f"coefficients: {len(omega)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"]
-    return columns, None, 0, summary, 0
+    # Any bad row fails the run, so every block is checked before a line is written.
+    for rows in _blocks(len(omega)):
+        errors = row_errors(omega[rows].shape)
+        make_context(geometry, model, omega[rows], c=consts["c"], errors=errors)
+        raise_first(errors)
+    worst = 0.0
+    for rows in _blocks(len(omega)):
+        ctx = make_context(geometry, model, omega[rows], c=consts["c"])
+        co = ctx.coefficients
+        abs_a_sq = abs(co.A) ** 2
+        abs_d_sq = abs(co.D) ** 2
+        defect = 1.0 - abs_a_sq - abs_d_sq
+        yield [
+            ("omega", omega[rows]), ("k", ctx.k), *_complex("n", ctx.n),
+            *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
+            ("abs_a_sq", abs_a_sq), ("abs_d_sq", abs_d_sq), ("unitarity_defect", defect),
+        ], None
+        worst = np.maximum(worst, np.max(abs(defect), initial=0.0))  # a NaN shows
+    return [f"coefficients: {len(omega)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"], 0
 
 
 def _cmd_verify_identity(config, consts, args):
@@ -123,16 +110,15 @@ def _cmd_verify_identity(config, consts, args):
     raise_first(errors)
     rep = identity_report(x_a, x_b, ctx, tol=tol)
     res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
-    columns = [
+    yield [
         ("omega", omega), ("x_a", x_a), ("x_b", x_b), *_complex("lhs", rep.lhs), ("im_g", rep.im_g),
         *_complex("f", rep.f), *_complex("residual_corrected", res_corr), *_complex("residual_uncorrected", res_unc),
         ("quadrature_error", rep.quadrature_estimate_error),
-    ]
+    ], rep.error
     worst = np.max(abs(res_corr))  # a NaN residual shows
     summary = [f"verify-identity: {rows} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"]
     stalled = np.not_equal(rep.error, None).any()
-    status = 2 if stalled or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
-    return columns, rep.error, len(columns), summary, status
+    return summary, 2 if stalled or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
 
 
 def _sweep_axis(config):
@@ -158,36 +144,36 @@ def _cmd_decay_scan(config, consts, args):
 
     # _sweep_axis leaves exactly one of the three as a sweep; the other two
     # are one-element arrays that broadcast along it.
-    omega = _values(config, "omega")
-    half_length = _values(config, "slab.half_length")
-    x_s = _values(config, "source")
-
+    sweep = [_values(config, path) for path in ("omega", "slab.half_length", "source")]
     model = _require(config, "dielectric")
-    errors = row_errors(max(map(len, (omega, half_length, x_s))))
-    geometry = SlabGeometry(half_length, errors=errors)
-    ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
     params = _emission_params(config, consts)
-    rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
-    with np.errstate(all="ignore"):  # the numbers of failed rows are never written
-        columns = [
-            ("omega", omega), ("half_length", half_length), ("x_s", x_s), ("gamma", rep.gamma_corrected),
-            ("gamma_uncorrected", rep.gamma_uncorrected), ("gamma_vac_1d", rep.gamma_vac_1d),
-            ("normalized_corrected", rep.normalized_corrected), ("normalized_uncorrected", rep.normalized_uncorrected),
-        ]
+    total = max(map(len, sweep))
+    failed = over = 0
+    for rows in _blocks(total):
+        omega, half_length, x_s = (values if len(values) == 1 else values[rows] for values in sweep)
+        errors = row_errors(max(map(len, (omega, half_length, x_s))))
+        geometry = SlabGeometry(half_length, errors=errors)
+        ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
+        rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
+        with np.errstate(all="ignore"):  # the numbers of failed rows are never written
+            columns = [
+                ("omega", omega), ("half_length", half_length), ("x_s", x_s), ("gamma", rep.gamma_corrected),
+                ("gamma_uncorrected", rep.gamma_uncorrected), ("gamma_vac_1d", rep.gamma_vac_1d),
+                ("normalized_corrected", rep.normalized_corrected), ("normalized_uncorrected", rep.normalized_uncorrected),
+            ]
+            if args.oracle:
+                scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
+                columns += [("gamma_quadrature", rep.gamma_quadrature), ("quadrature_error_scaled", scaled)]
+        yield columns, errors
+        good = np.equal(errors, None)
+        failed += good.size - np.count_nonzero(good)
         if args.oracle:
-            scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
-            columns += [("gamma_quadrature", rep.gamma_quadrature), ("quadrature_error_scaled", scaled)]
-    good = np.equal(errors, None)
-    failed = good.size - np.count_nonzero(good)
-    summary = [f"decay-scan ({axis}): {len(errors)} rows, {failed} failed"]
-    status = 2 if failed else 0
-    if args.oracle:
-        # A quadrature within tol moves the scaled column by at most 2k tol; NaN fails too.
-        over = np.count_nonzero(good & ~(scaled <= 2.0 * ctx.k * tol))
-        if over:
-            summary.append(f"decay-scan: {over} rows with quadrature_error_scaled > 2 k tol (tol {tol:.1e})")
-            status = 2
-    return columns, errors, 3, summary, status
+            # A quadrature within tol moves the scaled column by at most 2k tol; NaN fails too.
+            over += np.count_nonzero(good & ~(scaled <= 2.0 * ctx.k * tol))
+    summary = [f"decay-scan ({axis}): {total} rows, {failed} failed"]
+    if over:
+        summary.append(f"decay-scan: {over} rows with quadrature_error_scaled > 2 k tol (tol {tol:.1e})")
+    return summary, 2 if failed or over else 0
 
 
 def _cmd_limit_study(config, consts, args):
@@ -200,10 +186,10 @@ def _cmd_limit_study(config, consts, args):
     errors = row_errors(len(path))
     study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
     eps = study.epsilon
-    columns = [
+    yield [
         *_complex("eps", eps), ("gamma", study.gamma), ("gamma_uncorrected", study.gamma_uncorrected),
         ("f_plus_im_g0", study.f_plus_im_g0), ("abs_a_sq", study.abs_a_sq), ("abs_d_sq", study.abs_d_sq),
-    ]
+    ], errors
     good = np.flatnonzero(np.equal(errors, None))
     failed = len(path) - good.size
     summary = [f"limit-study: {len(path)} rows, {failed} failed"]
@@ -213,7 +199,7 @@ def _cmd_limit_study(config, consts, args):
             f"limit-study: at eps = {complex(eps[last])}, gamma/gamma_vac = "
             f"{study.gamma[last] / params.gamma_vacuum_1d(k):.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
         )
-    return columns, errors, 2, summary, 2 if failed else 0
+    return summary, 2 if failed else 0
 
 
 def _cmd_tensor3d(config, consts, args):
@@ -225,70 +211,27 @@ def _cmd_tensor3d(config, consts, args):
     im_diag = im_green_coincident(k)[0, 0]
     tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
     components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
-    columns = [
+    yield [
         *zip(("r_x", "r_y", "r_z"), np.transpose(separations)),
         *(column for name, z in components for column in _complex(name, z)),
         ("im_g0_coincident_diag", im_diag), ("gamma0", gamma0),
-    ]
-    summary = [
+    ], None
+    return [
         f"tensor3d: {len(separations)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",
-    ]
-    return columns, None, 0, summary, 0
+    ], 0
 
 
+# Each subcommand yields its table's parts (see writer._write_csv) and returns
+# its summary lines and exit status; with it, the number of leading cells a
+# failed row keeps (None: all of them).
 _COMMANDS = {
-    "coefficients": _cmd_coefficients,
-    "verify-identity": _cmd_verify_identity,
-    "decay-scan": _cmd_decay_scan,
-    "limit-study": _cmd_limit_study,
-    "tensor3d": _cmd_tensor3d,
+    "coefficients": (_cmd_coefficients, 0),
+    "verify-identity": (_cmd_verify_identity, None),
+    "decay-scan": (_cmd_decay_scan, 3),
+    "limit-study": (_cmd_limit_study, 2),
+    "tensor3d": (_cmd_tensor3d, 0),
 }
-
-
-def _write_csv(path, columns, errors=None, kept=0):
-    """Write the table of a subcommand's (name, values) pairs, formatting a block of rows at a time.
-
-    `_columns` gives the header and the 1-d columns, whose i-th entries make
-    line i. With an error record (see errors.row_errors, one entry per row
-    in row order) the header ends in an `error` column and every line in an
-    error cell: empty on a good row, while a failed row keeps its first
-    `kept` cells, leaves the others blank and ends in its message.
-
-    Every number goes through the "%.17g" template, which gives the same text
-    as format(float(value), ".17g"). A column with stride 0 is one broadcast
-    value: it is formatted once, into the row template. The other columns are
-    copied into a block of rows only as that block is written, so no matrix
-    of the whole table is made. A failed row's kept cells go through a
-    template of `kept` cells.
-    """
-    header, columns = _columns(columns)
-    rows = len(columns[0])
-    failed = [] if errors is None else np.flatnonzero(np.not_equal(errors, None)).tolist()
-    varying = [column for column in columns if column.strides[0]]
-    row = ["%.17g" if column.strides[0] else "%.17g" % float(column[0]) for column in columns]
-    if errors is not None:  # the error column, empty on a good row
-        header, row = [*header, "error"], [*row, ""]
-    line = ",".join(row) + "\n"
-    block = np.empty((_BLOCK_ROWS, len(varying)))
-    if path is None and sys.stdout is None:  # the process started with fd 1 closed
-        raise OSError("standard output is closed; give --out")
-    output = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
-    with output as handle:
-        handle.write(",".join(header) + "\n")
-        start = 0
-        for stop in [*failed, rows]:
-            for first in range(start, stop, _BLOCK_ROWS):
-                cells = block[:min(_BLOCK_ROWS, stop - first)]
-                for j, column in enumerate(varying):
-                    cells[:, j] = column[first:first + len(cells)]
-                handle.write(line * len(cells) % tuple(cells.ravel().tolist()))
-            if stop < rows:
-                cells = "%.17g," * kept % tuple(float(column[stop]) for column in columns[:kept])
-                # The message lands in a CSV cell; keep it comma-free.
-                handle.write(cells + "," * (len(columns) - kept) + errors.flat[stop].replace(",", ";") + "\n")
-            start = stop + 1
-        handle.flush()  # a write error on stdout surfaces here, as exit 3, not at shutdown
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="unit system, overrides the config (default natural)")
     parser = _Parser(prog="slabgreen", description="Slab Green function verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
+    for name, (func, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=func.__doc__)
     return parser
 
@@ -325,8 +268,9 @@ def main(argv=None) -> int:
         for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
             if flag is not None:
                 config[key] = flag
-        columns, errors, kept, summary, status = _COMMANDS[args.command](config, _CONSTANTS[config["units"]], args)
-        _write_csv(config["output.path"], columns, errors, kept)
+        command, kept = _COMMANDS[args.command]
+        parts = command(config, _CONSTANTS[config["units"]], args)
+        summary, status = _write_csv(config["output.path"], parts, kept)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import numpy as np
 from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .errors import ConfigError, DomainError
 
-# The most values a sweep may hold. A 300000-row coefficients run peaks at 77 MB.
+# The most values a sweep may hold. A 300000-row coefficients run peaks at 33 MB.
 _MAX_COUNT = 10**6
 
 

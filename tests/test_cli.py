@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slabgreen import cli
+from slabgreen import Drude, SlabGeometry, cli, make_context, writer
 from slabgreen.config import (
     _KEYS,
     _MAX_COUNT,
@@ -487,7 +487,7 @@ def test_installed_command_is_the_process_entry():
 
 
 def test_module_stdout_matches_out_file(tmp_path):
-    count = 2 * cli._BLOCK_ROWS + 100
+    count = 2 * writer._BLOCK_ROWS + 100
     path = write_config(tmp_path, omega={"start": 0.1, "stop": 5.0, "count": count})
     out = tmp_path / "out.csv"
     to_file = run_module("coefficients", "--config", path, "--out", str(out))
@@ -635,7 +635,7 @@ def test_row_template_matches_fmt(tmp_path):
     errors = cli.row_errors(3)  # rows 0 and 1 are good: empty error cells
     errors[2] = "row failed, for a reason"
     columns = [("a", column) for column in np.array([values, values[::-1], values]).T]
-    cli._write_csv(str(out), columns, errors, kept=5)
+    writer._write_csv(str(out), [(columns, errors)], kept=5)
     lines = out.read_text().splitlines()
     text = [format(float(v), ".17g") for v in values]
     assert lines[1] == ",".join(text) + ","
@@ -645,43 +645,122 @@ def test_row_template_matches_fmt(tmp_path):
 
 
 def test_broadcast_column_writes_like_a_copied_column(tmp_path):
-    rows = cli._BLOCK_ROWS + 3
+    rows = writer._BLOCK_ROWS + 3
     x = np.linspace(0.1, 7.0, rows)
     y = np.sin(x) / 3.0
     y[5] = math.nan
     pairs = [("x", x), ("c", np.float64(1.0) / 3.0), ("y", y), ("d", np.array([-2.5e-310]))]
-    header, columns = cli._columns(pairs)
+    header, columns = writer._columns(pairs)
     assert [column.strides[0] for column in columns] == [8, 0, 8, 0]
     errors = cli.row_errors(rows)
     # Failed rows at the first row, on a block boundary and at the last row; each keeps x and c.
-    for i in (0, cli._BLOCK_ROWS, rows - 1):
+    for i in (0, writer._BLOCK_ROWS, rows - 1):
         errors[i] = f"row {i} failed"
     out = {}
     copied = [(name, np.array(column)) for name, column in zip(header, columns)]
     for name, cols in (("broadcast", pairs), ("copied", copied)):
         out[name] = tmp_path / f"{name}.csv"
-        cli._write_csv(str(out[name]), cols, errors, kept=2)
+        writer._write_csv(str(out[name]), [(cols, errors)], kept=2)
     assert out["broadcast"].read_bytes() == out["copied"].read_bytes()
     lines = out["broadcast"].read_text().splitlines()
     assert len(lines) == rows + 1
-    text = [format(float(value), ".17g") for value in (x[1], 1.0 / 3.0, y[1], -2.5e-310, x[cli._BLOCK_ROWS])]
+    text = [format(float(value), ".17g") for value in (x[1], 1.0 / 3.0, y[1], -2.5e-310, x[writer._BLOCK_ROWS])]
     assert lines[2] == ",".join(text[:4]) + ","
-    assert lines[1 + cli._BLOCK_ROWS] == f"{text[4]},{text[1]},,,row {cli._BLOCK_ROWS} failed"
+    assert lines[1 + writer._BLOCK_ROWS] == f"{text[4]},{text[1]},,,row {writer._BLOCK_ROWS} failed"
 
 
 def test_writer_makes_no_full_table_copy(tmp_path):
-    rows = 64 * cli._BLOCK_ROWS
+    rows = 64 * writer._BLOCK_ROWS
     # 17-digit values: the longest text per number.
     arrays = list(np.random.default_rng(3).normal(size=(17, rows)))
     out = tmp_path / "out.csv"
     tracemalloc.start()
     try:
-        cli._write_csv(str(out), [(f"c{j}", array) for j, array in enumerate(arrays)])
+        writer._write_csv(str(out), [([(f"c{j}", array) for j, array in enumerate(arrays)], None)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * rows * 17 * 8
     assert out.read_text().count("\n") == rows + 1
+
+
+# 28-row sweeps whose failed rows sit on, and on both sides of, the
+# boundaries of 7-row blocks: sources at 0..7 lie inside the slab or on its
+# face (rows 0-7), half lengths 15..28 reach past the source (rows 14-27),
+# and 7, 8 and 15 are undamped resonances of the medium (rows 6, 7 and 14).
+RESONANT = {"type": "drude_lorentz", "terms": [[1.0, 0.0, 0.5], [1.0, 7.0, 0.0], [1.0, 8.0, 0.0], [1.0, 15.0, 0.0]]}
+BLOCK_SWEEPS = {
+    "position": ({"slab": {"half_length": 7.5}, "omega": 0.3, "source": {"start": 0.0, "stop": 27.0, "count": 28}},
+                 set(range(8))),
+    "thickness": ({"slab": {"half_length": {"start": 1.0, "stop": 28.0, "count": 28}}, "omega": 0.3, "source": 14.5},
+                  set(range(14, 28))),
+    "frequency": ({"dielectric": RESONANT, "omega": {"start": 1.0, "stop": 28.0, "count": 28}}, {6, 7, 14}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, failed",
+    [(["coefficients"], {"dielectric": {"type": "drude_lorentz", "terms": [[1.0, 0.0, 0.5], [1.0, 7.0, 0.1]]},
+                         "omega": {"start": 1.0, "stop": 28.0, "count": 28}}, set())]
+    + [(["decay-scan", *flags], overrides, failed)
+       for overrides, failed in BLOCK_SWEEPS.values() for flags in ([], ["--oracle"])],
+    ids=["coefficients"] + [f"{axis}{suffix}" for axis in BLOCK_SWEEPS for suffix in ("", "_oracle")],
+)
+def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, argv, overrides, failed):
+    path = write_config(tmp_path, **overrides)
+    runs = []
+    for rows in (writer._SWEEP_ROWS, 7):
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+        out = tmp_path / f"{rows}.csv"
+        code = cli.main([*argv, "--config", path, "--out", str(out)])
+        runs.append((code, out.read_bytes(), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if failed else 0)
+    lines = runs[0][1].decode().splitlines()[1:]
+    assert len(lines) == 28
+    if failed:  # a good decay-scan row ends in an empty error cell
+        assert {i for i, line in enumerate(lines) if not line.endswith(",")} == failed
+
+
+@pytest.mark.parametrize("rows", ["shipped", 7])
+def test_coefficients_checks_every_block_before_writing(tmp_path, capsys, monkeypatch, rows):
+    """The only bad row lies in the last block: the run exits 1 with its message and writes no line."""
+    if rows != "shipped":
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+    # Every frequency but the last, 2.0, lies in the table's range.
+    medium = {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.999999999, 3.0, 0.3]]}
+    path = write_config(tmp_path, dielectric=medium, omega={"start": 1.0, "stop": 2.0, "count": 2 * writer._SWEEP_ROWS + 1})
+    out = tmp_path / "out.csv"
+    err = "error: frequency 2.0 outside tabulated range [0.5, 1.999999999]; no extrapolation\n"
+    assert cli.main(["coefficients", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+    assert cli.main(["coefficients", "--config", path]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
+    """A sweep of many blocks peaks far below the size of its whole context's arrays."""
+    count = 4000
+    # Small blocks, and a small write buffer, so that the sweep's own arrays would dominate the peak.
+    monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
+    monkeypatch.setattr(writer, "_BLOCK_ROWS", 16)
+    ctx = make_context(SlabGeometry(1.0), Drude(2.0, 0.1), np.linspace(0.2, 9.0, count))
+    context_bytes = sum(field.nbytes for field in (ctx.k, ctx.n, *ctx.coefficients))
+    medium = {"type": "drude", "plasma_frequency": 2.0, "damping": 0.1}
+    path = write_config(tmp_path, dielectric=medium, omega={"start": 0.2, "stop": 9.0, "count": count})
+    # A first run in the process makes about 0.2 MB of one-time allocations; keep them out of the peak.
+    assert cli.main(["coefficients", "--config", write_config(tmp_path, "one_row.json"), "--out", str(tmp_path / "out.csv")]) == 0
+    for command in ("coefficients", "decay-scan"):
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", path, "--out", str(tmp_path / "out.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.5 * context_bytes, command
+    assert capsys.readouterr().err.count(f": {count} rows") == 2
 
 
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error
@@ -1261,6 +1340,7 @@ def test_main_fuzz_exits_cleanly(tmp_path_factory, command, oracle, config):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)  # a RuntimeWarning is an error in this suite
     assert code in (0, 1, 2, 3), err.getvalue()
+    assert code != 1 or not out.exists(), err.getvalue()  # a failed run writes no partial table
     if code in (0, 2):
         with open(out, newline="") as handle:
             header, *rows = list(csv.reader(handle))

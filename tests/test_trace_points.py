@@ -5,9 +5,12 @@ importing one of them would break tracing without failing anything else.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
-from slabgreen import cli, config, identity
+import pytest
+
+from slabgreen import cli, config, identity, writer
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -35,3 +38,27 @@ def test_main_reads_the_config_through_cli_parse_config(tmp_path, monkeypatch):
     path.write_text('{"omega": 1.0, "separations": [[1.0, 2.0, 3.0]]}')
     assert cli.main(["tensor3d", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [str(path)]
+
+
+@pytest.mark.parametrize("argv, passes", [(["coefficients"], 2), (["decay-scan"], 1), (["decay-scan", "--oracle"], 1)])
+def test_sweeps_call_the_traced_names_once_per_block(tmp_path, monkeypatch, argv, passes):
+    """tracing.py times cli.make_context and cli.decay_report; a sweep's block calls that bypass them would read 0 s.
+
+    coefficients checks every block before it writes one, so it builds each block's context twice.
+    """
+    calls = {"make_context": 0, "decay_report": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(writer, "_SWEEP_ROWS", 4)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": [3.75, 2.0]},
+        "omega": {"start": 1.0, "stop": 2.0, "count": 10}, "source": 2.0,
+    }))
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    blocks = 3  # 10 rows in blocks of 4
+    assert calls == {"make_context": passes * blocks, "decay_report": blocks if argv[0] == "decay-scan" else 0}
