@@ -121,30 +121,16 @@ def _cmd_verify_identity(config, consts, args):
     return summary, 2 if stalled or not (abs(res_corr) <= tol).all() else 0  # NaN fails too
 
 
-def _sweep_axis(config):
-    axes = {
-        "position": config["source"],
-        "thickness": config["slab.half_length"],
-        "frequency": config["omega"],
-    }
-    swept = [name for name, value in axes.items() if isinstance(value, np.ndarray)]
-    if len(swept) != 1:
-        raise ConfigError(
-            None,
-            "decay-scan needs exactly one sweep among source, slab.half_length and omega; "
-            f"found {len(swept)}",
-        )
-    return swept[0]
-
-
 def _cmd_decay_scan(config, consts, args):
     """Emission rates over a position, thickness or frequency sweep."""
-    axis = _sweep_axis(config)
+    paths = {"frequency": "omega", "thickness": "slab.half_length", "position": "source"}
+    swept = [axis for axis, path in paths.items() if isinstance(config[path], np.ndarray)]
+    if len(swept) != 1:
+        message = "decay-scan needs exactly one sweep among source, slab.half_length and omega"
+        raise ConfigError(None, f"{message}; found {len(swept)}")
+    # The other two are one-element arrays that broadcast along the sweep.
+    sweep = [_values(config, path) for path in paths.values()]
     tol = config["tolerances.quadrature"]
-
-    # _sweep_axis leaves exactly one of the three as a sweep; the other two
-    # are one-element arrays that broadcast along it.
-    sweep = [_values(config, path) for path in ("omega", "slab.half_length", "source")]
     model = _require(config, "dielectric")
     params = _emission_params(config, consts)
     total = max(map(len, sweep))
@@ -170,7 +156,7 @@ def _cmd_decay_scan(config, consts, args):
         if args.oracle:
             # A quadrature within tol moves the scaled column by at most 2k tol; NaN fails too.
             over += np.count_nonzero(good & ~(scaled <= 2.0 * ctx.k * tol))
-    summary = [f"decay-scan ({axis}): {total} rows, {failed} failed"]
+    summary = [f"decay-scan ({swept[0]}): {total} rows, {failed} failed"]
     if over:
         summary.append(f"decay-scan: {over} rows with quadrature_error_scaled > 2 k tol (tol {tol:.1e})")
     return summary, 2 if failed or over else 0
@@ -207,9 +193,9 @@ def _cmd_tensor3d(config, consts, args):
     omega = _scalar(config, "omega")
     k = omega / consts["c"]
     separations = _require(config, "separations")
+    tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
-    tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
     components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
     yield [
         *zip(("r_x", "r_y", "r_z"), np.transpose(separations)),
@@ -237,6 +223,13 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, like configuration errors, instead of argparse's 2."""
 
+    def print_help(self, file=None):
+        if file is not None or sys.stdout is None:
+            return super().print_help(file)
+        # argparse's own print drops an unbuffered write's OSError; main() reports it as exit 3.
+        sys.stdout.write(self.format_help())
+        sys.stdout.flush()
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -260,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = parse_config(args.config)
         if args.tol is not None:
             _positive(args.tol, "--tol")
@@ -299,10 +292,7 @@ def run():
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
-    except OSError as exc:
-        if status == 0:  # --help's text; main() reports a failed CSV write itself (exit 3)
-            print(f"error: {exc}", file=sys.stderr)
-            status = 3
+    except OSError:  # main() has reported the failed write (exit 3)
         # Point fd 1 at devnull, so that shutdown's flush of the unwritten
         # text cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -84,10 +84,9 @@ def vacuum_decay_3d(params, k: float) -> float:
         k3, d2, den = k**3, d * d, 3.0 * math.pi * params.hbar * params.epsilon0
         closed = k3 * d2 / den
     check(np.isfinite(closed), "vacuum decay rate is not finite: its prefactor overflows")
+    normal = min(k3, d2, den, closed) >= np.finfo(float).tiny  # else the routes lose digits, or reach 0
+    check(normal, "vacuum decay rate underflows: a factor is below the normal float range")
     contracted = 2.0 * (k * k) / (params.hbar * params.epsilon0) * contraction
     if abs(contracted - closed) > 1e-12 * closed:
-        # Below the normal float range the two routes round away different digits.
-        normal = min(k3, d2, den, closed) >= np.finfo(float).tiny
-        check(normal, "vacuum decay rate underflows: a factor is below the normal float range")
         raise RuntimeError("vacuum rate routes disagree beyond rounding; internal bug")
     return float(closed)

@@ -29,15 +29,14 @@ def _blocks(rows):
 
 
 def _columns(columns):
-    """The header and the 1-d columns of a subcommand's (name, values) pairs.
+    """The 1-d columns of a subcommand's (name, values) pairs.
 
     The values broadcast against each other; the rows run over the broadcast
     shape in C order. A column is a view where reshaping allows, so a value
     broadcast along a 1-d sweep stays one value with stride 0. The writer
     adds the `error` column when it is given an error record.
     """
-    header, arrays = zip(*columns)
-    return header, [array.reshape(-1) for array in np.broadcast_arrays(*arrays)]
+    return [array.reshape(-1) for array in np.broadcast_arrays(*(values for _, values in columns))]
 
 
 def _write_csv(path, parts, kept=0):
@@ -80,7 +79,7 @@ def _write_csv(path, parts, kept=0):
 
 def _write_part(handle, columns, errors, kept):
     """Write the lines of one part (see _write_csv)."""
-    columns = _columns(columns)[1]
+    columns = _columns(columns)
     rows = len(columns[0])
     failed = [] if errors is None else np.flatnonzero(np.not_equal(errors, None)).tolist()
     varying = [column for column in columns if column.strides[0]]

@@ -609,9 +609,14 @@ SOURCES = {"start": 1.5, "stop": 2.0, "count": 2}
          "emission rate is not finite: its prefactor overflows"),
         ("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150}, "separations": [[1.0, 0.0, 0.0]]},
          [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
+        # The rate's two routes both reach exactly 0.
+        ("tensor3d", {"emission": {"dipole_moment": 1e-200}, "separations": [[1.0, 0.0, 0.0]]},
+         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
+        ("tensor3d", {"omega": 1e-120, "separations": [[1.0, 0.0, 0.0]]},
+         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
     ],
     ids=["verify_k", "limit_k", "decay_k", "decay_dipole_oracle", "decay_subnormal_reference",
-         "limit_dipole", "limit_surface_si", "tensor3d_underflow"],
+         "limit_dipole", "limit_surface_si", "tensor3d_underflow", "tensor3d_dipole_zero_rate", "tensor3d_k_zero_rate"],
 )
 def test_out_of_range_scales_fail_without_nan(tmp_path, capsys, command, overrides, flags, code, message):
     # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
@@ -621,6 +626,7 @@ def test_out_of_range_scales_fail_without_nan(tmp_path, capsys, command, overrid
     assert "nan" not in err
     if code == 1:
         assert err == f"error: {message}\n"
+        assert not out.exists()
         return
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -650,7 +656,7 @@ def test_broadcast_column_writes_like_a_copied_column(tmp_path):
     y = np.sin(x) / 3.0
     y[5] = math.nan
     pairs = [("x", x), ("c", np.float64(1.0) / 3.0), ("y", y), ("d", np.array([-2.5e-310]))]
-    header, columns = writer._columns(pairs)
+    header, columns = [name for name, _ in pairs], writer._columns(pairs)
     assert [column.strides[0] for column in columns] == [8, 0, 8, 0]
     errors = cli.row_errors(rows)
     # Failed rows at the first row, on a block boundary and at the last row; each keeps x and c.
@@ -669,7 +675,9 @@ def test_broadcast_column_writes_like_a_copied_column(tmp_path):
     assert lines[1 + writer._BLOCK_ROWS] == f"{text[4]},{text[1]},,,row {writer._BLOCK_ROWS} failed"
 
 
-def test_writer_makes_no_full_table_copy(tmp_path):
+def test_writer_makes_no_full_table_copy(tmp_path, monkeypatch):
+    # Small blocks keep the test fast; at 16 rows the writer's fixed ~50 kB would exceed the bound.
+    monkeypatch.setattr(writer, "_BLOCK_ROWS", 64)
     rows = 64 * writer._BLOCK_ROWS
     # 17-digit values: the longest text per number.
     arrays = list(np.random.default_rng(3).normal(size=(17, rows)))
@@ -782,10 +790,19 @@ ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > 
         # Both samples are finite, but the slope between them is 1e312.
         ("coefficients", {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}},
          1, "error: dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows\n"),
+        ("coefficients", {"omega": {"start": 1, "stop": 2, "count": 0}}, 1, "error: omega.count: expected an integer >= 1\n"),
+        ("coefficients", {"omega": {"start": 0, "stop": 2, "count": 2, "spacing": "log"}}, 1,
+         "error: omega.spacing: log spacing needs positive endpoints\n"),
+        # decay-scan needs exactly one sweep; the base config has none.
+        ("decay-scan", {}, 1,
+         "error: decay-scan needs exactly one sweep among source, slab.half_length and omega; found 0\n"),
+        ("decay-scan", {"omega": {"start": 1, "stop": 2, "count": 2}, "source": {"start": 1.5, "stop": 2, "count": 2}}, 1,
+         "error: decay-scan needs exactly one sweep among source, slab.half_length and omega; found 2\n"),
     ],
     ids=["top_level_array", "slab_not_object", "unknown_spacing", "one_value_sweep_coefficients",
          "one_value_sweep_decay_scan", "one_value_sweep_limit_study", "zero_tolerance", "missing_file",
-         "tabulated_slope_overflow"],
+         "tabulated_slope_overflow", "zero_count", "log_spacing_non_positive", "decay_scan_no_sweep",
+         "decay_scan_two_sweeps"],
 )
 def test_config_branches(tmp_path, capsys, command, config, code, err):
     # A config of None names a file that does not exist.
@@ -1147,17 +1164,27 @@ def test_decay_scan_oracle_gate(tmp_path, capsys, flags, over):
     assert capsys.readouterr().err == "decay-scan (frequency): 5 rows, 0 failed\n" + (gate if over else "")
 
 
+FULL = b"error: [Errno 28] No space left on device\n"
+
+
+# "-u" gives the child unbuffered stdout, as PYTHONUNBUFFERED=1 does: the
+# help text's write then fails at once instead of at the closing flush.
 @pytest.mark.parametrize(
-    "stdout, code, stderr",
-    [("pipe", 0, b""), pytest.param("full", 3, b"error: [Errno 28] No space left on device\n", marks=DEV_FULL)],
-    ids=["pipe", "stdout_full"],
+    "flags, argv, stdout, code, stderr",
+    [
+        pytest.param([], ["--help"], "pipe", 0, b"", id="pipe"),
+        pytest.param([], ["--help"], "full", 3, FULL, id="stdout_full", marks=DEV_FULL),
+        pytest.param(["-u"], ["--help"], "full", 3, FULL, id="stdout_full_unbuffered", marks=DEV_FULL),
+        pytest.param(["-u"], ["coefficients", "--help"], "full", 3, FULL, id="subcommand_stdout_full_unbuffered",
+                     marks=DEV_FULL),
+    ],
 )
-def test_module_help_exit_codes(stdout, code, stderr):
+def test_module_help_exit_codes(flags, argv, stdout, code, stderr):
     if stdout == "full":
         with open("/dev/full", "wb") as full:
-            result = run_module("--help", stdout=full)
+            result = run_python(*flags, "-m", "slabgreen.cli", *argv, stdout=full)
     else:
-        result = run_module("--help")
+        result = run_python(*flags, "-m", "slabgreen.cli", *argv)
         assert result.stdout.startswith(b"usage: slabgreen ")
     assert result.returncode == code
     assert result.stderr == stderr

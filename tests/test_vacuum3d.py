@@ -192,3 +192,8 @@ def test_vacuum_decay_underflow_is_a_domain_error():
     # k^3 underflows to 0 while the contraction route keeps about 1.06e-151.
     with pytest.raises(DomainError, match="vacuum decay rate underflows"):
         vacuum_decay_3d(EmissionParams(dipole_moment=1e150), 1e-150)
+    # Here both routes reach exactly 0, so they agree; the rate must still fail, not read 0.
+    with pytest.raises(DomainError, match="vacuum decay rate underflows"):
+        vacuum_decay_3d(EmissionParams(dipole_moment=1e-200), 1.0)
+    with pytest.raises(DomainError, match="vacuum decay rate underflows"):
+        vacuum_decay_3d(EmissionParams(), 1e-120)
