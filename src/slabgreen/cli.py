@@ -22,18 +22,13 @@ import sys
 
 import numpy as np
 
-from .config import _MAX_COUNT, _positive, parse_config
+from .config import _CONSTANTS, _MAX_COUNT, _positive, parse_config
 from .emission import EmissionParams, decay_report, limit_study
 from .errors import ConfigError, DomainError, raise_first, row_errors
 from .identity import identity_report
 from .slab_green import SlabGeometry, make_context
 from .vacuum3d import green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
-from .writer import _blocks, _write_csv
-
-_CONSTANTS = {
-    "natural": {"hbar": 1.0, "epsilon0": 1.0, "c": 1.0},
-    "si": {"hbar": 1.054571817e-34, "epsilon0": 8.8541878128e-12, "c": 299792458.0},
-}
+from .writer import _blocks, _checked_blocks, _complex, _write_csv
 
 
 def _require(config, path):
@@ -62,23 +57,19 @@ def _emission_params(config, consts):
     )
 
 
-def _complex(name, z):
-    """The real and imaginary parts of z as the columns name_re and name_im."""
-    return [(f"{name}_re", np.real(z)), (f"{name}_im", np.imag(z))]
-
-
 def _cmd_coefficients(config, consts, args):
     """Slab amplitudes A, B, C, D, Y per frequency."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
     omega = _values(config, "omega")
-    # Any bad row fails the run, so every block is checked before a line is written.
-    for rows in _blocks(len(omega)):
+
+    def check(rows):
         errors = row_errors(omega[rows].shape)
         make_context(geometry, model, omega[rows], c=consts["c"], errors=errors)
         raise_first(errors)
+
     worst = 0.0
-    for rows in _blocks(len(omega)):
+    for rows in _checked_blocks(len(omega), check):
         ctx = make_context(geometry, model, omega[rows], c=consts["c"])
         co = ctx.coefficients
         abs_a_sq = abs(co.A) ** 2
@@ -169,21 +160,23 @@ def _cmd_limit_study(config, consts, args):
     params = _emission_params(config, consts)
     x_source = None if config["source"] is None else _scalar(config, "source")
     path = config["limit_path"]
-    errors = row_errors(len(path))
-    study = limit_study(params, geometry, path, k, x_source=x_source, errors=errors)
-    eps = study.epsilon
-    yield [
-        *_complex("eps", eps), ("gamma", study.gamma), ("gamma_uncorrected", study.gamma_uncorrected),
-        ("f_plus_im_g0", study.f_plus_im_g0), ("abs_a_sq", study.abs_a_sq), ("abs_d_sq", study.abs_d_sq),
-    ], errors
-    good = np.flatnonzero(np.equal(errors, None))
-    failed = len(path) - good.size
+    failed = last = 0
+    for rows in _blocks(len(path)):
+        errors = row_errors(len(path[rows]))
+        study = limit_study(params, geometry, path[rows], k, x_source=x_source, errors=errors)
+        yield [
+            *_complex("eps", study.epsilon), ("gamma", study.gamma), ("gamma_uncorrected", study.gamma_uncorrected),
+            ("f_plus_im_g0", study.f_plus_im_g0), ("abs_a_sq", study.abs_a_sq), ("abs_d_sq", study.abs_d_sq),
+        ], errors
+        good = np.flatnonzero(np.equal(errors, None))
+        failed += len(errors) - good.size
+        if good.size:  # the last good row so far
+            last = study._make(values[good[-1]] for values in study)
     summary = [f"limit-study: {len(path)} rows, {failed} failed"]
-    if good.size:
-        last = good[-1]
+    if last:
         summary.append(
-            f"limit-study: at eps = {complex(eps[last])}, gamma/gamma_vac = "
-            f"{study.gamma[last] / params.gamma_vacuum_1d(k):.3e}, F + Im G0 = {study.f_plus_im_g0[last]:.3e}"
+            f"limit-study: at eps = {complex(last.epsilon)}, gamma/gamma_vac = "
+            f"{last.gamma / params.gamma_vacuum_1d(k):.3e}, F + Im G0 = {last.f_plus_im_g0:.3e}"
         )
     return summary, 2 if failed else 0
 
@@ -193,15 +186,26 @@ def _cmd_tensor3d(config, consts, args):
     omega = _scalar(config, "omega")
     k = omega / consts["c"]
     separations = _require(config, "separations")
-    tensors = green_tensor_vacuum(k, separations, (0.0, 0.0, 0.0))
+    origin = (0.0, 0.0, 0.0)
+
+    def check(rows):
+        try:
+            green_tensor_vacuum(k, separations[rows], origin)
+        except DomainError:
+            green_tensor_vacuum(k, separations, origin)  # raises what one call over every row raises
+            raise
+
+    blocks = _checked_blocks(len(separations), check)  # a failing tensor is reported before the rate
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
-    components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
-    yield [
-        *zip(("r_x", "r_y", "r_z"), np.transpose(separations)),
-        *(column for name, z in components for column in _complex(name, z)),
-        ("im_g0_coincident_diag", im_diag), ("gamma0", gamma0),
-    ], None
+    for rows in blocks:
+        tensors = green_tensor_vacuum(k, separations[rows], origin)
+        components = zip((f"g_{i}{j}" for i in "xyz" for j in "xyz"), tensors.reshape(-1, 9).T)
+        yield [
+            *zip(("r_x", "r_y", "r_z"), np.transpose(separations[rows])),
+            *(column for name, z in components for column in _complex(name, z)),
+            ("im_g0_coincident_diag", im_diag), ("gamma0", gamma0),
+        ], None
     return [
         f"tensor3d: {len(separations)} rows at omega = {omega}",
         f"tensor3d: gamma0 = {gamma0:.12e}, Im G0 coincident diagonal = {im_diag:.12e}",

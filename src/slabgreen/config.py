@@ -13,7 +13,7 @@ import numpy as np
 from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .errors import ConfigError, DomainError
 
-# The most values a sweep may hold. A 300000-row coefficients run peaks at 33 MB.
+# The most values a sweep may hold. A 300000-row coefficients run peaks at 33.5 MB.
 _MAX_COUNT = 10**6
 
 
@@ -184,6 +184,13 @@ def _string(node, path):
     if not isinstance(node, str):
         raise ConfigError(path, "expected a string")
     return node
+
+
+# The physical constants of each unit system the `units` key names.
+_CONSTANTS = {
+    "natural": {"hbar": 1.0, "epsilon0": 1.0, "c": 1.0},
+    "si": {"hbar": 1.054571817e-34, "epsilon0": 8.8541878128e-12, "c": 299792458.0},
+}
 
 
 _REQUIRED = object()

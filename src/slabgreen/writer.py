@@ -11,11 +11,15 @@ import sys
 
 import numpy as np
 
-# Rows of a sweep computed at a time; the output does not depend on it. On
-# the bench's 30000-row sweeps (2 vCPUs, numpy 2.4.6) blocks of 4096 compute
-# the tabulated decay-scan in 15.6 ms and coefficients, both passes, in
-# 21.6 ms, against 17.3 and 29.0 ms in one block and 59 ms in blocks of 256.
-_SWEEP_ROWS = 4096
+# Rows of a sweep computed at a time; the output does not depend on it.
+# Blocks of 1024 keep a closed-form run near the floor set by start-up and
+# the config (2 vCPUs, numpy 2.4.6, fresh processes): the bench's 30000-row
+# sweeps peak at 30.0 MB and its 6000-entry limit-study at 30.4 MB, against
+# 30.6-31.0 and 31.3 MB at 4096 rows. They compute the tabulated decay-scan
+# in 22 ms and coefficients, both passes, in 29 ms, against 15 and 20 ms at
+# 4096 rows and 57 and 59 ms at 256. At 1000 rows or more, decay-scan
+# --oracle's 1000-row sweep stays one batched quadrature.
+_SWEEP_ROWS = 1024
 
 # CSV rows formatted and written at a time. At 256 the writer's floats and
 # text for a 17-column table stay near 0.3 MB, and the write is no slower
@@ -26,6 +30,23 @@ _BLOCK_ROWS = 256
 def _blocks(rows):
     """The slices that cut a sweep of `rows` rows into blocks of _SWEEP_ROWS rows."""
     return (slice(start, start + _SWEEP_ROWS) for start in range(0, rows, _SWEEP_ROWS))
+
+
+def _checked_blocks(rows, check):
+    """The blocks of _blocks(rows), once `check(block)` has returned on every one.
+
+    For a subcommand that any bad row fails: `check` raises that row's error,
+    so a bad row in the last block still fails the run before a line is
+    written.
+    """
+    for block in _blocks(rows):
+        check(block)
+    return _blocks(rows)
+
+
+def _complex(name, z):
+    """The real and imaginary parts of z as the columns name_re and name_im."""
+    return [(f"{name}_re", np.real(z)), (f"{name}_im", np.imag(z))]
 
 
 def _columns(columns):

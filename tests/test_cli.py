@@ -27,6 +27,7 @@ from slabgreen.config import (
     _scalar_or_sweep,
     _separations,
     _string,
+    parse_config,
 )
 
 LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
@@ -539,16 +540,15 @@ def test_bad_emission_parameters_fail_the_run(tmp_path, capsys, field, value, ar
         ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1),
     ],
 )
-def test_dipole_overflow_is_not_a_traceback(tmp_path, command, overrides, code):
+def test_dipole_overflow_is_not_a_traceback(tmp_path, capsys, command, overrides, code):
+    # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
     path = write_config(tmp_path, emission={"dipole_moment": 1e200}, **overrides)
-    result = run_module(command, "--config", path)
-    assert result.returncode == code
-    assert b"Traceback" not in result.stderr
-    assert b"RuntimeWarning" not in result.stderr
+    assert cli.main([command, "--config", path]) == code
+    out, err = capsys.readouterr()
     if code == 2:
-        assert b"emission rate is not finite" in result.stdout
+        assert "emission rate is not finite" in out
     else:
-        assert result.stderr == b"error: vacuum decay rate is not finite: its prefactor overflows\n"
+        assert err == "error: vacuum decay rate is not finite: its prefactor overflows\n"
 
 
 @pytest.mark.parametrize(
@@ -559,13 +559,11 @@ def test_dipole_overflow_is_not_a_traceback(tmp_path, command, overrides, code):
     ],
     ids=["kr_underflow", "distance_overflow"],
 )
-def test_tensor3d_non_finite_tensor_exits_1(tmp_path, config):
+def test_tensor3d_non_finite_tensor_exits_1(tmp_path, capsys, config):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(config))
-    result = run_module("tensor3d", "--config", str(path))
-    assert result.returncode == 1
-    assert result.stdout == b""
-    assert result.stderr == b"error: Green tensor is not finite: k times the separation overflows or underflows\n"
+    assert cli.main(["tensor3d", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: Green tensor is not finite: k times the separation overflows or underflows\n")
 
 
 @pytest.mark.parametrize(
@@ -697,6 +695,10 @@ def test_writer_makes_no_full_table_copy(tmp_path, monkeypatch):
 # face (rows 0-7), half lengths 15..28 reach past the source (rows 14-27),
 # and 7, 8 and 15 are undamped resonances of the medium (rows 6, 7 and 14).
 RESONANT = {"type": "drude_lorentz", "terms": [[1.0, 0.0, 0.5], [1.0, 7.0, 0.0], [1.0, 8.0, 0.0], [1.0, 15.0, 0.0]]}
+# eps = 0 has no refractive index (rows 6, 7 and 21-27), so the last good row,
+# 20, lies in an earlier block than the last row.
+LIMIT_FAILED = {6, 7, *range(21, 28)}
+LIMIT_PATH = [[0.0, 0.0] if i in LIMIT_FAILED else [1.0, 10.0 ** (-1 - 0.25 * i)] for i in range(28)]
 BLOCK_SWEEPS = {
     "position": ({"slab": {"half_length": 7.5}, "omega": 0.3, "source": {"start": 0.0, "stop": 27.0, "count": 28}},
                  set(range(8))),
@@ -711,8 +713,11 @@ BLOCK_SWEEPS = {
     [(["coefficients"], {"dielectric": {"type": "drude_lorentz", "terms": [[1.0, 0.0, 0.5], [1.0, 7.0, 0.1]]},
                          "omega": {"start": 1.0, "stop": 28.0, "count": 28}}, set())]
     + [(["decay-scan", *flags], overrides, failed)
-       for overrides, failed in BLOCK_SWEEPS.values() for flags in ([], ["--oracle"])],
-    ids=["coefficients"] + [f"{axis}{suffix}" for axis in BLOCK_SWEEPS for suffix in ("", "_oracle")],
+       for overrides, failed in BLOCK_SWEEPS.values() for flags in ([], ["--oracle"])]
+    + [(["limit-study"], {"limit_path": LIMIT_PATH}, LIMIT_FAILED),
+       (["tensor3d"], {"separations": [[0.5 * i - 7.0, 0.25, 1.0 - 0.125 * i] for i in range(28)]}, set())],
+    ids=["coefficients"] + [f"{axis}{suffix}" for axis in BLOCK_SWEEPS for suffix in ("", "_oracle")]
+    + ["limit_study", "tensor3d"],
 )
 def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, argv, overrides, failed):
     path = write_config(tmp_path, **overrides)
@@ -726,8 +731,10 @@ def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
     assert runs[0][0] == (2 if failed else 0)
     lines = runs[0][1].decode().splitlines()[1:]
     assert len(lines) == 28
-    if failed:  # a good decay-scan row ends in an empty error cell
+    if failed:  # a good row ends in an empty error cell
         assert {i for i, line in enumerate(lines) if not line.endswith(",")} == failed
+    if argv[0] == "limit-study":  # the summary names the last good row
+        assert f"at eps = {complex(*LIMIT_PATH[20])}," in runs[0][3]
 
 
 @pytest.mark.parametrize("rows", ["shipped", 7])
@@ -747,8 +754,51 @@ def test_coefficients_checks_every_block_before_writing(tmp_path, capsys, monkey
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("rows", ["shipped", 7])
+def test_tensor3d_checks_every_block_before_writing(tmp_path, capsys, monkeypatch, rows):
+    """The only bad separation lies in the last block: the run exits 1 with its message and writes no line.
+
+    The dipole makes the vacuum rate underflow too, and the tensor's error comes first.
+    """
+    if rows != "shipped":
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+    # k R = 1e-155 is positive, but 1 / (k R)^2 overflows.
+    separations = [[1.0, 0.5, -0.25]] * (2 * writer._SWEEP_ROWS) + [[1e-155, 0.0, 0.0]]
+    path = write_config(tmp_path, separations=separations, emission={"dipole_moment": 1e-200})
+    out = tmp_path / "out.csv"
+    err = "error: Green tensor is not finite: k times the separation overflows or underflows\n"
+    assert cli.main(["tensor3d", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+    assert cli.main(["tensor3d", "--config", path]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_tensor3d_error_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    """The first tensor is not finite and the last separation's norm underflows to 0.
+
+    One pass over every separation checks coincidence first, so every block size reports the last one.
+    """
+    separations = [[1e-155, 0.0, 0.0]] + [[1.0, 0.5, -0.25]] * 10 + [[1e-200, 1e-200, 0.0]]
+    path = write_config(tmp_path, separations=separations)
+    for rows in (writer._SWEEP_ROWS, 7):
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+        assert cli.main(["tensor3d", "--config", path]) == 1
+        assert capsys.readouterr() == ("", "error: tensor real part is singular at coincident points\n")
+
+
+def traced_peak(run):
+    """The peak bytes that tracemalloc sees while run() runs, and what run() returns."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
-    """A sweep of many blocks peaks far below the size of its whole context's arrays."""
+    """A sweep of many blocks peaks far below the size of its whole table's arrays."""
     count = 4000
     # Small blocks, and a small write buffer, so that the sweep's own arrays would dominate the peak.
     monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
@@ -757,18 +807,26 @@ def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
     context_bytes = sum(field.nbytes for field in (ctx.k, ctx.n, *ctx.coefficients))
     medium = {"type": "drude", "plasma_frequency": 2.0, "damping": 0.1}
     path = write_config(tmp_path, dielectric=medium, omega={"start": 0.2, "stop": 9.0, "count": count})
+    runs = [("coefficients", path, 0.5 * context_bytes), ("decay-scan", path, 0.5 * context_bytes)]
+    # limit-study and tensor3d read their rows as JSON lists, whose parse peaks
+    # above a block's arrays: bound what a run adds to that peak by half its
+    # whole table, 1000 x (16 + 5 x 8) bytes of report or 1000 x 9 x 16 of tensors.
+    lists = {
+        "limit-study": ({"limit_path": [[1.0, 10.0 ** (-1 - 0.007 * i)] for i in range(1000)]}, 56),
+        "tensor3d": ({"separations": [[0.5 + 0.004 * i, 0.25, -0.125] for i in range(1000)]}, 144),
+    }
     # A first run in the process makes about 0.2 MB of one-time allocations; keep them out of the peak.
     assert cli.main(["coefficients", "--config", write_config(tmp_path, "one_row.json"), "--out", str(tmp_path / "out.csv")]) == 0
-    for command in ("coefficients", "decay-scan"):
-        tracemalloc.start()
-        try:
-            code = cli.main([command, "--config", path, "--out", str(tmp_path / "out.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    for command, (overrides, row_bytes) in lists.items():
+        rows = write_config(tmp_path, f"{command}.json", **overrides)
+        runs.append((command, rows, traced_peak(lambda: parse_config(rows))[0] + 0.5 * 1000 * row_bytes))
+    for command, config, bound in runs:
+        peak, code = traced_peak(lambda: cli.main([command, "--config", config, "--out", str(tmp_path / "out.csv")]))
         assert code == 0
-        assert peak < 0.5 * context_bytes, command
-    assert capsys.readouterr().err.count(f": {count} rows") == 2
+        assert peak < bound, command
+    err = capsys.readouterr().err
+    assert err.count(f": {count} rows") == 2
+    assert err.count(": 1000 rows") == 2
 
 
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error

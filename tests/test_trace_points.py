@@ -40,13 +40,17 @@ def test_main_reads_the_config_through_cli_parse_config(tmp_path, monkeypatch):
     assert calls == [str(path)]
 
 
-@pytest.mark.parametrize("argv, passes", [(["coefficients"], 2), (["decay-scan"], 1), (["decay-scan", "--oracle"], 1)])
+@pytest.mark.parametrize(
+    "argv, passes",
+    [(["coefficients"], 2), (["decay-scan"], 1), (["decay-scan", "--oracle"], 1), (["limit-study"], 1), (["tensor3d"], 2)],
+)
 def test_sweeps_call_the_traced_names_once_per_block(tmp_path, monkeypatch, argv, passes):
-    """tracing.py times cli.make_context and cli.decay_report; a sweep's block calls that bypass them would read 0 s.
+    """tracing.py times these cli names per call; a sweep's block calls that bypass them would read 0 s.
 
-    coefficients checks every block before it writes one, so it builds each block's context twice.
+    coefficients and tensor3d check every block before they write one, so they
+    make each block's call twice.
     """
-    calls = {"make_context": 0, "decay_report": 0}
+    calls = {"make_context": 0, "decay_report": 0, "limit_study": 0, "green_tensor_vacuum": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
             calls[_name] += 1
@@ -57,8 +61,15 @@ def test_sweeps_call_the_traced_names_once_per_block(tmp_path, monkeypatch, argv
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": [3.75, 2.0]},
-        "omega": {"start": 1.0, "stop": 2.0, "count": 10}, "source": 2.0,
+        "omega": 1.0 if argv[0] in ("limit-study", "tensor3d") else {"start": 1.0, "stop": 2.0, "count": 10},
+        "source": 2.0, "limit_path": [[1.0, 0.5 ** i] for i in range(10)], "separations": [[1.0, i, 0.0] for i in range(10)],
     }))
     assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     blocks = 3  # 10 rows in blocks of 4
-    assert calls == {"make_context": passes * blocks, "decay_report": blocks if argv[0] == "decay-scan" else 0}
+    expected = {
+        "coefficients": {"make_context": passes * blocks},
+        "decay-scan": {"make_context": blocks, "decay_report": blocks},
+        "limit-study": {"limit_study": blocks},
+        "tensor3d": {"green_tensor_vacuum": passes * blocks},
+    }[argv[0]]
+    assert calls == {name: expected.get(name, 0) for name in calls}
