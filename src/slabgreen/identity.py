@@ -58,7 +58,10 @@ def _panels(f, lo, hi, rows):
     sums = np.empty((len(lo), 2), complex)
     for start in range(0, len(lo), _BLOCK):
         block = slice(start, start + _BLOCK)
-        sums[block] = f(mid[block, None] + half[block, None] * _NODES, rows[block]) @ _WEIGHTS
+        values = f(mid[block, None] + half[block, None] * _NODES, rows[block])
+        # Summed elementwise, not by `@`: a matrix product would call BLAS, whose
+        # library pages would then add to every quadrature process's peak RSS.
+        sums[block] = (values[..., None] * _WEIGHTS).sum(axis=1)
     fine, coarse = half * sums.T
     # The two rules can agree to the last bit; a panel's estimate never drops below its rounding.
     return fine, np.maximum(np.abs(fine - coarse), np.finfo(float).eps * np.abs(fine))
@@ -167,25 +170,14 @@ def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
 
 
 @np.errstate(all="ignore")  # a non-finite integrand gives a non-finite estimate, which fails its row
-def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
-    """Adaptive quadrature of k^2 Im(eps) G(x, x_a) G*(x, x_b) over the slab, for arrays of rows too.
+def interior_integral(rows: WaveContext, tol, errors=None):
+    """Adaptive quadrature of (Im eps / 4) |v|^2 over the slab for each row of a 1-d context.
 
-    For x_s > l the interior waves are e^{ik(x_s - l)} v(x), with v those of
-    a source on the face, so the integrand is e^{ik(x_a - x_b)} (Im eps/4)
-    |v|^2: one batched integral per row of the context serves every source
-    pair, with the same error estimate since the phase has modulus one. v
-    varies like exp(i k n x), so each row starts at one panel per interior
-    wavelength 2 pi / (k |n|), at most half the budget.
-    Returns (value, error_estimate). With an error record (see errors.check)
-    failing rows are marked and rows it fails are skipped; else they raise.
+    v are the interior waves of a source on the slab's right face (see
+    lhs_quadrature). Each row starts at one panel per interior wavelength
+    2 pi / (k |n|), at most half the budget. Returns (value,
+    error_estimate) per row; stalled rows fail as in integrate_adaptive.
     """
-    _require_right_sources(ctx.geometry.half_length, x_a, x_b, errors=errors)
-    phase = _wave_factor(ctx.k * (x_a - x_b), errors)
-    shape = ctx.shape
-    record = row_errors(np.broadcast_shapes(shape, np.shape(phase))) if errors is None else errors
-    owner = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), record.shape)
-    index = np.flatnonzero(np.bincount(owner[np.equal(record, None)], minlength=math.prod(shape)))
-    rows = ctx.take(index)
     half = rows.geometry.half_length
 
     def integrand(x, owners):
@@ -197,10 +189,35 @@ def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None):
     # depth 1 / (k Im n), and K15 and G7 would both miss the skin layer at a panel's end
     # and agree. Half the budget at most, so one round can still split every seed panel.
     seeds = np.ceil(np.minimum(half * rows.k * abs(rows.n) / math.pi, _MAX_PANELS // 2))
-    stalls = None if errors is None else row_errors(index.shape)
-    value, estimate, failed = np.full(shape, math.nan, complex), np.full(shape, math.nan), row_errors(shape)
-    value.flat[index], estimate.flat[index] = integrate_adaptive(integrand, -half, half, tol, seeds, stalls)
-    failed.flat[index] = stalls
+    return integrate_adaptive(integrand, -half, half, tol, seeds, errors)
+
+
+@np.errstate(all="ignore")  # a phase that overflows fails its row
+def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None, interior=None):
+    """Adaptive quadrature of k^2 Im(eps) G(x, x_a) G*(x, x_b) over the slab, for arrays of rows too.
+
+    For x_s > l the interior waves are e^{ik(x_s - l)} v(x), with v those of
+    a source on the face, so the integrand is e^{ik(x_a - x_b)} (Im eps/4)
+    |v|^2: one batched integral per row of the context (interior_integral)
+    serves every source pair, with the same error estimate since the phase
+    has modulus one. `interior`, the (value, error_estimate, error record)
+    of that integral for each row of the context, skips the quadrature.
+    Returns (value, error_estimate). With an error record (see errors.check)
+    failing rows are marked and rows it fails are skipped; else they raise.
+    """
+    _require_right_sources(ctx.geometry.half_length, x_a, x_b, errors=errors)
+    phase = _wave_factor(ctx.k * (x_a - x_b), errors)
+    shape = ctx.shape
+    record = row_errors(np.broadcast_shapes(shape, np.shape(phase))) if errors is None else errors
+    if interior is None:
+        owner = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), record.shape)
+        index = np.flatnonzero(np.bincount(owner[np.equal(record, None)], minlength=math.prod(shape)))
+        stalls = None if errors is None else row_errors(index.shape)
+        value, estimate, failed = np.full(shape, math.nan, complex), np.full(shape, math.nan), row_errors(shape)
+        value.flat[index], estimate.flat[index] = interior_integral(ctx.take(index), tol, stalls)
+        failed.flat[index] = stalls
+    else:
+        value, estimate, failed = interior
     failed, estimate = (np.broadcast_to(v, record.shape) for v in (failed, estimate))
     check(np.equal(failed, None), lambda new: failed[new], errors)
     return plain(phase * value), plain(estimate)
@@ -224,16 +241,17 @@ class IdentityReport(namedtuple("IdentityReport", "lhs im_g f quadrature_estimat
         return self.lhs - self.im_g
 
 
-def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8) -> IdentityReport:
+def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, interior=None) -> IdentityReport:
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
     For arrays of rows (a grid of source pairs per context row, say) every
     field is an array, `error` one message or None per row. F comes first:
     its DomainError for a phase k*(...) that overflows also guards the
     quadrature and G. The first failing row raises its DomainError.
+    `interior` is passed on to lhs_quadrature.
     """
     errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
     f = boundary_term_f(x_a, x_b, ctx, errors)
     raise_first(errors)
-    lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors)
+    lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors, interior)
     return IdentityReport(lhs, plain(np.imag(green(x_a, x_b, ctx))), f, quad_err, plain(errors))

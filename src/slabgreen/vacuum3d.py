@@ -80,7 +80,8 @@ def vacuum_decay_3d(params, k: float) -> float:
     k, d = np.float64(k), params.dipole_moment
     dipole = np.array([0.0, 0.0, d])
     with np.errstate(all="ignore"):  # numpy powers round like Python's but overflow to inf
-        contraction = dipole @ im_green_coincident(k) @ dipole  # raises unless 0 < k < inf
+        # Elementwise, not by `@`, which would page in BLAS; raises unless 0 < k < inf.
+        contraction = (dipole[:, None] * im_green_coincident(k) * dipole).sum()
         k3, d2, den = k**3, d * d, 3.0 * math.pi * params.hbar * params.epsilon0
         closed = k3 * d2 / den
     check(np.isfinite(closed), "vacuum decay rate is not finite: its prefactor overflows")

@@ -11,6 +11,9 @@ import sys
 
 import numpy as np
 
+from .errors import raise_first, row_errors
+from .identity import boundary_term_f, interior_integral
+
 # Rows of a sweep computed at a time; the output does not depend on it.
 # Blocks of 1024 keep a closed-form run near the floor set by start-up and
 # the config (2 vCPUs, numpy 2.4.6, fresh processes): the bench's 30000-row
@@ -42,6 +45,52 @@ def _checked_blocks(rows, check):
     for block in _blocks(rows):
         check(block)
     return _blocks(rows)
+
+
+def _identity_blocks(make_context, geometry, model, omega, c, sources, tol):
+    """The blocks of verify-identity's grid of omegas x sources x sources, once all are checked.
+
+    Rows run over omega, then x_a, then x_b. The omega rows are taken
+    _SWEEP_ROWS at a time, and a block holds as many whole (omega, x_a) rows
+    of them as fit in _SWEEP_ROWS rows, at least one. The contexts come
+    from `make_context` (the caller's, which tracing may wrap). As one call
+    over the whole grid would, every context is checked first, then every
+    row's F, and the first failing row raises its DomainError, so a bad row
+    fails the run before a line is written. Then the interior integral of
+    each omega row (see lhs_quadrature) is computed once, and each block
+    gives, per (omega, x_a) row, its omega row, x_a, context and integral.
+    """
+    count, size = len(omega), len(sources)
+    step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
+
+    def contexts(chunk):
+        errors = row_errors(omega[chunk].shape)
+        ctx = make_context(geometry, model, omega[chunk], c=c, errors=errors)
+        raise_first(errors)
+        return ctx
+
+    def blocks(chunk, ctx):
+        pairs = range(chunk.start * size, min(chunk.stop, count) * size)
+        for start in range(pairs.start, pairs.stop, step):
+            pair = np.arange(start, min(start + step, pairs.stop))
+            w = pair // size - chunk.start
+            if w[0] == w[-1]:  # one omega row: one context row, and an omega column the writer formats once
+                w = w[:1]
+            yield w[:, None], sources[pair % size, None], ctx.take(w[:, None])
+
+    for chunk in _blocks(count):
+        contexts(chunk)
+    for chunk in _blocks(count):
+        for _, x_a, ctx in blocks(chunk, contexts(chunk)):
+            errors = row_errors(np.broadcast_shapes(ctx.shape, x_a.shape, sources.shape))
+            boundary_term_f(x_a, sources, ctx, errors)
+            raise_first(errors)
+    for chunk in _blocks(count):
+        rows = contexts(chunk)
+        stalls = row_errors(min(chunk.stop, count) - chunk.start)
+        value, estimate = interior_integral(rows, tol, stalls)
+        for w, x_a, ctx in blocks(chunk, rows):
+            yield chunk.start + w, x_a, ctx, (value[w], estimate[w], stalls[w])
 
 
 def _complex(name, z):

@@ -481,6 +481,57 @@ def test_process_entry_freezes_after_main(tmp_path):
     assert result.stderr == b"decay-scan (frequency): 10 rows, 2 failed\nfrozen at exit: True\n"
 
 
+# Runs the argument lists of its JSON argument through cli.main in a fresh
+# process and prints, as JSON, their exit codes and the resident kB of each
+# BLAS library mapping before and after them (or null without /proc/self/smaps).
+BLAS_PROBE = """\
+import json, os, sys
+from slabgreen import cli
+
+def blas_rss():
+    rss, name = {}, ""
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header: range, perms, offset, device, inode, path
+                name = " ".join(fields[5:])
+            elif fields[0] == "Rss:" and "blas" in name:
+                rss[name] = rss.get(name, 0) + int(fields[1])
+    return rss
+
+if not os.path.exists("/proc/self/smaps"):
+    print("null")
+    sys.exit()
+before = blas_rss()
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, before, blas_rss()]))
+"""
+
+
+def test_subcommands_page_in_no_blas(tmp_path):
+    """numpy's BLAS stays untouched: its library pages would add to every process's peak RSS.
+
+    The quadrature sums its panels and vacuum_decay_3d contracts the dipole elementwise, not by `@`.
+    """
+    config = write_config(tmp_path, omega={"start": 1.0, "stop": 3.0, "count": 3},
+                          source={"start": 1.5, "stop": 2.5, "count": 3}, separations=[[1.0, 0.5, 0.25]])
+    frequency = write_config(tmp_path, "frequency.json", source=1.5, omega={"start": 0.5, "stop": 2.0, "count": 20})
+    one = write_config(tmp_path, "one.json", separations=[[1.0, 0.5, 0.25]])
+    out = ["--out", str(tmp_path / "out.csv")]
+    runs = [["verify-identity", "--config", config, *out], ["decay-scan", "--oracle", "--config", frequency, *out],
+            ["tensor3d", "--config", one, *out]]
+    result = run_python("-c", BLAS_PROBE, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    if probe is None:
+        pytest.skip("needs /proc/self/smaps")
+    codes, before, after = probe
+    assert codes == [0, 0, 0]
+    if not before:
+        pytest.skip("numpy maps no BLAS library here")
+    assert after == before
+
+
 def test_installed_command_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -737,6 +788,41 @@ def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
         assert f"at eps = {complex(*LIMIT_PATH[20])}," in runs[0][3]
 
 
+# verify-identity grids whose blocks of (omega, x_a) rows span omega rows at
+# 5 and 7 rows per block. The last two fail: one in its last omega's context
+# and, earlier in the grid, in F; the other in F in its last row only.
+IDENTITY_GRIDS = {
+    "workhorse": ({"omega": {"start": 1.0, "stop": 20.0, "count": 4}, "source": {"start": 1.3, "stop": 2.9, "count": 4}},
+                  [], 0, "verify-identity: 64 rows, max |lhs - Im G - F| = "),
+    # Every row of a stalled omega keeps that omega's one estimate and message.
+    "stalled": ({"omega": {"start": 1.0, "stop": 2.0, "count": 2}, "source": {"start": 1.5, "stop": 2.5, "count": 2}},
+                ["--tol", "1e-30"], 2, "verify-identity: 8 rows, max |lhs - Im G - F| = "),
+    # omega = 2 lies past the samples, and x_a = 0.5 inside the slab fails F in an earlier row.
+    "context": ({"dielectric": {"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
+                 "omega": {"start": 1, "stop": 2, "count": 2}, "source": {"start": 0.5, "stop": 2, "count": 2}},
+                [], 1, "error: frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation\n"),
+    # Only the last row, x_a = x_b = 1e308, has a phase 2 l - x_a - x_b that overflows.
+    "f_overflow": ({"source": {"start": 1.5, "stop": 1e308, "count": 5, "spacing": "log"}},
+                   [], 1, "error: wave phase is not finite: k times a distance overflows\n"),
+}
+
+
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS)
+def test_verify_identity_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, grid):
+    overrides, flags, code, err = IDENTITY_GRIDS[grid]
+    path = write_config(tmp_path, **overrides)
+    runs = []
+    for rows in (writer._SWEEP_ROWS, 7, 5):
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+        out = tmp_path / f"{rows}.csv"
+        runs.append((cli.main(["verify-identity", "--config", path, "--out", str(out), *flags]),
+                     out.read_bytes() if out.exists() else None, *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == code
+    assert runs[0][3].startswith(err)
+    assert (runs[0][1] is None) == (code == 1)  # a failing row leaves no file
+
+
 @pytest.mark.parametrize("rows", ["shipped", 7])
 def test_coefficients_checks_every_block_before_writing(tmp_path, capsys, monkeypatch, rows):
     """The only bad row lies in the last block: the run exits 1 with its message and writes no line."""
@@ -801,13 +887,19 @@ def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
     """A sweep of many blocks peaks far below the size of its whole table's arrays."""
     count = 4000
     # Small blocks, and a small write buffer, so that the sweep's own arrays would dominate the peak.
-    monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
+    # Tracing makes each of the 4000 rows' floats cost two traced allocations to format, which sets
+    # most of this test's time; 256-row blocks of them at least keep the parts few (16, not 63).
     monkeypatch.setattr(writer, "_BLOCK_ROWS", 16)
     ctx = make_context(SlabGeometry(1.0), Drude(2.0, 0.1), np.linspace(0.2, 9.0, count))
     context_bytes = sum(field.nbytes for field in (ctx.k, ctx.n, *ctx.coefficients))
     medium = {"type": "drude", "plasma_frequency": 2.0, "damping": 0.1}
     path = write_config(tmp_path, dielectric=medium, omega={"start": 0.2, "stop": 9.0, "count": count})
-    runs = [("coefficients", path, 0.5 * context_bytes), ("decay-scan", path, 0.5 * context_bytes)]
+    runs = [("coefficients", path, 256, 0.5 * context_bytes), ("decay-scan", path, 256, 0.5 * context_bytes)]
+    # verify-identity: 2 omegas x 40 x 40 sources, 80 blocks of one (omega, x_a) row;
+    # bound by half its table's 13 float columns.
+    grid = write_config(tmp_path, "grid.json", dielectric=medium, omega={"start": 0.5, "stop": 3.0, "count": 2},
+                        source={"start": 1.5, "stop": 3.0, "count": 40})
+    runs.append(("verify-identity", grid, 64, 0.5 * 3200 * 13 * 8))
     # limit-study and tensor3d read their rows as JSON lists, whose parse peaks
     # above a block's arrays: bound what a run adds to that peak by half its
     # whole table, 1000 x (16 + 5 x 8) bytes of report or 1000 x 9 x 16 of tensors.
@@ -819,14 +911,16 @@ def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
     assert cli.main(["coefficients", "--config", write_config(tmp_path, "one_row.json"), "--out", str(tmp_path / "out.csv")]) == 0
     for command, (overrides, row_bytes) in lists.items():
         rows = write_config(tmp_path, f"{command}.json", **overrides)
-        runs.append((command, rows, traced_peak(lambda: parse_config(rows))[0] + 0.5 * 1000 * row_bytes))
-    for command, config, bound in runs:
+        runs.append((command, rows, 64, traced_peak(lambda: parse_config(rows))[0] + 0.5 * 1000 * row_bytes))
+    for command, config, block, bound in runs:
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", block)
         peak, code = traced_peak(lambda: cli.main([command, "--config", config, "--out", str(tmp_path / "out.csv")]))
         assert code == 0
         assert peak < bound, command
     err = capsys.readouterr().err
     assert err.count(f": {count} rows") == 2
     assert err.count(": 1000 rows") == 2
+    assert "verify-identity: 3200 rows" in err
 
 
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error
