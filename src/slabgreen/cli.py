@@ -24,11 +24,11 @@ import numpy as np
 
 from .config import _CONSTANTS, _MAX_COUNT, _positive, parse_config
 from .emission import EmissionParams, decay_report, limit_study
-from .errors import ConfigError, DomainError, raise_first, row_errors
+from .errors import ConfigError, DomainError, row_errors
 from .identity import identity_report
 from .slab_green import SlabGeometry, make_context
-from .vacuum3d import green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
-from .writer import _blocks, _checked_blocks, _complex, _identity_blocks, _write_csv
+from .vacuum3d import _tensor_separation, green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
+from .writer import _blocks, _checked_blocks, _complex, _context_check, _identity_blocks, _write_csv
 
 
 def _require(config, path):
@@ -62,15 +62,10 @@ def _cmd_coefficients(config, consts, args):
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
     omega = _values(config, "omega")
-
-    def check(rows):
-        errors = row_errors(omega[rows].shape)
-        make_context(geometry, model, omega[rows], c=consts["c"], errors=errors)
-        raise_first(errors)
-
+    contexts = _context_check(make_context, geometry, model, omega, consts["c"])
     worst = 0.0
-    for rows in _checked_blocks(len(omega), check):
-        ctx = make_context(geometry, model, omega[rows], c=consts["c"])
+    for rows in _checked_blocks(len(omega), contexts):
+        ctx = contexts(rows)
         co = ctx.coefficients
         abs_a_sq = abs(co.A) ** 2
         abs_d_sq = abs(co.D) ** 2
@@ -94,8 +89,9 @@ def _cmd_verify_identity(config, consts, args):
     rows = len(omega) * len(sources) ** 2
     if rows > _MAX_COUNT:  # checked before any context is made
         raise ConfigError("source", f"the omega x source x source grid has {rows} rows, more than {_MAX_COUNT}")
+    contexts = _context_check(make_context, geometry, model, omega, consts["c"])
     worst, status = 0.0, 0
-    for w, x_a, ctx, interior in _identity_blocks(make_context, geometry, model, omega, consts["c"], sources, tol):
+    for w, x_a, ctx, interior in _identity_blocks(contexts, len(omega), sources, tol):
         rep = identity_report(x_a, sources, ctx, tol, interior)
         res_corr, res_unc = rep.residual_corrected, rep.residual_uncorrected
         yield [
@@ -184,15 +180,9 @@ def _cmd_tensor3d(config, consts, args):
     k = omega / consts["c"]
     separations = _require(config, "separations")
     origin = (0.0, 0.0, 0.0)
-
-    def check(rows):
-        try:
-            green_tensor_vacuum(k, separations[rows], origin)
-        except DomainError:
-            green_tensor_vacuum(k, separations, origin)  # raises what one call over every row raises
-            raise
-
-    blocks = _checked_blocks(len(separations), check)  # a failing tensor is reported before the rate
+    # Each check runs over every separation, as one call would; a failing tensor is reported before the rate.
+    checks = [lambda rows, f=f: f(k, separations[rows], origin) for f in (_tensor_separation, green_tensor_vacuum)]
+    blocks = _checked_blocks(len(separations), *checks)
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
     for rows in blocks:

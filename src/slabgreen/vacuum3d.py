@@ -19,13 +19,8 @@ import numpy as np
 from .errors import DomainError, check, plain
 
 
-def _spherical_wave(k, r_a, r_b, singular):
-    """Separations s = r_a - r_b (3-vectors along the last axis), R = |s|, kR and e^{ikR} / (4 pi R).
-
-    Call under np.errstate: an overflow or underflow shows as a non-finite
-    value, which the caller checks. `singular` is the DomainError message
-    for a coincident pair.
-    """
+def _separation(r_a, r_b, singular):
+    """Separations s = r_a - r_b and R = |s|; `singular` is the message for R = 0."""
     r_a = np.asarray(r_a, dtype=float)
     r_b = np.asarray(r_b, dtype=float)
     if r_a.shape[-1:] != (3,) or r_b.shape[-1:] != (3,):
@@ -34,15 +29,22 @@ def _spherical_wave(k, r_a, r_b, singular):
     s = r_a - r_b
     dist = np.linalg.norm(s, axis=-1)
     check(dist != 0.0, singular)
-    kr = k * dist
-    return s, dist, kr, np.exp(1j * kr) / (4.0 * math.pi * dist)
+    return s, dist
+
+
+@np.errstate(all="ignore")  # R = inf from a norm that overflows fails the tensor's own check
+def _tensor_separation(k, r_a, r_b):
+    """green_tensor_vacuum's checks before a tensor (wavenumber, positions, coincidence): s and R."""
+    check((k > 0.0) & np.isfinite(k), "wavenumber must be positive and finite")
+    return _separation(r_a, r_b, "tensor real part is singular at coincident points")
 
 
 @np.errstate(all="ignore")  # a separation whose norm overflows gives a non-finite value, checked below
 def scalar_green_g0(k: float, r_a, r_b) -> complex:
     """Scalar spherical wave e^{ikR} / (4 pi R); singular at R = 0."""
     check((k >= 0.0) & np.isfinite(k), "wavenumber must be >= 0 and finite")
-    _, _, _, g0 = _spherical_wave(k, r_a, r_b, "scalar Green function is singular at coincident points")
+    _, dist = _separation(r_a, r_b, "scalar Green function is singular at coincident points")
+    g0 = np.exp(1j * (k * dist)) / (4.0 * math.pi * dist)
     check(np.isfinite(g0), "scalar Green function is not finite: k times the separation overflows")
     return plain(g0)
 
@@ -55,8 +57,9 @@ def green_tensor_vacuum(k: float, r_a, r_b) -> np.ndarray:
     broadcast against each other; the result has shape (..., 3, 3), a 3x3
     complex array for one pair.
     """
-    check((k > 0.0) & np.isfinite(k), "wavenumber must be positive and finite")
-    s, dist, kr, g0 = _spherical_wave(k, r_a, r_b, "tensor real part is singular at coincident points")
+    s, dist = _tensor_separation(k, r_a, r_b)
+    kr = k * dist
+    g0 = np.exp(1j * kr) / (4.0 * math.pi * dist)
     u = s / dist[..., None]
     diag = g0 * (1.0 + 1j / kr - 1.0 / kr**2)
     outer = g0 * (-1.0 - 3j / kr + 3.0 / kr**2)

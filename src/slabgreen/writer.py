@@ -35,39 +35,45 @@ def _blocks(rows):
     return (slice(start, start + _SWEEP_ROWS) for start in range(0, rows, _SWEEP_ROWS))
 
 
-def _checked_blocks(rows, check):
-    """The blocks of _blocks(rows), once `check(block)` has returned on every one.
+def _checked_blocks(rows, *checks):
+    """The blocks of _blocks(rows), once each check in turn has returned on every one.
 
-    For a subcommand that any bad row fails: `check` raises that row's error,
-    so a bad row in the last block still fails the run before a line is
-    written.
+    For a subcommand that any bad row fails: `check(block)` raises the first
+    bad row's error. Each check runs over every block before the next, as one
+    call over every row would, so no line is written before every row passes.
     """
-    for block in _blocks(rows):
-        check(block)
+    for check in checks:
+        for block in _blocks(rows):
+            check(block)
     return _blocks(rows)
 
 
-def _identity_blocks(make_context, geometry, model, omega, c, sources, tol):
-    """The blocks of verify-identity's grid of omegas x sources x sources, once all are checked.
+def _context_check(make_context, geometry, model, omega, c):
+    """A check for _checked_blocks that also returns a block's contexts.
 
-    Rows run over omega, then x_a, then x_b. The omega rows are taken
-    _SWEEP_ROWS at a time, and a block holds as many whole (omega, x_a) rows
-    of them as fit in _SWEEP_ROWS rows, at least one. The contexts come
-    from `make_context` (the caller's, which tracing may wrap). As one call
-    over the whole grid would, every context is checked first, then every
-    row's F, and the first failing row raises its DomainError, so a bad row
-    fails the run before a line is written. Then the interior integral of
-    each omega row (see lhs_quadrature) is computed once, and each block
-    gives, per (omega, x_a) row, its omega row, x_a, context and integral.
+    `make_context` is the caller's, which tracing may wrap; a failing row raises its DomainError.
     """
-    count, size = len(omega), len(sources)
-    step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
-
-    def contexts(chunk):
-        errors = row_errors(omega[chunk].shape)
-        ctx = make_context(geometry, model, omega[chunk], c=c, errors=errors)
+    def contexts(rows):
+        errors = row_errors(omega[rows].shape)
+        ctx = make_context(geometry, model, omega[rows], c=c, errors=errors)
         raise_first(errors)
         return ctx
+
+    return contexts
+
+
+def _identity_blocks(contexts, count, sources, tol):
+    """The blocks of verify-identity's grid of omegas x sources x sources, once all are checked.
+
+    Rows run over omega, then x_a, then x_b. `contexts` is the _context_check
+    of the `count` omegas, taken _SWEEP_ROWS at a time; a block holds as many
+    whole (omega, x_a) rows as fit in _SWEEP_ROWS rows, at least one. Every
+    context is checked, then every row's F. Then each omega row's interior
+    integral (see lhs_quadrature) is computed once, and each block gives, per
+    (omega, x_a) row, its omega row, x_a, context and integral.
+    """
+    size = len(sources)
+    step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
 
     def blocks(chunk, ctx):
         pairs = range(chunk.start * size, min(chunk.stop, count) * size)
@@ -78,14 +84,13 @@ def _identity_blocks(make_context, geometry, model, omega, c, sources, tol):
                 w = w[:1]
             yield w[:, None], sources[pair % size, None], ctx.take(w[:, None])
 
-    for chunk in _blocks(count):
-        contexts(chunk)
-    for chunk in _blocks(count):
+    def boundary_terms(chunk):
         for _, x_a, ctx in blocks(chunk, contexts(chunk)):
             errors = row_errors(np.broadcast_shapes(ctx.shape, x_a.shape, sources.shape))
             boundary_term_f(x_a, sources, ctx, errors)
             raise_first(errors)
-    for chunk in _blocks(count):
+
+    for chunk in _checked_blocks(count, contexts, boundary_terms):
         rows = contexts(chunk)
         stalls = row_errors(min(chunk.stop, count) - chunk.start)
         value, estimate = interior_integral(rows, tol, stalls)

@@ -923,6 +923,91 @@ def test_sweeps_hold_one_block(tmp_path, capsys, monkeypatch):
     assert "verify-identity: 3200 rows" in err
 
 
+def test_failing_tensor3d_holds_one_block(tmp_path, capsys, monkeypatch):
+    """A tensor3d run whose last separation fails picks its error without building every tensor.
+
+    Bounded as test_sweeps_hold_one_block bounds tensor3d: by the config's parse
+    peak plus half the whole table's 1000 x 9 x 16 bytes of tensors.
+    """
+    monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
+    # k R = 1e-155 is positive, but 1 / (k R)^2 overflows.
+    separations = [[0.5 + 0.004 * i, 0.25, -0.125] for i in range(999)] + [[1e-155, 0.0, 0.0]]
+    path = write_config(tmp_path, separations=separations)
+    out = tmp_path / "out.csv"
+    # A first run in the process makes one-time allocations; keep them out of the peak.
+    assert cli.main(["tensor3d", "--config", write_config(tmp_path, "one_row.json", separations=[[1.0, 0.0, 0.0]]),
+                     "--out", str(out)]) == 0
+    out.unlink()
+    bound = traced_peak(lambda: parse_config(path))[0] + 0.5 * 1000 * 144
+    capsys.readouterr()
+    peak, code = traced_peak(lambda: cli.main(["tensor3d", "--config", path, "--out", str(out)]))
+    err = "error: Green tensor is not finite: k times the separation overflows or underflows\n"
+    assert (code, capsys.readouterr().err) == (1, err)
+    assert not out.exists()
+    assert peak < bound
+
+
+# Rows for the pre-write property; the first of each choice runs. A tabulated medium defined
+# on [0.5, 1.5] fails omegas past it, and omega <= 0 fails every medium.
+PRE_WRITE_MEDIA = [
+    {"type": "constant", "epsilon": LOSSY_EPS}, {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.5, 3.0, 0.3]]}]
+PRE_WRITE_OMEGA = st.fixed_dictionaries({
+    "start": st.sampled_from([0.6, 1.0, 0.0]), "stop": st.sampled_from([1.4, 2.0]), "count": st.integers(1, 7)})
+# Sources: a first one inside the slab fails F, and in a log sweep to 1e308 the last pair's
+# phase k (2 l - x_a - x_b) overflows.
+PRE_WRITE_SOURCES = st.sampled_from([(1.5, 3.0, "linear"), (0.5, 3.0, "linear"), (1.5, 1e308, "log")]).flatmap(
+    lambda sweep: st.fixed_dictionaries({"start": st.just(sweep[0]), "stop": st.just(sweep[1]), "count": st.integers(1, 3),
+                                         "spacing": st.just(sweep[2])}))
+# Separations: good ones, a tensor that is not finite (k R = 1e-155) and a norm that underflows to 0 (coincident).
+PRE_WRITE_SEPARATIONS = st.lists(
+    st.sampled_from([[1.0, 0.5, -0.25], [0.3, -2.0, 1.0], [1e-155, 0.0, 0.0], [1e-200, 1e-200, 0.0]]), min_size=1, max_size=7)
+PRE_WRITE_CONFIGS = {
+    "coefficients": st.fixed_dictionaries({"dielectric": st.sampled_from(PRE_WRITE_MEDIA), "omega": PRE_WRITE_OMEGA}),
+    "verify-identity": st.fixed_dictionaries({
+        "dielectric": st.sampled_from(PRE_WRITE_MEDIA), "omega": PRE_WRITE_OMEGA, "source": PRE_WRITE_SOURCES}),
+    "tensor3d": st.fixed_dictionaries({"omega": st.sampled_from([1.0, 2.0, 0.0]), "separations": PRE_WRITE_SEPARATIONS}),
+}
+PRE_WRITE_CASES = st.sampled_from(list(PRE_WRITE_CONFIGS)).flatmap(lambda c: st.tuples(st.just(c), PRE_WRITE_CONFIGS[c]))
+TABULATED_SWEEP = {"dielectric": PRE_WRITE_MEDIA[1], "omega": {"start": 0.6, "stop": 2.0, "count": 5}}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=PRE_WRITE_CASES)
+# The last omega lies past the table, and x_a = 0.5 fails F in the first rows: the context is reported.
+@example(case=("verify-identity", {**TABULATED_SWEEP, "source": {"start": 0.5, "stop": 3.0, "count": 3}}))
+# Only the last pair's phase overflows.
+@example(case=("verify-identity", {"omega": {"start": 0.6, "stop": 1.4, "count": 3},
+                                    "source": {"start": 1.5, "stop": 1e308, "count": 3, "spacing": "log"}}))
+@example(case=("coefficients", TABULATED_SWEEP))
+# The first tensor is not finite and a later norm underflows: coincidence is reported.
+@example(case=("tensor3d", {"omega": 1.0, "separations": [[1e-155, 0.0, 0.0], [1.0, 0.5, -0.25], [1e-200, 1e-200, 0.0]]}))
+# omega <= 0 and a coincident separation: the wavenumber is reported.
+@example(case=("tensor3d", {"omega": 0.0, "separations": [[1.0, 0.5, -0.25], [1e-200, 1e-200, 0.0]]}))
+def test_pre_write_checks_do_not_depend_on_the_block_size(tmp_path_factory, case):
+    """A fail-fast subcommand writes the same bytes and reports the same error at any block size.
+
+    Its stdout, stderr and exit code, and whether --out exists, are those of one block.
+    """
+    command, config = case
+    folder = tmp_path_factory.mktemp("pre_write")
+    path = folder / "config.json"
+    path.write_text(json.dumps({"slab": {"half_length": 1.0}, "dielectric": PRE_WRITE_MEDIA[0], **config}))
+    runs = []
+    for rows in (1, 3, 1024):
+        out = folder / f"{rows}.csv"
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            patch.setattr(writer, "_SWEEP_ROWS", rows)
+            code = cli.main([command, "--config", str(path)])
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == code
+        runs.append((code, stdout.getvalue(), stderr.getvalue(), out.read_text() if out.exists() else None))
+    assert runs[0] == runs[1] == runs[2]
+    code, text, err, written = runs[0]
+    assert code in (0, 1, 2), err
+    assert written == (None if code == 1 else text)  # a failing run writes no line, to either output
+    assert (text == "") == (code == 1)
+
+
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error
 
 
