@@ -16,6 +16,7 @@ I/O error.
 """
 
 import argparse
+import ctypes
 import gc
 import os
 import sys
@@ -29,6 +30,12 @@ from .identity import identity_report
 from .slab_green import SlabGeometry, make_context
 from .vacuum3d import _tensor_separation, green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
 from .writer import _blocks, _checked_blocks, _complex, _context_check, _identity_blocks, _write_csv
+
+try:  # glibc's malloc_trim; other C libraries lack it, and Windows loads no CDLL(None)
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def _require(config, path):
@@ -252,6 +259,8 @@ def main(argv=None) -> int:
         for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
             if flag is not None:
                 config[key] = flag
+        if _malloc_trim is not None:  # hand the import's and the parse's freed heap back to the OS
+            _malloc_trim(0)
         command, kept = _COMMANDS[args.command]
         parts = command(config, _CONSTANTS[config["units"]], args)
         summary, status = _write_csv(config["output.path"], parts, kept)

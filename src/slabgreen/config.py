@@ -13,7 +13,7 @@ import numpy as np
 from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .errors import ConfigError, DomainError
 
-# The most values a sweep may hold. A 300000-row coefficients run peaks at 33.5 MB.
+# The most values a sweep may hold. A 300000-row coefficients run peaks at 33.6 MB.
 _MAX_COUNT = 10**6
 
 
@@ -167,9 +167,13 @@ def _positive(node, path):
 
 
 def _complex_list(node, path):
+    """A complex128 array, filled entry by entry, so no list of Python complex objects is kept."""
     if not isinstance(node, list) or not node:
         raise ConfigError(path, "expected a non-empty list of [re, im] pairs")
-    return [_complex_pair(item, (path, i)) for i, item in enumerate(node)]
+    values = np.empty(len(node), complex)
+    for i, item in enumerate(node):
+        values[i] = _complex_pair(item, (path, i))
+    return values
 
 
 def _separations(node, path):
@@ -193,6 +197,10 @@ _CONSTANTS = {
 }
 
 
+# limit-study's default permittivity path, eps = 1 + i 10^-m, read-only as every config shares it.
+_DEFAULT_PATH = np.array([complex(1.0, 10.0**-m) for m in range(1, 9)])
+_DEFAULT_PATH.flags.writeable = False
+
 _REQUIRED = object()
 # Every config key: its dotted path -> (reader, default), in the order the
 # keys are read and checked. A key missing from its object takes the
@@ -207,8 +215,7 @@ _KEYS = {
     "emission.dipole_moment": (_number, 1.0),
     "emission.surface_unit": (_number, 1.0),
     "tolerances.quadrature": (_positive, 1e-8),
-    # limit-study's permittivity path: eps = 1 + i 10^-m.
-    "limit_path": (_complex_list, tuple(complex(1.0, 10.0**-m) for m in range(1, 9))),
+    "limit_path": (_complex_list, _DEFAULT_PATH),
     "separations": (_separations, None),
     "output.format": (_choice(("csv",), "only 'csv' is supported"), "csv"),
     "output.path": (_string, None),

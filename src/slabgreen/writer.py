@@ -17,8 +17,8 @@ from .identity import boundary_term_f, interior_integral
 # Rows of a sweep computed at a time; the output does not depend on it.
 # Blocks of 1024 keep a closed-form run near the floor set by start-up and
 # the config (2 vCPUs, numpy 2.4.6, fresh processes): the bench's 30000-row
-# sweeps peak at 30.0 MB and its 6000-entry limit-study at 30.4 MB, against
-# 30.6-31.0 and 31.3 MB at 4096 rows. They compute the tabulated decay-scan
+# sweeps peak at 30.0 MB and its 6000-entry limit-study at 30.2 MB, against
+# 30.9 and 30.8 MB at 4096 rows. They compute the tabulated decay-scan
 # in 22 ms and coefficients, both passes, in 29 ms, against 15 and 20 ms at
 # 4096 rows and 57 and 59 ms at 256. At 1000 rows or more, decay-scan
 # --oracle's 1000-row sweep stays one batched quadrature.

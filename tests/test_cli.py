@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import platform
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -464,6 +466,52 @@ def test_module_exit_codes(tmp_path, command, overrides, out, stdout, code, err)
 def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
     assert cli.main(["coefficients", "--config", write_config(tmp_path)]) == 0
     assert gc.get_freeze_count() == 0
+
+
+def run_main(tmp_path, capsys, argv):
+    """cli.main's exit code, stderr and CSV bytes for `argv`, writing to out.csv."""
+    out = tmp_path / "out.csv"
+    code = cli.main([*argv, "--out", str(out)])
+    return code, capsys.readouterr().err, out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [("verify-identity", {"source": {"start": 1.5, "stop": 2.5, "count": 2}}),
+     ("limit-study", {"limit_path": [[1.0, 0.1], [1.0, 1e-3], 2.0]})],
+    ids=["verify_identity", "limit_study"],
+)
+def test_malloc_trim_changes_no_output(tmp_path, capsys, monkeypatch, command, overrides):
+    """Where the C library has no malloc_trim, main writes the same bytes and messages, with the same status."""
+    if platform.libc_ver()[0] == "glibc":
+        assert cli._malloc_trim is not None
+    argv = [command, "--config", write_config(tmp_path, **overrides)]
+    trimmed = run_main(tmp_path, capsys, argv)
+    monkeypatch.setattr(cli, "_malloc_trim", None)
+    assert run_main(tmp_path, capsys, argv) == trimmed
+
+
+def test_malloc_trim_runs_once_between_parse_and_compute(tmp_path, capsys, monkeypatch):
+    events = []
+
+    def recorded(name, func):
+        def call(*args, **kwargs):
+            events.append(name)
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "_malloc_trim", lambda pad: events.append(f"trim({pad})"))
+    monkeypatch.setattr(cli, "parse_config", recorded("parse_config", cli.parse_config))
+    monkeypatch.setattr(cli, "make_context", recorded("make_context", cli.make_context))
+    path = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 2})
+    assert cli.main(["verify-identity", "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert events[:3] == ["parse_config", "trim(0)", "make_context"]
+    assert [event for event in events if event.startswith("trim")] == ["trim(0)"]
+    # A configuration error exits 1 before the trim.
+    for argv in (["--config", write_config(tmp_path, "bad.json", omega="x")], ["--config", path, "--tol", "-1"]):
+        events.clear()
+        assert cli.main(["verify-identity", *argv]) == 1
+        assert events == ["parse_config"]
 
 
 # Runs slabgreen.cli as __main__ with an exit hook that reports whether the heap is frozen.
@@ -1235,6 +1283,19 @@ def test_limit_study_explicit_path(tmp_path):
     assert rc == 0
     assert len(rows) == 2
     assert float(rows[0]["gamma"]) / 0.01 == pytest.approx(float(rows[1]["gamma"]) / 0.0001, rel=0.02)
+
+
+def test_limit_path_is_read_into_complex128(tmp_path):
+    """Each entry is bit-equal to complex(re, im), for pairs, ints, bare numbers and -0.0."""
+    node = [[1.5, -0.0], 2, -0.0, [-0.0, 3], [10**20, 0.25], 1e-300]
+    expected = [complex(1.5, -0.0), complex(2, 0), complex(-0.0, 0), complex(-0.0, 3), complex(10**20, 0.25),
+                complex(1e-300, 0)]
+    values = _complex_list(node, "limit_path")
+    assert values.dtype == np.complex128
+    assert values.tobytes() == b"".join(struct.pack("=dd", z.real, z.imag) for z in expected)
+    default = parse_config(write_config(tmp_path))["limit_path"]
+    assert default.dtype == np.complex128 and not default.flags.writeable
+    assert default.tobytes() == b"".join(struct.pack("=dd", 1.0, 10.0**-m) for m in range(1, 9))
 
 
 def test_tensor3d_rows(tmp_path):

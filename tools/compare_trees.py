@@ -11,15 +11,22 @@ directory of its own that holds the same config, so relative paths in
 messages match. The script lists every job whose CSV bytes (or whether the
 CSV exists), stdout, stderr or exit code differ, and exits 1 if any does;
 otherwise it exits 0. It uses only the standard library.
+
+For every job it also prints each tree's peak RSS (the child's ru_maxrss
+from os.wait4) and wall time, where the bench reports only each pass's
+largest peak over its jobs. A seed given more than once runs its jobs again,
+so `--seeds 43 43 43` gives three alternating samples of each job.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -35,15 +42,42 @@ def jobs(seeds):
                 yield f"seed {seed} {workload} {job.name}", job
 
 
+def digest(path):
+    """The sha256 of a file, read 1 MiB at a time, or None if there is none.
+
+    A child started by vfork, as subprocess does, counts this process's peak
+    RSS in its own ru_maxrss, so the CSVs are hashed, never held whole.
+    """
+    if not path.is_file():
+        return None
+    sha = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
+
+
 def run(src, job, directory):
-    """Run one job with `src` on PYTHONPATH; returns (exit code, stdout, stderr, CSV bytes or None)."""
+    """Run one job with `src` on PYTHONPATH.
+
+    Returns (exit code, stdout, stderr, the CSV's sha256 or None) and the
+    child's (peak RSS in MB, wall seconds).
+    """
     config, out = directory / "config.json", directory / "out.csv"
     config.write_text(json.dumps(job.config))
     out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "slabgreen.cli", job.command, "--config", config.name, "--out", out.name, *job.flags]
-    done = subprocess.run(argv, cwd=directory, env=env, stdin=subprocess.DEVNULL, capture_output=True)
-    return done.returncode, done.stdout, done.stderr, out.read_bytes() if out.exists() else None
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=directory, env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage, which Popen.wait drops
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        result = child.returncode, stdout.read(), stderr.read(), digest(out)
+    return result, (usage.ru_maxrss / 1024.0, wall)
 
 
 def main(argv=None):
@@ -62,8 +96,10 @@ def main(argv=None):
         for directory in directories:
             directory.mkdir()
         for label, job in jobs(args.seeds):
-            old, new = (run(tree, job, directory) for tree, directory in zip(trees, directories))
+            (old, old_cost), (new, new_cost) = (run(tree, job, path) for tree, path in zip(trees, directories))
             count += 1
+            print(f"{label}: peak RSS {old_cost[0]:.2f} -> {new_cost[0]:.2f} MB, "
+                  f"wall {old_cost[1]:.3f} -> {new_cost[1]:.3f} s")
             fields = [name for name, a, b in zip(("exit code", "stdout", "stderr", "csv"), old, new) if a != b]
             if fields:
                 differ.append(label)
