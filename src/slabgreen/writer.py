@@ -68,34 +68,33 @@ def _identity_blocks(contexts, count, sources, tol):
     Rows run over omega, then x_a, then x_b. `contexts` is the _context_check
     of the `count` omegas, taken _SWEEP_ROWS at a time; a block holds as many
     whole (omega, x_a) rows as fit in _SWEEP_ROWS rows, at least one. Every
-    context is checked, then every row's F. Then each omega row's interior
-    integral (see lhs_quadrature) is computed once, and each block gives, per
-    (omega, x_a) row, its omega row, x_a, context and integral.
+    context is checked, then each source's own F(x_s, x_s) at each omega: a
+    pair's F and G fail only where one of its sources' own F does, as their
+    largest phase, k (x_a + x_b - 2l), peaks at the larger source's own pair.
+    Then each omega row's interior integral (see lhs_quadrature) is computed
+    once; each block gives its omega rows, x_a, context and integral.
     """
     size = len(sources)
     step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
 
-    def blocks(chunk, ctx):
+    def own_terms(chunk):
+        ctx = contexts(chunk)
+        errors = row_errors((ctx.shape[0], size))
+        boundary_term_f(sources, sources, ctx.take(np.arange(ctx.shape[0])[:, None]), errors)
+        raise_first(errors)
+
+    for chunk in _checked_blocks(count, contexts, own_terms):
+        rows = contexts(chunk)
+        stalls = row_errors(rows.shape)
+        value, estimate = interior_integral(rows, tol, stalls)
         pairs = range(chunk.start * size, min(chunk.stop, count) * size)
         for start in range(pairs.start, pairs.stop, step):
             pair = np.arange(start, min(start + step, pairs.stop))
             w = pair // size - chunk.start
             if w[0] == w[-1]:  # one omega row: one context row, and an omega column the writer formats once
                 w = w[:1]
-            yield w[:, None], sources[pair % size, None], ctx.take(w[:, None])
-
-    def boundary_terms(chunk):
-        for _, x_a, ctx in blocks(chunk, contexts(chunk)):
-            errors = row_errors(np.broadcast_shapes(ctx.shape, x_a.shape, sources.shape))
-            boundary_term_f(x_a, sources, ctx, errors)
-            raise_first(errors)
-
-    for chunk in _checked_blocks(count, contexts, boundary_terms):
-        rows = contexts(chunk)
-        stalls = row_errors(min(chunk.stop, count) - chunk.start)
-        value, estimate = interior_integral(rows, tol, stalls)
-        for w, x_a, ctx in blocks(chunk, rows):
-            yield chunk.start + w, x_a, ctx, (value[w], estimate[w], stalls[w])
+            w = w[:, None]
+            yield chunk.start + w, sources[pair % size, None], rows.take(w), (value[w], estimate[w], stalls[w])
 
 
 def _complex(name, z):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slabgreen import Drude, SlabGeometry, cli, make_context, writer
+from slabgreen import Constant, DomainError, Drude, SlabGeometry, boundary_term_f, cli, green, identity, make_context, writer
 from slabgreen.config import (
     _KEYS,
     _MAX_COUNT,
@@ -31,6 +31,7 @@ from slabgreen.config import (
     _string,
     parse_config,
 )
+from slabgreen.errors import row_errors
 
 LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
@@ -1054,6 +1055,94 @@ def test_pre_write_checks_do_not_depend_on_the_block_size(tmp_path_factory, case
     assert code in (0, 1, 2), err
     assert written == (None if code == 1 else text)  # a failing run writes no line, to either output
     assert (text == "") == (code == 1)
+
+
+def _nudged(x, ulps):
+    """x moved by `ulps` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _contexts_at(k):
+    """verify-identity's context check at the one omega k (c = 1) of a lossy slab with l = 1."""
+    return writer._context_check(make_context, SlabGeometry(1.0), Constant(3.75 + 2j), np.array([k]), 1.0)
+
+
+def _sources(k):
+    """Right-exterior sources, and sources within a few ulps of where their own F's phase 2k (x_s - l) is
+    0.75, 1 or 1.5 times the largest float: at 1.5 it overflows, while their pairs with near sources stay finite."""
+    edge = st.tuples(st.sampled_from([0.75, 1.0, 1.5]), st.integers(-3, 3)).map(
+        lambda e: _nudged(1.0 + e[0] * sys.float_info.max / (2.0 * k), e[1]))
+    return st.lists(st.one_of(st.floats(1.0, 1e6, exclude_min=True), edge), min_size=1, max_size=5)
+
+
+# One source inside or on the slab (l = 1), or none, goes in at a drawn position.
+OWN_CHECK_CASES = st.sampled_from([1.0, 1.3, 40.0]).flatmap(lambda k: st.tuples(
+    st.just(k), _sources(k), st.sampled_from([None, 0.5, 1.0, -0.25]), st.integers(0, 5)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=OWN_CHECK_CASES)
+def test_each_sources_own_f_rejects_exactly_the_grids_whose_pairs_fail(case):
+    """verify-identity's pre-write check of each source's own F(x_s, x_s) fails iff F over every pair does.
+
+    Where it passes, G over the pairs raises nothing: identity_report gives G no error
+    record, so a miss would fail the run after its first lines are written.
+    """
+    k, sources, inside, at = case
+    sources = np.array(sources if inside is None else [*sources[:at], inside, *sources[at:]])
+    contexts = _contexts_at(k)
+    ctx = contexts(slice(0, 1))
+    pairs = row_errors((len(sources), len(sources)))
+    boundary_term_f(sources[:, None], sources, ctx, pairs)
+    try:
+        next(writer._identity_blocks(contexts, 1, sources, 1e-8))
+    except DomainError:
+        assert np.not_equal(pairs, None).any()
+    else:
+        assert np.equal(pairs, None).all()
+        green(sources[:, None], sources, ctx)
+
+
+def test_an_overflowing_source_is_reported_before_a_later_inside_one(monkeypatch):
+    """Sources are checked one by one, in order, at any block size.
+
+    Over the pair grid the first failing row is (1.5, 0.5), which names the
+    inside source; the source before it already overflows its own phase
+    2k (x_s - l), though its pairs with 1.5 stay finite. A config's source
+    sweep ascends, so the command line cannot list the two in this order.
+    """
+    k = 1.3
+    sources = np.array([1.5, 1.0 + 0.75 * sys.float_info.max / k, 0.5])
+    contexts = _contexts_at(k)
+    with pytest.raises(DomainError, match="^source must lie in the right exterior region$"):
+        boundary_term_f(sources[:, None], sources, contexts(slice(0, 1)))
+    for rows in (1, 3, 1024):
+        monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
+        with pytest.raises(DomainError, match="^wave phase is not finite: k times a distance overflows$"):
+            next(writer._identity_blocks(contexts, 1, sources, 1e-8))
+
+
+def test_verify_identity_checks_f_once_per_source(tmp_path, monkeypatch):
+    """The pre-write pass evaluates F at omega x source entries, once per omega chunk; each pair's F is built once.
+
+    2 omegas x 40 x 40 sources in 64-row blocks: one omega chunk, then 80 blocks of one
+    (omega, x_a) row, whose identity_report builds F once.
+    """
+    entries = []
+
+    def counted(x_a, x_b, ctx, *args, _original=identity.boundary_term_f):
+        entries.append(math.prod(np.broadcast_shapes(np.shape(x_a), np.shape(x_b), ctx.shape)))
+        return _original(x_a, x_b, ctx, *args)
+
+    monkeypatch.setattr(identity, "boundary_term_f", counted)
+    monkeypatch.setattr(writer, "boundary_term_f", counted)
+    monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
+    grid = write_config(tmp_path, dielectric={"type": "drude", "plasma_frequency": 2.0, "damping": 0.1},
+                        omega={"start": 0.5, "stop": 3.0, "count": 2}, source={"start": 1.5, "stop": 3.0, "count": 40})
+    assert cli.main(["verify-identity", "--config", grid, "--out", str(tmp_path / "out.csv")]) == 0
+    assert entries == [2 * 40] + [40] * 80
 
 
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error

@@ -12,6 +12,12 @@ messages match. The script lists every job whose CSV bytes (or whether the
 CSV exists), stdout, stderr or exit code differ, and exits 1 if any does;
 otherwise it exits 0. It uses only the standard library.
 
+For each job whose two CSVs differ, it then prints, per column, how many
+rows differ and the largest relative difference |a - b| / max(|a|, |b|)
+between them (inf where a cell is not a number on one side). The two files
+are kept until every job has run and are then read line by line, side by
+side.
+
 For every job it also prints each tree's peak RSS (the child's ru_maxrss
 from os.wait4) and wall time, where the bench reports only each pass's
 largest peak over its jobs. A seed given more than once runs its jobs again,
@@ -19,8 +25,11 @@ so `--seeds 43 43 43` gives three alternating samples of each job.
 """
 
 import argparse
+import csv
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -80,6 +89,35 @@ def run(src, job, directory):
     return result, (usage.ru_maxrss / 1024.0, wall)
 
 
+def relative(a, b):
+    """|a - b| / max(|a|, |b|) of two CSV cells: 0 where they are equal, inf where one is not a number."""
+    if a == b:
+        return 0.0
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return math.inf
+    difference = abs(a - b)
+    if not math.isfinite(difference):
+        return math.inf
+    return difference / max(abs(a), abs(b)) if difference else 0.0  # 0 and -0 differ only in text
+
+
+def column_differences(old, new):
+    """Per column of two CSV files: (name, rows that differ, largest relative difference), and the row counts."""
+    with open(old, newline="") as a, open(new, newline="") as b:
+        rows = itertools.zip_longest(csv.reader(a), csv.reader(b), fillvalue=[])
+        names = [x if x == y else f"{x}/{y}" for x, y in itertools.zip_longest(*next(rows), fillvalue="")]
+        counts, largest, lengths = [0] * len(names), [0.0] * len(names), [0, 0]
+        for old_row, new_row in rows:
+            lengths = [lengths[0] + bool(old_row), lengths[1] + bool(new_row)]
+            for j, (x, y) in enumerate(zip(old_row, new_row)):
+                if x != y:
+                    counts[j] += 1
+                    largest[j] = max(largest[j], relative(x, y))
+    return [entry for entry in zip(names, counts, largest) if entry[1]], lengths
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="the old source tree (a directory holding slabgreen/)")
@@ -95,6 +133,7 @@ def main(argv=None):
         directories = [Path(scratch, name) for name in ("old", "new")]
         for directory in directories:
             directory.mkdir()
+        kept = []  # (label, old CSV, new CSV) of the jobs whose two CSVs differ
         for label, job in jobs(args.seeds):
             (old, old_cost), (new, new_cost) = (run(tree, job, path) for tree, path in zip(trees, directories))
             count += 1
@@ -104,6 +143,15 @@ def main(argv=None):
             if fields:
                 differ.append(label)
                 print(f"{label}: {', '.join(fields)} differ (exit {old[0]} -> {new[0]})")
+            if None not in (old[3], new[3]) and old[3] != new[3]:
+                kept.append((label, *((directory / "out.csv").rename(Path(scratch, f"{count}-{directory.name}.csv"))
+                                      for directory in directories)))
+        for label, old, new in kept:
+            columns, (old_rows, new_rows) = column_differences(old, new)
+            if old_rows != new_rows:
+                print(f"{label}: {old_rows} -> {new_rows} rows")
+            for name, rows, largest in columns:
+                print(f"{label}: column {name}: {rows} rows differ, largest relative difference {largest:.3g}")
     print(f"{len(differ)} of {count} jobs differ", file=sys.stderr)
     return 1 if differ else 0
 
