@@ -21,13 +21,7 @@ import numpy as np
 from .dielectric import Constant
 from .errors import check, plain, raise_first, row_errors
 from .identity import boundary_term_f, lhs_quadrature
-from .slab_green import (
-    SlabGeometry,
-    WaveContext,
-    _require_right_sources,
-    _wave_factor,
-    make_context,
-)
+from .slab_green import SlabGeometry, WaveContext, _outgoing, make_context
 
 
 class EmissionParams(namedtuple("EmissionParams", "dipole_moment hbar epsilon0 surface_unit")):
@@ -91,11 +85,9 @@ def decay_rate_corrected(params: EmissionParams, ctx: WaveContext, errors=None) 
 
 @np.errstate(all="ignore")
 def decay_rate_uncorrected(params: EmissionParams, ctx: WaveContext, x_source, errors=None) -> float:
-    """Rate from Im G alone; oscillates with the source position."""
-    l = ctx.geometry.half_length
-    _require_right_sources(l, x_source, errors=errors)
-    osc = (ctx.coefficients.D * _wave_factor(-2.0 * ctx.k * (l - x_source), errors)).real
-    return _finite_rate(params.gamma_vacuum_1d(ctx.k) * (1.0 + osc), errors)
+    """Rate 2k gamma_vac Im G(x_s, x_s) = gamma_vac Re(u rho) (see slab_green._outgoing); oscillates with x_s."""
+    ((u, rho, _),) = _outgoing(ctx, x_source, errors=errors)
+    return _finite_rate(params.gamma_vacuum_1d(ctx.k) * (u * rho).real, errors)
 
 
 def decay_from_quadrature(
@@ -175,7 +167,7 @@ def limit_study(
     if x_source is None:
         x_source = l + 1.0 / k
         check(x_source > l, "the default source l + 1/k falls on the slab face; the source must be given")
-    _require_right_sources(l, x_source)
+    check(np.greater(x_source, l), "source must lie in the right exterior region")
     eps = np.array([complex(raw) for raw in eps_path], complex)
     record = row_errors(eps.shape) if errors is None else errors
     # A constant permittivity does not depend on the frequency: build the context at omega = k, c = 1.

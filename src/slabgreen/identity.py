@@ -7,9 +7,10 @@ For two exterior source points x_a and x_b on the right of the slab,
 
 where F is a boundary term that survives even in the vacuum limit; dropping
 it is what makes the widely used identity (left side = Im G alone) fail for a
-finite medium. This module computes the left side by adaptive quadrature, F
-in closed form, and the flux product b from which F can also be assembled,
-and packages the residuals of the corrected and uncorrected versions.
+finite medium. This module computes the left side by adaptive quadrature,
+F and Im G from the sources' outgoing amplitudes (slab_green._outgoing),
+the flux product b from which F can also be assembled, and the residuals
+of the corrected and uncorrected versions.
 """
 
 import math
@@ -18,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import QuadratureError, check, plain, raise_first, row_errors
-from .slab_green import WaveContext, _require_right_sources, _wave_factor, _waves, green, green_dx
+from .slab_green import WaveContext, _outgoing, _waves, green, green_dx
 
 # Gauss-Kronrod pair on one panel (QUADPACK qk15, Piessens et al. 1983): the
 # 15-node Kronrod value is kept, and the 7-node Gauss rule on its odd-indexed
@@ -141,7 +142,7 @@ def boundary_term_b(x_b, x_a, ctx: WaveContext, box_half_length):
     The value is independent of L, which tests pin; all arguments may be arrays.
     """
     l, big_l = ctx.geometry.half_length, box_half_length
-    _require_right_sources(l, x_a, x_b)
+    _outgoing(ctx, x_a, x_b)
     contains = np.greater(big_l, np.maximum(np.maximum(l, x_a), x_b)) & np.isfinite(big_l)
     check(contains, "box must be finite and strictly contain the slab and both source points")
     at_left, at_right = (np.conj(green(x, x_b, ctx)) * green_dx(x, x_a, ctx) for x in (-big_l, big_l))
@@ -150,23 +151,17 @@ def boundary_term_b(x_b, x_a, ctx: WaveContext, box_half_length):
 
 @np.errstate(all="ignore")
 def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
-    """Closed-form boundary term F(x_a, x_b) of the corrected identity.
+    """Closed-form boundary term F(x_a, x_b) = -(rho_a conj(rho_b) + lam_a conj(lam_b)) / 4k of the corrected identity.
 
-    F = -(1/4k) [ (|A|^2 + |D|^2) e^{ik(x_a - x_b)} + e^{-ik(x_a - x_b)}
-                  + 2 Re{ D e^{-ik(2l - x_a - x_b)} } ]
-
-    Real for x_a = x_b; for a vacuum slab it reduces to -cos(k(x_a - x_b))/2k,
-    exactly minus the imaginary part of the free-space Green function. The
-    sources and the context may be arrays of rows; with an error record (see
+    rho and lam are each source's outgoing amplitudes to the right and to
+    the left (see slab_green._outgoing), so F is a product of per-source
+    factors. For a vacuum slab it reduces to -cos(k(x_a - x_b))/2k, exactly
+    minus the imaginary part of the free-space Green function. The sources
+    and the context may be arrays of rows; with an error record (see
     errors.check) failing rows are marked instead of raising.
     """
-    l = ctx.geometry.half_length
-    _require_right_sources(l, x_a, x_b, errors=errors)
-    co = ctx.coefficients
-    k = ctx.k
-    phase = _wave_factor(k * (x_a - x_b), errors)
-    cross = 2.0 * (co.D * _wave_factor(-k * (2 * l - x_a - x_b), errors)).real
-    return plain(-((abs(co.A) ** 2 + abs(co.D) ** 2) * phase + 1.0 / phase + cross) / (4.0 * k))
+    (_, rho_a, lam_a), (_, rho_b, lam_b) = _outgoing(ctx, x_a, x_b, errors=errors)
+    return plain(-(rho_a * np.conj(rho_b) + lam_a * np.conj(lam_b)) / (4.0 * ctx.k))
 
 
 @np.errstate(all="ignore")  # a non-finite integrand gives a non-finite estimate, which fails its row
@@ -205,8 +200,9 @@ def lhs_quadrature(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, errors=None, i
     Returns (value, error_estimate). With an error record (see errors.check)
     failing rows are marked and rows it fails are skipped; else they raise.
     """
-    _require_right_sources(ctx.geometry.half_length, x_a, x_b, errors=errors)
-    phase = _wave_factor(ctx.k * (x_a - x_b), errors)
+    (u_a, _, _), (u_b, _, _) = _outgoing(ctx, x_a, x_b, errors=errors)
+    phase = u_a * np.conj(u_b)
+    del u_a, u_b, _  # the quadrature below then holds the phase alone
     shape = ctx.shape
     record = row_errors(np.broadcast_shapes(shape, np.shape(phase))) if errors is None else errors
     if interior is None:
@@ -245,13 +241,13 @@ def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, interior=None
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
     For arrays of rows (a grid of source pairs per context row, say) every
-    field is an array, `error` one message or None per row. F comes first:
-    its DomainError for a phase k*(...) that overflows also guards the
-    quadrature and G. The first failing row raises its DomainError.
-    `interior` is passed on to lhs_quadrature.
+    field is an array, `error` one message or None per row. F checks the
+    sources (see slab_green._outgoing) and the first failing row raises its
+    DomainError. `interior` is passed on to lhs_quadrature.
     """
     errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
     f = boundary_term_f(x_a, x_b, ctx, errors)
     raise_first(errors)
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors, interior)
-    return IdentityReport(lhs, plain(np.imag(green(x_a, x_b, ctx))), f, quad_err, plain(errors))
+    (u_a, _, _), (_, rho_b, _) = _outgoing(ctx, x_a, x_b)
+    return IdentityReport(lhs, plain((u_a * rho_b).real / (2.0 * ctx.k)), f, quad_err, plain(errors))

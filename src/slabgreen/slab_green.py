@@ -165,15 +165,25 @@ def _waves(x, x_s, ctx, where):
     )
 
 
-def _require_right_sources(half_length, *sources, errors=None):
+@np.errstate(all="ignore")  # a phase that overflows fails its row
+def _outgoing(ctx, *sources, errors=None):
+    """Per source x_s > l, the factors (u, rho, lam) that the identity's right side is built from.
+
+    Phase convention: D and u = e^{ik(x_s - l)} are referenced at the face
+    x = l; rho = conj(u) + D u and lam = A u are the source's outgoing
+    amplitudes to the right and left, up to a factor e^{-ikl} common to all
+    sources. So G(x_a, x_b) = (i/2k)(e^{ik|x_a - x_b|} + D u_a u_b), Im G =
+    Re(u_a rho_b)/2k and F = -(rho_a conj(rho_b) + lam_a conj(lam_b))/4k.
+    Every source must lie right of the slab, then each one's round trip phase
+    k(2l - x_s - x_s) be finite; failing rows are marked in `errors` or raise.
+    """
+    l, co = ctx.geometry.half_length, ctx.coefficients
     for x_s in sources:
-        check(np.greater(x_s, half_length), "source must lie in the right exterior region", errors)
-
-
-def _wave_factor(phase, errors=None):
-    """e^{i phase} for a real phase k*(...); a phase that overflowed fails its row."""
-    check(np.isfinite(phase), _PHASE_OVERFLOW, errors)
-    return np.exp(1j * phase)
+        check(np.greater(x_s, l), "source must lie in the right exterior region", errors)
+    for x_s in sources:  # G's reflected phase at x_a = x_b = x_s; it bounds k(x_s - l) too
+        check(np.isfinite(ctx.k * (2 * l - x_s - x_s)), _PHASE_OVERFLOW, errors)
+    phases = (np.exp(1j * (ctx.k * (x_s - l))) for x_s in sources)
+    return [(u, np.conj(u) + co.D * u, co.A * u) for u in phases]
 
 
 @np.errstate(all="ignore")
@@ -215,7 +225,9 @@ def green_dx(x, x_source, ctx: WaveContext):
 def green_vacuum_1d(x, x_prime, k):
     """Free-space Green function (i/2k) e^{ik|x - x'|}, for arrays too."""
     _check_wavenumber(k)
-    return plain((0.5j / k) * _wave_factor(k * np.abs(np.subtract(x, x_prime))))
+    phase = k * np.abs(np.subtract(x, x_prime))
+    check(np.isfinite(phase), _PHASE_OVERFLOW)
+    return plain((0.5j / k) * np.exp(1j * phase))
 
 
 def helmholtz_residual(x, x_source, ctx: WaveContext, h):
@@ -247,7 +259,7 @@ def interface_mismatch(ctx: WaveContext, x_source):
     so the result is a pure consistency check on the amplitudes.
     """
     l = ctx.geometry.half_length
-    _require_right_sources(l, x_source)
+    _outgoing(ctx, x_source)
     worst = 0.0
     for x, outside in ((l, "right"), (-l, "left")):
         # Inside minus outside waves; the sums are 2k/i and -2k times the jumps.

@@ -69,9 +69,9 @@ def _identity_blocks(contexts, count, sources, tol):
     of the `count` omegas, taken _SWEEP_ROWS at a time; a block holds as many
     whole (omega, x_a) rows as fit in _SWEEP_ROWS rows, at least one. Every
     context is checked, then each source's own F(x_s, x_s) at each omega: a
-    pair's F and G fail only where one of its sources' own F does, as their
-    largest phase, k (x_a + x_b - 2l), peaks at the larger source's own pair.
-    Then each omega row's interior integral (see lhs_quadrature) is computed
+    pair's F, Im G and quadrature phase are products of its two sources'
+    factors (see slab_green._outgoing), which fail exactly where one of the
+    sources' own F does. Then each omega row's interior integral is computed
     once; each block gives its omega rows, x_a, context and integral.
     """
     size = len(sources)

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from slabgreen import (
     DomainError,
     DrudeLorentz,
+    EmissionParams,
     QuadratureError,
     SlabGeometry,
     boundary_term_b,
     boundary_term_f,
     context_from_index,
+    decay_rate_uncorrected,
     green,
     identity_report,
     integrate_adaptive,
@@ -405,3 +407,59 @@ def test_energy_balance_in_hard_regimes(n_re, log_n_im, k, half, offset, log_tol
     co = ctx.coefficients
     assert estimate <= tol
     assert abs(4.0 * k * lhs.real - (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2)) <= 4.0 * k * tol + 1e-13
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.one_of(
+        st.tuples(st.floats(0.05, 4.0), st.floats(-14.0, 0.5)).map(lambda t: complex(t[0], 10.0 ** t[1])),
+        # Near epsilon = 0: |n| down to 1e-3, on the absorbing branch Re n >= 0, Im n >= 0.
+        st.tuples(st.floats(-3.0, -1.0), st.floats(0.0, math.pi / 2)).map(lambda t: cmath.rect(10.0 ** t[0], t[1])),
+    ),
+    k=st.floats(0.1, 20.0),
+    kl=st.floats(0.05, 50.0),
+    kd=st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6),
+)
+def test_im_g_plus_f_is_rank_one_over_a_grid_of_sources(n, k, kl, kd):
+    """identity_report's Im G + F over right sources is e^{ik(x_a - x_b)} (1 - |A|^2 - |D|^2) / 4k.
+
+    To 1e-12 of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, at Im n down to 1e-14, near epsilon = 0 and k l up
+    to 50: over the grid the sum is one phase times the absorbed power. The quadrature is skipped.
+    """
+    l = kl / k
+    ctx = context_from_index(SlabGeometry(l), n, k)
+    co = ctx.coefficients
+    x_a = l + np.array(kd)[:, None] / k
+    x_b = x_a.T
+    rep = identity_report(x_a, x_b, ctx, interior=(0j, 0.0, row_errors(())))
+    expected = np.exp(1j * k * (x_a - x_b)) * (1 - abs(co.A) ** 2 - abs(co.D) ** 2) / (4 * k)
+    scale = (1 + abs(co.A) ** 2 + abs(co.D) ** 2 + 2 * abs(co.D)) / (4 * k)
+    assert np.abs(rep.im_g + rep.f - expected).max() <= 1e-12 * scale
+
+
+RIGHT = "source must lie in the right exterior region"
+PHASE = "wave phase is not finite: k times a distance overflows"
+
+
+def test_every_source_is_checked_right_of_the_slab_before_any_phase():
+    """Row by row, a pair's first message: a source not right of the slab, on either side, before an overflowing phase.
+
+    At k = 1.3, l = 1 the source 1.5e308 overflows k (x_s - l) itself; the columns hold inf in its
+    place, so every pair with either also overflows k (x_a - x_b), whichever form the phases take.
+    0.5 lies inside the slab and -0.25 left of it.
+    """
+    ctx = context_from_index(SlabGeometry(1.0), 2 + 0.5j, 1.3)
+    sources = np.array([1.5, 0.5, 1.5e308, -0.25])
+    expected = [[None, RIGHT, PHASE, RIGHT], [RIGHT] * 4, [PHASE, RIGHT, PHASE, RIGHT], [RIGHT] * 4]
+    for evaluate in (boundary_term_f, lhs_quadrature):
+        errors = row_errors((4, 4))
+        evaluate(sources[:, None], np.where(sources > 1e300, np.inf, sources), ctx, errors=errors)
+        assert errors.tolist() == expected, evaluate.__name__
+        for x_a, x_b in ((1.5e308, 0.5), (0.5, 1.5e308)):
+            with pytest.raises(DomainError, match=f"^{RIGHT}$"):
+                evaluate(x_a, x_b, ctx)
+    errors = row_errors(4)
+    decay_rate_uncorrected(EmissionParams(), ctx, sources, errors)
+    assert errors.tolist() == [None, RIGHT, PHASE, RIGHT]
+    with pytest.raises(DomainError, match=f"^{RIGHT}$"):
+        identity_report(sources[:, None], sources, ctx)

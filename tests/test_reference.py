@@ -16,12 +16,24 @@ D e^{ikd} to the right and lambda = A e^{ikd} to the left, and
     F(x_a, x_b) = -(rho_a conj(rho_b) + lambda_a conj(lambda_b)) / 4k.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import sys
 
-from slabgreen import SlabGeometry, boundary_term_f, context_from_index, green
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from slabgreen import (
+    EmissionParams,
+    SlabGeometry,
+    boundary_term_f,
+    context_from_index,
+    decay_rate_uncorrected,
+    green,
+    identity_report,
+)
 
 mp = pytest.importorskip("mpmath").mp
+EPS = sys.float_info.epsilon
 
 
 def index(eps):
@@ -67,3 +79,37 @@ def test_f_and_g_match_the_reference(re_n, im_n, k, l, kd):
             scale = (1 + abs(a) ** 2 + abs(d) ** 2 + 2 * abs(d)) / (4 * k)
             assert abs(boundary_term_f(x_a, x_b, ctx) - f) <= 1e-12 * scale
             assert abs(green(x_a, x_b, ctx) - g) <= 1e-12 * scale
+
+
+# Far sources: x_s carries a rounding of eps x_s, so a phase k (x_s - l) is conditioned to about
+# eps k (x_s - l). The worst error met here is 0.55 of that times the scale below (from `green`,
+# at k (x_s - l) = 9e4), so C = 2 leaves room without hiding a factor that loses digits as the
+# distance grows.
+C = 2.0
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(re_n=st.floats(0.05, 4.0), im_n=st.floats(-14.0, 0.5).map(lambda e: 10.0 ** e), k=st.floats(0.05, 20.0),
+       l=st.floats(0.1, 3.0), kd=st.lists(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e), min_size=1, max_size=3))
+@example(re_n=2.0, im_n=0.5, k=1.3, l=1.0, kd=[1.3e6, 1.3e6 - 0.7, 1.3])
+@example(re_n=0.3, im_n=1e-14, k=17.0, l=2.5, kd=[1e6, 7e5])
+def test_far_sources_match_the_reference(re_n, im_n, k, l, kd):
+    """F, G, identity_report's Im G and the uncorrected rate 2k gamma_vac Im G(x_s, x_s), for k (x_s - l) <= 1e6.
+
+    Each to (1e-12 + C eps k (x_s - l)) of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, x_s the farther source.
+    """
+    n = complex(re_n, im_n)
+    ctx = context_from_index(SlabGeometry(l), n, k)
+    sources = np.array([l + s / k for s in kd])
+    im_g = identity_report(sources[:, None], sources, ctx).im_g
+    rates = decay_rate_uncorrected(EmissionParams(), ctx, sources)  # gamma_vac = k in natural units
+    for i, x_a in enumerate(sources):
+        for j, x_b in enumerate(sources):
+            a, d, g, f = reference(n, k, l, x_a, x_b)
+            scale = (1 + abs(a) ** 2 + abs(d) ** 2 + 2 * abs(d)) / (4 * k)
+            bound = (1e-12 + C * EPS * k * (max(x_a, x_b) - l)) * scale
+            assert abs(boundary_term_f(x_a, x_b, ctx) - f) <= bound
+            assert abs(green(x_a, x_b, ctx) - g) <= bound
+            assert abs(im_g[i, j] - g.imag) <= bound
+            if i == j:
+                assert abs(rates[i] - 2 * k * k * g.imag) <= 2 * k * k * bound
