@@ -8,7 +8,7 @@ For two exterior source points x_a and x_b on the right of the slab,
 where F is a boundary term that survives even in the vacuum limit; dropping
 it is what makes the widely used identity (left side = Im G alone) fail for a
 finite medium. This module computes the left side by adaptive quadrature,
-F and Im G from the sources' outgoing amplitudes (slab_green._outgoing),
+Im G and F together from the sources' amplitudes (slab_green._outgoing),
 the flux product b from which F can also be assembled, and the residuals
 of the corrected and uncorrected versions.
 """
@@ -149,19 +149,16 @@ def boundary_term_b(x_b, x_a, ctx: WaveContext, box_half_length):
     return plain(at_left - at_right)
 
 
-@np.errstate(all="ignore")
 def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
     """Closed-form boundary term F(x_a, x_b) = -(rho_a conj(rho_b) + lam_a conj(lam_b)) / 4k of the corrected identity.
 
-    rho and lam are each source's outgoing amplitudes to the right and to
-    the left (see slab_green._outgoing), so F is a product of per-source
-    factors. For a vacuum slab it reduces to -cos(k(x_a - x_b))/2k, exactly
-    minus the imaginary part of the free-space Green function. The sources
-    and the context may be arrays of rows; with an error record (see
+    rho and lam are the sources' outgoing amplitudes (see slab_green._outgoing;
+    _right_side forms F with Im G). For a vacuum slab F is -cos(k(x_a - x_b))/2k,
+    exactly minus the imaginary part of the free-space Green function. The
+    sources and the context may be arrays of rows; with an error record (see
     errors.check) failing rows are marked instead of raising.
     """
-    (_, rho_a, lam_a), (_, rho_b, lam_b) = _outgoing(ctx, x_a, x_b, errors=errors)
-    return plain(-(rho_a * np.conj(rho_b) + lam_a * np.conj(lam_b)) / (4.0 * ctx.k))
+    return _right_side(x_a, x_b, ctx, errors)[1]
 
 
 @np.errstate(all="ignore")  # a non-finite integrand gives a non-finite estimate, which fails its row
@@ -237,17 +234,24 @@ class IdentityReport(namedtuple("IdentityReport", "lhs im_g f quadrature_estimat
         return self.lhs - self.im_g
 
 
+@np.errstate(all="ignore")
+def _right_side(x_a, x_b, ctx, errors=None):
+    """Im G(x_a, x_b) = Re(u_a rho_b) / 2k and F(x_a, x_b), from one slab_green._outgoing call for all pairs."""
+    (u_a, rho_a, lam_a), (_, rho_b, lam_b) = _outgoing(ctx, x_a, x_b, errors=errors)
+    f = -(rho_a * np.conj(rho_b) + lam_a * np.conj(lam_b)) / (4.0 * ctx.k)
+    return plain((u_a * rho_b).real / (2.0 * ctx.k)), plain(f)
+
+
 def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, interior=None) -> IdentityReport:
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
     For arrays of rows (a grid of source pairs per context row, say) every
-    field is an array, `error` one message or None per row. F checks the
-    sources (see slab_green._outgoing) and the first failing row raises its
+    field is an array, `error` one message or None per row. `_outgoing`
+    checks the sources (see slab_green) and the first failing row raises its
     DomainError. `interior` is passed on to lhs_quadrature.
     """
     errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
-    f = boundary_term_f(x_a, x_b, ctx, errors)
+    im_g, f = _right_side(x_a, x_b, ctx, errors)
     raise_first(errors)
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors, interior)
-    (u_a, _, _), (_, rho_b, _) = _outgoing(ctx, x_a, x_b)
-    return IdentityReport(lhs, plain((u_a * rho_b).real / (2.0 * ctx.k)), f, quad_err, plain(errors))
+    return IdentityReport(lhs, im_g, f, quad_err, plain(errors))

@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from .errors import raise_first, row_errors
-from .identity import boundary_term_f, interior_integral
+from .identity import interior_integral
+from .slab_green import _outgoing
 
 # Rows of a sweep computed at a time; the output does not depend on it.
 # Blocks of 1024 keep a closed-form run near the floor set by start-up and
@@ -68,22 +69,22 @@ def _identity_blocks(contexts, count, sources, tol):
     Rows run over omega, then x_a, then x_b. `contexts` is the _context_check
     of the `count` omegas, taken _SWEEP_ROWS at a time; a block holds as many
     whole (omega, x_a) rows as fit in _SWEEP_ROWS rows, at least one. Every
-    context is checked, then each source's own F(x_s, x_s) at each omega: a
-    pair's F, Im G and quadrature phase are products of its two sources'
-    factors (see slab_green._outgoing), which fail exactly where one of the
-    sources' own F does. Then each omega row's interior integral is computed
-    once; each block gives its omega rows, x_a, context and integral.
+    context is checked, then each source's checks (slab_green._outgoing) at
+    each omega, which a pair fails exactly where one of its sources does.
+    Then each omega row's interior integral is computed once; each block
+    gives its omega rows, x_a, context and integral.
     """
     size = len(sources)
     step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
 
-    def own_terms(chunk):
+    @np.errstate(all="ignore")  # an overflowing phase fails its row
+    def source_checks(chunk):
         ctx = contexts(chunk)
         errors = row_errors((ctx.shape[0], size))
-        boundary_term_f(sources, sources, ctx.take(np.arange(ctx.shape[0])[:, None]), errors)
+        _outgoing(ctx.take(np.arange(ctx.shape[0])[:, None]), sources, errors=errors)
         raise_first(errors)
 
-    for chunk in _checked_blocks(count, contexts, own_terms):
+    for chunk in _checked_blocks(count, contexts, source_checks):
         rows = contexts(chunk)
         stalls = row_errors(rows.shape)
         value, estimate = interior_integral(rows, tol, stalls)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slabgreen import Constant, DomainError, Drude, SlabGeometry, boundary_term_f, cli, green, identity, make_context, writer
+from slabgreen import Constant, DomainError, Drude, SlabGeometry, boundary_term_f, cli, green, identity, make_context, slab_green, writer
 from slabgreen.config import (
     _KEYS,
     _MAX_COUNT,
@@ -1085,7 +1085,7 @@ OWN_CHECK_CASES = st.sampled_from([1.0, 1.3, 40.0]).flatmap(lambda k: st.tuples(
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=OWN_CHECK_CASES)
 def test_each_sources_own_f_rejects_exactly_the_grids_whose_pairs_fail(case):
-    """verify-identity's pre-write check of each source's own F(x_s, x_s) fails iff F over every pair does.
+    """verify-identity's pre-write check of each source fails iff F over every pair does.
 
     Where it passes, G over the pairs raises nothing: identity_report gives G no error
     record, so a miss would fail the run after its first lines are written.
@@ -1124,25 +1124,30 @@ def test_an_overflowing_source_is_reported_before_a_later_inside_one(monkeypatch
             next(writer._identity_blocks(contexts, 1, sources, 1e-8))
 
 
-def test_verify_identity_checks_f_once_per_source(tmp_path, monkeypatch):
-    """The pre-write pass evaluates F at omega x source entries, once per omega chunk; each pair's F is built once.
+def test_verify_identity_checks_each_source_once_and_forms_pair_factors_twice(tmp_path, monkeypatch):
+    """The pre-write pass checks omega x source entries in one _outgoing call per omega chunk.
 
     2 omegas x 40 x 40 sources in 64-row blocks: one omega chunk, then 80 blocks of one
-    (omega, x_a) row, whose identity_report builds F once.
+    (omega, x_a) row, each of which forms its 40 pairs' factors twice: once for Im G and
+    F, once for the quadrature phase. boundary_term_f is never called.
     """
-    entries = []
+    calls = []
 
-    def counted(x_a, x_b, ctx, *args, _original=identity.boundary_term_f):
-        entries.append(math.prod(np.broadcast_shapes(np.shape(x_a), np.shape(x_b), ctx.shape)))
-        return _original(x_a, x_b, ctx, *args)
+    def counted(module):
+        def outgoing(ctx, *sources, _original=slab_green._outgoing, **kwargs):
+            calls.append((module, math.prod(np.broadcast_shapes(ctx.shape, *map(np.shape, sources)))))
+            return _original(ctx, *sources, **kwargs)
 
-    monkeypatch.setattr(identity, "boundary_term_f", counted)
-    monkeypatch.setattr(writer, "boundary_term_f", counted)
+        return outgoing
+
+    monkeypatch.setattr(writer, "_outgoing", counted("writer"))
+    monkeypatch.setattr(identity, "_outgoing", counted("identity"))
+    monkeypatch.setattr(identity, "boundary_term_f", lambda *args, **kwargs: calls.append("boundary_term_f"))
     monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)
     grid = write_config(tmp_path, dielectric={"type": "drude", "plasma_frequency": 2.0, "damping": 0.1},
                         omega={"start": 0.5, "stop": 3.0, "count": 2}, source={"start": 1.5, "stop": 3.0, "count": 40})
     assert cli.main(["verify-identity", "--config", grid, "--out", str(tmp_path / "out.csv")]) == 0
-    assert entries == [2 * 40] + [40] * 80
+    assert calls == [("writer", 2 * 40)] + [("identity", 40)] * (2 * 80)
 
 
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error

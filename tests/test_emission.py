@@ -1,9 +1,10 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slabgreen import (
     Constant,
@@ -191,6 +192,31 @@ def test_limit_study_default_source():
     assert errors[0] is None
     explicit = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], 1.0, x_source=1.0 + 1.0 / 1.0)
     assert study.gamma_uncorrected.tolist() == explicit.gamma_uncorrected.tolist()
+
+
+# The no-coupling limit to leading order in delta (ROADMAP item 8). The next order is at most
+# 0.45 delta^2 (1 + kl)^2 / k here (k l up to 15), and the cancellation in F + 1/2k adds up to
+# 1.5 eps / k (2.7 eps to gamma / gamma_vac), against mpmath at 40 digits; C and c are twice that or more.
+C, c = 1.0, 4.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(k=st.floats(0.2, 5.0), l=st.floats(0.2, 3.0), distance=st.floats(0.1, 3.0),
+       delta=st.floats(-8.0, -3.0).map(lambda e: 10.0 ** e))
+def test_the_no_coupling_limit_matches_its_leading_order(k, l, distance, delta):
+    """The witness F + Im G0 and gamma / gamma_vac = 2k (F + Im G0) against their leading order in delta.
+
+    Along eps = 1 + i delta they are delta [2kl + sin 2kl cos 2kx_s] / 4k and kl delta; along
+    eps = 1 + delta the witness is delta sin 2kl sin 2kx_s / 4k and the rate vanishes.
+    """
+    x_s = l + distance
+    study = limit_study(PARAMS, SlabGeometry(l), [1 + 1j * delta, 1 + delta], k, x_source=x_s)
+    witness, rate = study.f_plus_im_g0, study.gamma / PARAMS.gamma_vacuum_1d(k)
+    bound = C * (1 + k * l) ** 2 * delta ** 2 / k + c * sys.float_info.epsilon / k
+    assert abs(witness[0] - delta * (2 * k * l + math.sin(2 * k * l) * math.cos(2 * k * x_s)) / (4 * k)) <= bound
+    assert abs(rate[0] - k * l * delta) <= 2 * k * bound
+    assert abs(witness[1] - delta * math.sin(2 * k * l) * math.sin(2 * k * x_s) / (4 * k)) <= bound
+    assert rate[1] <= 1e-12
 
 
 def test_small_loss_ratio_converges():

@@ -50,9 +50,9 @@ def test_sweeps_call_the_traced_names_once_per_block(tmp_path, monkeypatch, argv
 
     coefficients and tensor3d check every block before they write one, so they
     make each block's call twice. verify-identity makes its contexts for each
-    block of omega rows three times: to check them, to check F and to write;
-    it reports once per block of (omega, x_a) rows and integrates each omega
-    row once.
+    block of omega rows three times: to check them, to check the sources and
+    to write; it reports once per block of (omega, x_a) rows and integrates
+    each omega row once.
     """
     calls = {"make_context": 0, "identity_report": 0, "decay_report": 0, "limit_study": 0, "green_tensor_vacuum": 0}
     for name in calls:
