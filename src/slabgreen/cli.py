@@ -18,18 +18,44 @@ I/O error.
 import argparse
 import ctypes
 import gc
+import importlib
 import os
 import sys
 
 import numpy as np
 
 from .config import _CONSTANTS, _MAX_COUNT, _positive, parse_config
-from .emission import EmissionParams, decay_report, limit_study
 from .errors import ConfigError, DomainError, row_errors
-from .identity import identity_report
-from .slab_green import SlabGeometry, make_context
-from .vacuum3d import _tensor_separation, green_tensor_vacuum, im_green_coincident, vacuum_decay_3d
 from .writer import _blocks, _checked_blocks, _complex, _context_check, _identity_blocks, _write_csv
+
+# The names the subcommands take from the modules that not all of them run.
+# main() imports the subcommand's modules (_COMMANDS) and binds their names
+# before it builds the parser; __getattr__ binds them on first use, as
+# cli.make_context, for callers and tracing that look them up here.
+_NAMES = {
+    "slab_green": ("SlabGeometry", "make_context"),
+    "identity": ("identity_report",),
+    "vacuum3d": ("EmissionParams", "_tensor_separation", "green_tensor_vacuum", "im_green_coincident",
+                 "vacuum_decay_3d"),
+    "emission": ("decay_report", "limit_study"),
+}
+
+
+def _load(*modules):
+    """Import `modules` and bind their _NAMES here, except a name already bound, such as a tracing wrapper."""
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    for module, names in _NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 try:  # glibc's malloc_trim; other C libraries lack it, and Windows loads no CDLL(None)
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -208,13 +234,13 @@ def _cmd_tensor3d(config, consts, args):
 
 # Each subcommand yields its table's parts (see writer._write_csv) and returns
 # its summary lines and exit status; with it, the number of leading cells a
-# failed row keeps (None: all of them).
+# failed row keeps (None: all of them), and the _NAMES modules it runs.
 _COMMANDS = {
-    "coefficients": (_cmd_coefficients, 0),
-    "verify-identity": (_cmd_verify_identity, None),
-    "decay-scan": (_cmd_decay_scan, 3),
-    "limit-study": (_cmd_limit_study, 2),
-    "tensor3d": (_cmd_tensor3d, 0),
+    "coefficients": (_cmd_coefficients, 0, ("slab_green",)),
+    "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green")),
+    "decay-scan": (_cmd_decay_scan, 3, ("emission", "slab_green", "vacuum3d")),
+    "limit-study": (_cmd_limit_study, 2, ("emission", "slab_green", "vacuum3d")),
+    "tensor3d": (_cmd_tensor3d, 0, ("vacuum3d",)),
 }
 
 
@@ -245,12 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="unit system, overrides the config (default natural)")
     parser = _Parser(prog="slabgreen", description="Slab Green function verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, _) in _COMMANDS.items():
+    for name, (func, _, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=func.__doc__)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # The subcommand's modules load before the parser is built (see README,
+    # "What sets peak RSS"). argparse accepts a line only with the subcommand
+    # first: the top-level parser takes -h alone.
+    if argv and argv[0] in _COMMANDS:
+        _load(*_COMMANDS[argv[0]][2])
     try:
         args = build_parser().parse_args(argv)
         config = parse_config(args.config)
@@ -261,7 +293,7 @@ def main(argv=None) -> int:
                 config[key] = flag
         if _malloc_trim is not None:  # hand the import's and the parse's freed heap back to the OS
             _malloc_trim(0)
-        command, kept = _COMMANDS[args.command]
+        command, kept, _ = _COMMANDS[args.command]
         parts = command(config, _CONSTANTS[config["units"]], args)
         summary, status = _write_csv(config["output.path"], parts, kept)
     except (ConfigError, DomainError) as exc:

@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from .dielectric import Constant, Drude, DrudeLorentz, Tabulated
 from .errors import ConfigError, DomainError
 
 # The most values a sweep may hold. A 300000-row coefficients run peaks at 33.6 MB.
@@ -121,6 +120,8 @@ def _scalar_or_sweep(node, path):
 
 
 def _parse_dielectric(node, path):
+    from .dielectric import Constant, Drude, DrudeLorentz, Tabulated  # imported for a `dielectric` key alone
+
     if not isinstance(node, dict):
         raise ConfigError(path, "expected an object with a 'type' key")
     kind = node.get("type")

@@ -22,39 +22,7 @@ from .dielectric import Constant
 from .errors import check, plain, raise_first, row_errors
 from .identity import boundary_term_f, lhs_quadrature
 from .slab_green import SlabGeometry, WaveContext, _outgoing, make_context
-
-
-class EmissionParams(namedtuple("EmissionParams", "dipole_moment hbar epsilon0 surface_unit")):
-    """Dipole moment and unit-system constants.
-
-    The frequency enters only through the wavenumber k = omega / c, which
-    the rates take from the wave context. surface_unit is the cross-section
-    that keeps one-dimensional rates in 1/s; it cancels from every normalized
-    quantity. Natural units (hbar = eps0 = 1) are the default.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, dipole_moment=1.0, hbar=1.0, epsilon0=1.0, surface_unit=1.0):
-        self = super().__new__(cls, dipole_moment, hbar, epsilon0, surface_unit)
-        for name, value in zip(self._fields, self):
-            check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite")
-        return self
-
-    # np.divide: a denominator that underflows to 0 gives inf, not ZeroDivisionError.
-    # The rates fail a row whose prefactor is not a normal float (_normal_prefactor).
-
-    @np.errstate(all="ignore")
-    def gamma_vacuum_1d(self, k):
-        """One-dimensional free-space reference rate k |d|^2 / (hbar eps0 S)."""
-        d = self.dipole_moment
-        return plain(np.divide(k * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
-
-    @np.errstate(all="ignore")
-    def rate_prefactor(self, k):
-        """2 k^2 |d|^2 / (hbar eps0 S), multiplying Im G + F."""
-        d = self.dipole_moment
-        return plain(np.divide(2.0 * (k * k) * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
+from .vacuum3d import EmissionParams
 
 
 # The rates take arrays of rows: the context's fields and the source

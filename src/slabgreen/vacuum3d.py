@@ -10,13 +10,51 @@ g0 = e^{ikR} / (4 pi R). This equals delta_ij g0 + (1/k^2) times the
 Hessian of g0 in the separation variable; the real part diverges at
 coincidence but the imaginary part has the finite limit (k/6pi) times the
 identity, which sets the vacuum rate k^3 |d|^2 / (3 pi hbar eps0).
+
+EmissionParams, the dipole and unit constants of this rate and of the
+slab's rates (emission.py, which re-exports it), lives here, so the vacuum
+rate needs no module of the slab.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import DomainError, check, plain
+
+
+class EmissionParams(namedtuple("EmissionParams", "dipole_moment hbar epsilon0 surface_unit")):
+    """Dipole moment and unit-system constants.
+
+    The frequency enters only through the wavenumber k = omega / c, which
+    the rates take from the wave context. surface_unit is the cross-section
+    that keeps one-dimensional rates in 1/s; it cancels from every normalized
+    quantity. Natural units (hbar = eps0 = 1) are the default.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dipole_moment=1.0, hbar=1.0, epsilon0=1.0, surface_unit=1.0):
+        self = super().__new__(cls, dipole_moment, hbar, epsilon0, surface_unit)
+        for name, value in zip(self._fields, self):
+            check((value > 0.0) & np.isfinite(value), f"{name} must be positive and finite")
+        return self
+
+    # np.divide: a denominator that underflows to 0 gives inf, not ZeroDivisionError.
+    # The rates fail a row whose prefactor is not a normal float (emission._normal_prefactor).
+
+    @np.errstate(all="ignore")
+    def gamma_vacuum_1d(self, k):
+        """One-dimensional free-space reference rate k |d|^2 / (hbar eps0 S)."""
+        d = self.dipole_moment
+        return plain(np.divide(k * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
+
+    @np.errstate(all="ignore")
+    def rate_prefactor(self, k):
+        """2 k^2 |d|^2 / (hbar eps0 S), multiplying Im G + F."""
+        d = self.dipole_moment
+        return plain(np.divide(2.0 * (k * k) * (d * d), self.hbar * self.epsilon0 * self.surface_unit))
 
 
 def _separation(r_a, r_b, singular):

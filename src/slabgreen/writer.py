@@ -12,8 +12,6 @@ import sys
 import numpy as np
 
 from .errors import raise_first, row_errors
-from .identity import interior_integral
-from .slab_green import _outgoing
 
 # Rows of a sweep computed at a time; the output does not depend on it.
 # Blocks of 1024 keep a closed-form run near the floor set by start-up and
@@ -74,6 +72,9 @@ def _identity_blocks(contexts, count, sources, tol):
     Then each omega row's interior integral is computed once; each block
     gives its omega rows, x_a, context and integral.
     """
+    from .identity import interior_integral  # verify-identity's modules, which no other subcommand imports
+    from .slab_green import _outgoing
+
     size = len(sources)
     step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
 

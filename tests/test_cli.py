@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -581,6 +582,102 @@ def test_subcommands_page_in_no_blas(tmp_path):
     assert after == before
 
 
+# Runs each argument list of its JSON argument through a freshly imported
+# slabgreen.cli and prints, as JSON, each run's exit code and the slabgreen
+# modules loaded once it is done. The package's modules are dropped from
+# sys.modules before each import, so each run starts as a process does.
+IMPORT_PROBE = """\
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "slabgreen")
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    for name in loaded():
+        del sys.modules[name]
+    from slabgreen import cli
+    runs.append([cli.main(argv), loaded()])
+print(json.dumps(runs))
+"""
+
+
+def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
+    """A process compiles each module it imports from source, so a subcommand imports only what it runs."""
+    config = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 2})
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"omega": 1.0, "separations": [[1.0, 0.5, 0.25]]}))
+    out = ["--out", str(tmp_path / "out.csv")]
+    runs = {"tensor3d": ["--config", str(tensor)], "coefficients": ["--config", config],
+            "verify-identity": ["--config", config], "decay-scan": ["--config", config],
+            "limit-study": ["--config", write_config(tmp_path, "limit.json")]}
+    result = run_python("-c", IMPORT_PROBE, json.dumps([[command, *argv, *out] for command, argv in runs.items()]))
+    assert result.returncode == 0, result.stderr
+    base = ["cli", "config", "errors", "writer"]
+    slab = [*base, "dielectric", "slab_green"]
+    expected = {
+        "tensor3d": [*base, "vacuum3d"],
+        "coefficients": slab,
+        "verify-identity": [*slab, "identity"],
+        "decay-scan": [*slab, "emission", "identity", "vacuum3d"],
+        "limit-study": [*slab, "emission", "identity", "vacuum3d"],
+    }
+    assert json.loads(result.stdout) == [
+        [0, ["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)]] for modules in expected.values()]
+
+
+# Each cli name that benchmarks/tracing.py wraps, by the module that defines it.
+TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
+                "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
+
+# In a process that has imported slabgreen.cli alone, looks up each cli name of
+# its first JSON argument, a dict of name -> defining module, as tracing does;
+# then wraps each name with setattr and runs the argument lists of its second
+# JSON argument through cli.main. Prints, as JSON, the names that resolved to
+# their module's object, the exit codes and the calls of each wrapper.
+PATCH_PROBE = """\
+import importlib, json, sys
+from slabgreen import cli
+
+homes, runs = map(json.loads, sys.argv[1:])
+resolved = [name for name, home in homes.items()
+            if getattr(cli, name) is getattr(importlib.import_module(f"slabgreen.{home}"), name)]
+calls = dict.fromkeys(homes, 0)
+
+def wrapped(name, original):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+for name in homes:
+    setattr(cli, name, wrapped(name, getattr(cli, name)))
+print(json.dumps([resolved, [cli.main(argv) for argv in runs], calls]))
+"""
+
+
+def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(tmp_path):
+    """tracing.py looks up and wraps cli's names before main() has run: each must resolve, and main() must call
+    the wrapper. In one test process an earlier main() has bound them all, so only a fresh process shows a name
+    that does not resolve.
+    """
+    spec = importlib.util.spec_from_file_location("slabgreen_bench_tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert sorted(attr for module, attr, _ in tracing.SPANS if module is cli) == sorted(TRACED_HOMES)
+    config = write_config(tmp_path, separations=[[1.0, 0.5, 0.25]])
+    frequency = write_config(tmp_path, "frequency.json", omega={"start": 1.0, "stop": 2.0, "count": 2})
+    out = ["--out", str(tmp_path / "out.csv")]
+    runs = [["verify-identity", "--config", frequency, *out], ["decay-scan", "--config", frequency, *out],
+            ["limit-study", "--config", config, *out], ["tensor3d", "--config", config, *out]]
+    result = run_python("-c", PATCH_PROBE, json.dumps(TRACED_HOMES), json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    resolved, codes, calls = json.loads(result.stdout)
+    assert resolved == list(TRACED_HOMES)
+    assert codes == [0, 0, 0, 0]
+    assert [name for name, count in calls.items() if not count] == []
+
+
 def test_installed_command_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -1129,18 +1226,20 @@ def test_verify_identity_checks_each_source_once_and_forms_pair_factors_twice(tm
 
     2 omegas x 40 x 40 sources in 64-row blocks: one omega chunk, then 80 blocks of one
     (omega, x_a) row, each of which forms its 40 pairs' factors twice: once for Im G and
-    F, once for the quadrature phase. boundary_term_f is never called.
+    F, once for the quadrature phase. boundary_term_f is never called. The pre-write pass
+    imports _outgoing from slab_green when it runs, and identity when it is imported.
     """
     calls = []
+    original = slab_green._outgoing
 
     def counted(module):
-        def outgoing(ctx, *sources, _original=slab_green._outgoing, **kwargs):
+        def outgoing(ctx, *sources, **kwargs):
             calls.append((module, math.prod(np.broadcast_shapes(ctx.shape, *map(np.shape, sources)))))
-            return _original(ctx, *sources, **kwargs)
+            return original(ctx, *sources, **kwargs)
 
         return outgoing
 
-    monkeypatch.setattr(writer, "_outgoing", counted("writer"))
+    monkeypatch.setattr(slab_green, "_outgoing", counted("writer"))
     monkeypatch.setattr(identity, "_outgoing", counted("identity"))
     monkeypatch.setattr(identity, "boundary_term_f", lambda *args, **kwargs: calls.append("boundary_term_f"))
     monkeypatch.setattr(writer, "_SWEEP_ROWS", 64)

@@ -53,10 +53,11 @@ def test_pinned_gauss_rule_is_gauss_legendre():
 
 def test_package_import_leaves_numpy_polynomial_out():
     # Neither numpy.polynomial nor dataclasses is imported: both only added start-up time.
+    # The star import loads every submodule that cli does not.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, slabgreen.cli; "
+        "import sys, slabgreen.cli; from slabgreen import *; "
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m == 'dataclasses'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

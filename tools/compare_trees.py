@@ -6,11 +6,17 @@ OLD_SRC and NEW_SRC are directories that hold a `slabgreen` package, such as
 the `src` directories of two checkouts. For each seed, each workload of
 benchmarks/workloads.py gives its jobs and then its set-up job, drawn from
 one random.Random(seed) as benchmarks/run.py draws them. Every job runs as
-`python -m slabgreen.cli` once with each tree on PYTHONPATH, from a
-directory of its own that holds the same config, so relative paths in
-messages match. The script lists every job whose CSV bytes (or whether the
-CSV exists), stdout, stderr or exit code differ, and exits 1 if any does;
-otherwise it exits 0. It uses only the standard library.
+`python -m slabgreen.cli` once with each tree on PYTHONPATH, as the bench
+runs it: from a run directory named like the bench's, with the config and
+CSV given by their paths there, and with the bench's one BLAS thread
+(`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS` = 1). Both trees
+run each job from the same directory, and each tree is on PYTHONPATH through
+a link of the same length, so no path that a child sees differs between the
+trees: messages match, and the peak RSS of a child, which moves with the
+length of its paths, compares like for like. The script lists every job
+whose CSV bytes (or whether the CSV exists), stdout, stderr or exit code
+differ, and exits 1 if any does; otherwise it exits 0. It uses only the
+standard library.
 
 For each job whose two CSVs differ, it then prints, per column, how many
 rows differ, the largest relative difference |a - b| / max(|a|, |b|) of one
@@ -49,13 +55,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import workloads  # noqa: E402
 
 
+# benchmarks/run.py's one BLAS thread per process, set before numpy loads.
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def jobs(seeds):
-    """(label, job, i) for every workload's jobs and set-up job at the i-th seed, in run.py's draw order."""
+    """(label, job, i, run directory name) for every workload's jobs and set-up job at the i-th seed.
+
+    They come in run.py's draw order, and the directory is named as run.py names its run directory.
+    """
     for i, seed in enumerate(seeds):
         for workload, generate in workloads.WORKLOADS.items():
             rng = random.Random(seed)
             for job in (*generate(rng), workloads.setup_job(rng)):
-                yield f"seed {seed} {workload} {job.name}", job, i
+                yield f"seed {seed} {workload} {job.name}", job, i, f"{workload}-seed{seed}-trace0"
 
 
 def digest(path):
@@ -74,16 +87,16 @@ def digest(path):
 
 
 def run(src, job, directory):
-    """Run one job with `src` on PYTHONPATH.
+    """Run one job with `src` on PYTHONPATH, from `directory`, with its config and CSV there as run.py gives them.
 
     Returns (exit code, stdout, stderr, the CSV's sha256 or None) and the
     child's (peak RSS in MB, wall seconds).
     """
-    config, out = directory / "config.json", directory / "out.csv"
+    config, out = directory / f"{job.name}.json", directory / f"{job.name}.csv"
     config.write_text(json.dumps(job.config))
     out.unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "slabgreen.cli", job.command, "--config", config.name, "--out", out.name, *job.flags]
+    env = dict(os.environ, PYTHONPATH=str(src), **THREADS)
+    argv = [sys.executable, "-m", "slabgreen.cli", job.command, "--config", str(config), "--out", str(out), *job.flags]
     with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
         start = time.perf_counter()
         child = subprocess.Popen(argv, cwd=directory, env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr)
@@ -160,13 +173,19 @@ def main(argv=None):
             parser.error(f"no slabgreen package under {tree}")
     differ, count, peaks = [], 0, {}  # peaks: label -> the (old, new) peak RSS of each sample
     with tempfile.TemporaryDirectory() as scratch:
-        directories = [Path(scratch, name) for name in ("old", "new")]
-        for directory in directories:
-            directory.mkdir()
+        links = [Path(scratch, name) for name in ("old", "new")]
+        for link, tree in zip(links, trees):
+            link.symlink_to(tree, target_is_directory=True)
         kept = []  # (label, old CSV, new CSV) of the jobs whose two CSVs differ
-        for label, job, i in jobs(args.seeds):
+        for label, job, i, run_dir in jobs(args.seeds):
+            directory = Path(scratch, run_dir)
+            directory.mkdir(exist_ok=True)
             order = [0, 1] if i % 2 == 0 else [1, 0]  # which tree runs first alternates from seed to seed
-            results = {side: run(trees[side], job, directories[side]) for side in order}
+            results, outputs = {}, [Path(scratch, f"{count}-{link.name}.csv") for link in links]
+            for side in order:  # each CSV is moved out of the directory before the other tree runs
+                results[side] = run(links[side], job, directory)
+                if results[side][0][3] is not None:
+                    (directory / f"{job.name}.csv").replace(outputs[side])
             (old, old_cost), (new, new_cost) = results[0], results[1]
             peaks.setdefault(label, []).append((old_cost[0], new_cost[0]))
             count += 1
@@ -177,8 +196,10 @@ def main(argv=None):
                 differ.append(label)
                 print(f"{label}: {', '.join(fields)} differ (exit {old[0]} -> {new[0]})")
             if None not in (old[3], new[3]) and old[3] != new[3]:
-                kept.append((label, *((directory / "out.csv").rename(Path(scratch, f"{count}-{directory.name}.csv"))
-                                      for directory in directories)))
+                kept.append((label, *outputs))
+            else:
+                for path in outputs:
+                    path.unlink(missing_ok=True)
         for label, old, new in kept:
             columns, (old_rows, new_rows) = column_differences(old, new)
             if old_rows != new_rows:
