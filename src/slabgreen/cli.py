@@ -1,23 +1,15 @@
 """Command-line front end: JSON config in, deterministic CSV out.
 
-Subcommands
------------
-coefficients     slab amplitudes A, B, C, D, Y per frequency
-verify-identity  quadrature check of the corrected identity on a source grid
-decay-scan       emission rates swept over position, thickness or frequency
-limit-study      diagnostics along a permittivity path approaching vacuum
-tensor3d         free-space dyadic tensor components and the vacuum rate
-
 CSV goes to --out (default stdout) with a fixed header, 17-significant-digit
 floats and '\n' line endings, so identical configs give byte-identical
 files. Human-readable summaries go to stderr. Exit codes: 0 success, 1
 configuration or validation error, 2 numerical tolerance violation, 3 output
-I/O error.
+I/O error. `slabgreen --help` lists the subcommands and the options.
 """
 
-import argparse
 import ctypes
 import gc
+import getopt
 import importlib
 import os
 import sys
@@ -90,7 +82,7 @@ def _emission_params(config, consts):
     )
 
 
-def _cmd_coefficients(config, consts, args):
+def _cmd_coefficients(config, consts, oracle):
     """Slab amplitudes A, B, C, D, Y per frequency."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
@@ -112,7 +104,7 @@ def _cmd_coefficients(config, consts, args):
     return [f"coefficients: {len(omega)} rows, max |1 - |A|^2 - |D|^2| = {worst:.6e}"], 0
 
 
-def _cmd_verify_identity(config, consts, args):
+def _cmd_verify_identity(config, consts, oracle):
     """Check the corrected identity on an (x_a, x_b) grid."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
@@ -138,7 +130,7 @@ def _cmd_verify_identity(config, consts, args):
     return [f"verify-identity: {rows} rows, max |lhs - Im G - F| = {worst:.6e} (tol {tol:.1e})"], status
 
 
-def _cmd_decay_scan(config, consts, args):
+def _cmd_decay_scan(config, consts, oracle):
     """Emission rates over a position, thickness or frequency sweep."""
     paths = {"frequency": "omega", "thickness": "slab.half_length", "position": "source"}
     swept = [axis for axis, path in paths.items() if isinstance(config[path], np.ndarray)]
@@ -157,20 +149,20 @@ def _cmd_decay_scan(config, consts, args):
         errors = row_errors(max(map(len, (omega, half_length, x_s))))
         geometry = SlabGeometry(half_length, errors=errors)
         ctx = make_context(geometry, model, omega, c=consts["c"], errors=errors)
-        rep = decay_report(params, ctx, x_s, oracle_tol=tol if args.oracle else None, errors=errors)
+        rep = decay_report(params, ctx, x_s, oracle_tol=tol if oracle else None, errors=errors)
         with np.errstate(all="ignore"):  # the numbers of failed rows are never written
             columns = [
                 ("omega", omega), ("half_length", half_length), ("x_s", x_s), ("gamma", rep.gamma_corrected),
                 ("gamma_uncorrected", rep.gamma_uncorrected), ("gamma_vac_1d", rep.gamma_vac_1d),
                 ("normalized_corrected", rep.normalized_corrected), ("normalized_uncorrected", rep.normalized_uncorrected),
             ]
-            if args.oracle:
+            if oracle:
                 scaled = abs(rep.gamma_quadrature - rep.gamma_corrected) / rep.gamma_vac_1d
                 columns += [("gamma_quadrature", rep.gamma_quadrature), ("quadrature_error_scaled", scaled)]
         yield columns, errors
         good = np.equal(errors, None)
         failed += good.size - np.count_nonzero(good)
-        if args.oracle:
+        if oracle:
             # A quadrature within tol moves the scaled column by at most 2k tol; NaN fails too.
             over += np.count_nonzero(good & ~(scaled <= 2.0 * ctx.k * tol))
     summary = [f"decay-scan ({swept[0]}): {total} rows, {failed} failed"]
@@ -179,7 +171,7 @@ def _cmd_decay_scan(config, consts, args):
     return summary, 2 if failed or over else 0
 
 
-def _cmd_limit_study(config, consts, args):
+def _cmd_limit_study(config, consts, oracle):
     """Diagnostics along a permittivity path approaching vacuum."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     k = _scalar(config, "omega") / consts["c"]
@@ -207,7 +199,7 @@ def _cmd_limit_study(config, consts, args):
     return summary, 2 if failed else 0
 
 
-def _cmd_tensor3d(config, consts, args):
+def _cmd_tensor3d(config, consts, oracle):
     """Free-space dyadic tensor components and the vacuum rate."""
     omega = _scalar(config, "omega")
     k = omega / consts["c"]
@@ -232,9 +224,9 @@ def _cmd_tensor3d(config, consts, args):
     ], 0
 
 
-# Each subcommand yields its table's parts (see writer._write_csv) and returns
-# its summary lines and exit status; with it, the number of leading cells a
-# failed row keeps (None: all of them), and the _NAMES modules it runs.
+# Each subcommand, given the config, its constants and --oracle, yields its
+# table's parts (see writer._write_csv) and returns its summary lines and exit
+# status; with it, the leading cells a failed row keeps (None: all), and its _NAMES modules.
 _COMMANDS = {
     "coefficients": (_cmd_coefficients, 0, ("slab_green",)),
     "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green")),
@@ -243,59 +235,70 @@ _COMMANDS = {
     "tensor3d": (_cmd_tensor3d, 0, ("vacuum3d",)),
 }
 
+# Each option's getopt spec ("=": it takes a value) and help line; --config, required, first and --help last.
+_OPTIONS = {
+    "config=": ("--config PATH", "the JSON run configuration"),
+    "out=": ("--out PATH", "CSV output path (default: stdout)"),
+    "tol=": ("--tol X", "quadrature tolerance, overrides the config (default 1e-8)"),
+    "oracle": ("--oracle", "add quadrature cross-check columns (decay-scan)"),
+    "units=": (f"--units {'|'.join(_CONSTANTS)}", "unit system, overrides the config (default natural)"),
+    "help": ("-h, --help", "print this help and exit"),
+}
+_USAGE = "usage: slabgreen <subcommand> --config PATH " + " ".join(f"[{flag}]" for flag, _ in list(_OPTIONS.values())[1:-1])
+_HELP = "\n".join([
+    _USAGE, "", "Slab Green function verification toolkit. Subcommands:",
+    *(f"  {name:20}{func.__doc__ or ''}" for name, (func, _, _) in _COMMANDS.items()),
+    "", "Options (a unique prefix, such as --conf, works too, and so does --option=value):",
+    *(f"  {flag:20}{text}" for flag, text in _OPTIONS.values()), ""])
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like configuration errors, instead of argparse's 2."""
 
-    def print_help(self, file=None):
-        if file is not None or sys.stdout is None:
-            return super().print_help(file)
-        # argparse's own print drops an unbuffered write's OSError; main() reports it as exit 3.
-        sys.stdout.write(self.format_help())
-        sys.stdout.flush()
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the JSON run configuration")
-    common.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="quadrature tolerance, overrides the config (default 1e-8)")
-    common.add_argument("--oracle", action="store_true",
-                        help="add quadrature cross-check columns where applicable (decay-scan)")
-    common.add_argument("--units", choices=["natural", "si"], default=None,
-                        help="unit system, overrides the config (default natural)")
-    parser = _Parser(prog="slabgreen", description="Slab Green function verification toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, _, _) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=func.__doc__)
-    return parser
+def _parse(argv):
+    """Read `<subcommand> [options]`: the subcommand, None for --help, and the options; a usage error raises."""
+    command = argv[0] if argv else None
+    opts, stray = getopt.getopt(argv[1:] if command in _COMMANDS else argv, "h", list(_OPTIONS))
+    options = {name.lstrip("-"): value for name, value in opts}  # a repeated option's last value wins
+    if "h" in options or "help" in options:
+        return None, options
+    if command not in _COMMANDS:
+        raise getopt.GetoptError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
+    if stray:
+        raise getopt.GetoptError(f"unrecognized arguments: {' '.join(stray)}")
+    if "config" not in options:
+        raise getopt.GetoptError("the following arguments are required: --config")
+    if "units" in options and options["units"] not in _CONSTANTS:
+        raise getopt.GetoptError(f"argument --units: invalid choice: {options['units']!r}")
+    try:
+        if "tol" in options:
+            options["tol"] = float(options["tol"])
+    except ValueError:
+        raise getopt.GetoptError(f"argument --tol: invalid float value: {options['tol']!r}") from None
+    return command, options
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The subcommand's modules load before the parser is built (see README,
-    # "What sets peak RSS"). argparse accepts a line only with the subcommand
-    # first: the top-level parser takes -h alone.
+    # The subcommand's modules load first (see README, "What sets peak RSS").
     if argv and argv[0] in _COMMANDS:
         _load(*_COMMANDS[argv[0]][2])
     try:
-        args = build_parser().parse_args(argv)
-        config = parse_config(args.config)
-        if args.tol is not None:
-            _positive(args.tol, "--tol")
-        for key, flag in (("units", args.units), ("tolerances.quadrature", args.tol), ("output.path", args.out)):
-            if flag is not None:
-                config[key] = flag
+        command, options = _parse(argv)
+        if command is None:  # with no stdout (fd 1 closed) the help goes to stderr
+            print(_HELP, end="", file=sys.stdout or sys.stderr, flush=True)
+            return 0
+        config = parse_config(options["config"])
+        if "tol" in options:
+            _positive(options["tol"], "--tol")
+        for key, name in (("units", "units"), ("tolerances.quadrature", "tol"), ("output.path", "out")):
+            if name in options:
+                config[key] = options[name]
         if _malloc_trim is not None:  # hand the import's and the parse's freed heap back to the OS
             _malloc_trim(0)
-        command, kept, _ = _COMMANDS[args.command]
-        parts = command(config, _CONSTANTS[config["units"]], args)
+        run_command, kept, _ = _COMMANDS[command]
+        parts = run_command(config, _CONSTANTS[config["units"]], "oracle" in options)
         summary, status = _write_csv(config["output.path"], parts, kept)
+    except getopt.GetoptError as exc:
+        print(f"{_USAGE}\nslabgreen: error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -316,10 +319,7 @@ def run():
     nothing to scan. main() itself freezes nothing: tests and library
     callers run it in-process.
     """
-    try:
-        status = main()
-    except SystemExit as exc:  # argparse's --help and usage errors
-        status = exc.code
+    status = main()
     gc.freeze()
     try:
         if sys.stdout is not None:

@@ -584,8 +584,9 @@ def test_subcommands_page_in_no_blas(tmp_path):
 
 # Runs each argument list of its JSON argument through a freshly imported
 # slabgreen.cli and prints, as JSON, each run's exit code and the slabgreen
-# modules loaded once it is done. The package's modules are dropped from
-# sys.modules before each import, so each run starts as a process does.
+# modules loaded once it is done, then whether any run loaded argparse. The
+# package's modules are dropped from sys.modules before each import, so each
+# run starts as a process does.
 IMPORT_PROBE = """\
 import json, sys
 
@@ -598,7 +599,7 @@ for argv in json.loads(sys.argv[1]):
         del sys.modules[name]
     from slabgreen import cli
     runs.append([cli.main(argv), loaded()])
-print(json.dumps(runs))
+print(json.dumps([runs, "argparse" in sys.modules]))
 """
 
 
@@ -622,8 +623,10 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
         "decay-scan": [*slab, "emission", "identity", "vacuum3d"],
         "limit-study": [*slab, "emission", "identity", "vacuum3d"],
     }
-    assert json.loads(result.stdout) == [
+    runs, argparse_loaded = json.loads(result.stdout)
+    assert runs == [
         [0, ["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)]] for modules in expected.values()]
+    assert not argparse_loaded  # its import and parser cost a process about 5 ms and 0.4 MB of peak RSS
 
 
 # Each cli name that benchmarks/tracing.py wraps, by the module that defines it.
@@ -1356,20 +1359,43 @@ def test_long_number_lists_report_first_bad_path(tmp_path, capsys, command, over
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+USAGE = "usage: slabgreen "
+
+
+# CONFIG in an argument stands for the path of a valid config.
 @pytest.mark.parametrize(
-    "flags, code",
-    [(["--tol", "inf"], 1), (["--tol", "abc"], 1), (None, 1), (["--help"], 0)],
-    ids=["tol_inf", "tol_not_a_number", "missing_config", "help"],
+    "argv, code, out, err",
+    [
+        (["verify-identity", "--config", "CONFIG", "--tol", "inf"], 1, "", "error: --tol: expected a finite number\n"),
+        (["verify-identity", "--config", "CONFIG", "--tol", "abc"], 1, "", USAGE),
+        (["verify-identity"], 1, "", USAGE),
+        (["verify-identity", "--config", "CONFIG", "--help"], 0, USAGE, ""),
+        ([], 1, "", USAGE),
+        (["verify", "--config", "CONFIG"], 1, "", USAGE),
+        (["coefficients", "--config", "CONFIG", "--bogus"], 1, "", USAGE),
+        (["coefficients", "--config", "CONFIG", "extra"], 1, "", USAGE),
+        (["coefficients", "--config", "CONFIG", "--units", "kelvin"], 1, "", USAGE),
+        (["coefficients", "--config", "CONFIG", "--o", "out.csv"], 1, "", USAGE),
+        (["coefficients", "--config=CONFIG"], 0, "omega,k,", "coefficients: 1 rows, "),
+        (["coefficients", "--conf", "CONFIG"], 0, "omega,k,", "coefficients: 1 rows, "),
+        (["coefficients", "-h"], 0, USAGE, ""),
+    ],
+    ids=["tol_inf", "tol_not_a_number", "missing_config", "help", "no_subcommand", "unknown_subcommand", "bogus",
+         "stray_positional", "units_kelvin", "ambiguous_prefix", "config_equals", "config_prefix", "subcommand_help"],
 )
-def test_exit_codes(tmp_path, flags, code):
+def test_exit_codes(tmp_path, capsys, argv, code, out, err):
     # Usage errors and non-finite tolerances are configuration errors (1), not
-    # tolerance violations (2); argparse reports usage errors through SystemExit.
-    argv = ["verify-identity"] if flags is None else ["verify-identity", "--config", write_config(tmp_path), *flags]
-    try:
-        rc = cli.main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == code
+    # tolerance violations (2); main() returns every status, --help's too.
+    config = write_config(tmp_path)
+    assert cli.main([arg.replace("CONFIG", config) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out) and captured.err.startswith(err)
+    if err == USAGE:  # a usage line and one error line, and no output
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith(USAGE) and error.startswith("slabgreen: error: ")
+    if out == USAGE:  # the help, and nothing on stderr
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -1668,17 +1694,23 @@ FULL = b"error: [Errno 28] No space left on device\n"
         pytest.param(["-u"], ["--help"], "full", 3, FULL, id="stdout_full_unbuffered", marks=DEV_FULL),
         pytest.param(["-u"], ["coefficients", "--help"], "full", 3, FULL, id="subcommand_stdout_full_unbuffered",
                      marks=DEV_FULL),
+        pytest.param([], ["--help"], "closed", 0, None, id="stdout_closed"),
     ],
 )
 def test_module_help_exit_codes(flags, argv, stdout, code, stderr):
     if stdout == "full":
         with open("/dev/full", "wb") as full:
             result = run_python(*flags, "-m", "slabgreen.cli", *argv, stdout=full)
+    elif stdout == "closed":
+        result = run_python(*flags, "-m", "slabgreen.cli", *argv, stdout=None, preexec_fn=lambda: os.close(1))
     else:
         result = run_python(*flags, "-m", "slabgreen.cli", *argv)
         assert result.stdout.startswith(b"usage: slabgreen ")
     assert result.returncode == code
-    assert result.stderr == stderr
+    if stdout == "closed":  # the child's sys.stdout is None, so the help goes to stderr
+        assert result.stderr.startswith(b"usage: slabgreen ")
+    else:
+        assert result.stderr == stderr
 
 
 def test_process_entry_freezes_after_help():
