@@ -9,7 +9,6 @@ I/O error. `slabgreen --help` lists the subcommands and the options.
 
 import ctypes
 import gc
-import getopt
 import importlib
 import os
 import sys
@@ -25,7 +24,7 @@ from .writer import _blocks, _checked_blocks, _complex, _context_check, _identit
 # before it builds the parser; __getattr__ binds them on first use, as
 # cli.make_context, for callers and tracing that look them up here.
 _NAMES = {
-    "slab_green": ("SlabGeometry", "make_context"),
+    "slab_green": ("SlabGeometry", "_power_balance", "make_context"),
     "identity": ("identity_report",),
     "vacuum3d": ("EmissionParams", "_tensor_separation", "green_tensor_vacuum", "im_green_coincident",
                  "vacuum_decay_3d"),
@@ -92,9 +91,7 @@ def _cmd_coefficients(config, consts, oracle):
     for rows in _checked_blocks(len(omega), contexts):
         ctx = contexts(rows)
         co = ctx.coefficients
-        abs_a_sq = abs(co.A) ** 2
-        abs_d_sq = abs(co.D) ** 2
-        defect = 1.0 - abs_a_sq - abs_d_sq
+        abs_a_sq, abs_d_sq, defect = _power_balance(ctx)
         yield [
             ("omega", omega[rows]), ("k", ctx.k), *_complex("n", ctx.n),
             *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
@@ -226,7 +223,8 @@ def _cmd_tensor3d(config, consts, oracle):
 
 # Each subcommand, given the config, its constants and --oracle, yields its
 # table's parts (see writer._write_csv) and returns its summary lines and exit
-# status; with it, the leading cells a failed row keeps (None: all), and its _NAMES modules.
+# status; with it, the leading cells a failed row keeps (None: all), and its _NAMES modules
+# (main() adds identity for --oracle).
 _COMMANDS = {
     "coefficients": (_cmd_coefficients, 0, ("slab_green",)),
     "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green")),
@@ -235,7 +233,7 @@ _COMMANDS = {
     "tensor3d": (_cmd_tensor3d, 0, ("vacuum3d",)),
 }
 
-# Each option's getopt spec ("=": it takes a value) and help line; --config, required, first and --help last.
+# Each option's spec ("=": it takes a value) and help line; --config, required, first and --help last.
 _OPTIONS = {
     "config=": ("--config PATH", "the JSON run configuration"),
     "out=": ("--out PATH", "CSV output path (default: stdout)"),
@@ -252,39 +250,82 @@ _HELP = "\n".join([
     *(f"  {flag:20}{text}" for flag, text in _OPTIONS.values()), ""])
 
 
+class _UsageError(Exception):
+    """A command line that does not follow the usage line."""
+
+
+def _options(args):
+    """The options and the remaining arguments, read as getopt.getopt(args, "h", _OPTIONS) reads them.
+
+    getopt is not imported: it loads gettext for its messages, which cost
+    every process about 0.1 MB of peak RSS (see README, "Start-up"). A
+    repeated option's last value wins.
+    """
+    options = {}
+    while args and args[0].startswith("-") and args[0] != "-":
+        arg, args = args[0], args[1:]
+        if arg == "--":
+            break
+        if not arg.startswith("--"):  # -h, or a run of them
+            for letter in arg[1:]:
+                if letter != "h":
+                    raise _UsageError(f"option -{letter} not recognized")
+                options["h"] = ""
+            continue
+        name, has_value, value = arg[2:].partition("=")
+        specs = [spec for spec in _OPTIONS if spec.startswith(name)]
+        if not specs:
+            raise _UsageError(f"option --{name} not recognized")
+        if name not in specs and f"{name}=" not in specs:  # a prefix, which must be unique
+            if len(specs) > 1:
+                raise _UsageError(f"option --{name} not a unique prefix")
+            name = specs[0].rstrip("=")
+        if f"{name}=" not in _OPTIONS:
+            if has_value:
+                raise _UsageError(f"option --{name} must not have an argument")
+        elif not has_value:
+            if not args:
+                raise _UsageError(f"option --{name} requires argument")
+            value, args = args[0], args[1:]
+        options[name] = value
+    return options, args
+
+
 def _parse(argv):
     """Read `<subcommand> [options]`: the subcommand, None for --help, and the options; a usage error raises."""
     command = argv[0] if argv else None
-    opts, stray = getopt.getopt(argv[1:] if command in _COMMANDS else argv, "h", list(_OPTIONS))
-    options = {name.lstrip("-"): value for name, value in opts}  # a repeated option's last value wins
+    options, stray = _options(argv[1:] if command in _COMMANDS else argv)
     if "h" in options or "help" in options:
         return None, options
     if command not in _COMMANDS:
-        raise getopt.GetoptError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
+        raise _UsageError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
     if stray:
-        raise getopt.GetoptError(f"unrecognized arguments: {' '.join(stray)}")
+        raise _UsageError(f"unrecognized arguments: {' '.join(stray)}")
     if "config" not in options:
-        raise getopt.GetoptError("the following arguments are required: --config")
+        raise _UsageError("the following arguments are required: --config")
     if "units" in options and options["units"] not in _CONSTANTS:
-        raise getopt.GetoptError(f"argument --units: invalid choice: {options['units']!r}")
+        raise _UsageError(f"argument --units: invalid choice: {options['units']!r}")
     try:
         if "tol" in options:
             options["tol"] = float(options["tol"])
     except ValueError:
-        raise getopt.GetoptError(f"argument --tol: invalid float value: {options['tol']!r}") from None
+        raise _UsageError(f"argument --tol: invalid float value: {options['tol']!r}") from None
     return command, options
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The subcommand's modules load first (see README, "What sets peak RSS").
+    # The subcommand's modules load first, and for --oracle the quadrature's ahead of them (see
+    # README, "What sets peak RSS").
     if argv and argv[0] in _COMMANDS:
-        _load(*_COMMANDS[argv[0]][2])
+        _load(*(("identity",) if "--oracle" in argv else ()), *_COMMANDS[argv[0]][2])
     try:
         command, options = _parse(argv)
         if command is None:  # with no stdout (fd 1 closed) the help goes to stderr
             print(_HELP, end="", file=sys.stdout or sys.stderr, flush=True)
             return 0
+        if "oracle" in options:  # an abbreviated --oracle, such as --orac, loads it here
+            _load("identity")
         config = parse_config(options["config"])
         if "tol" in options:
             _positive(options["tol"], "--tol")
@@ -296,7 +337,7 @@ def main(argv=None) -> int:
         run_command, kept, _ = _COMMANDS[command]
         parts = run_command(config, _CONSTANTS[config["units"]], "oracle" in options)
         summary, status = _write_csv(config["output.path"], parts, kept)
-    except getopt.GetoptError as exc:
+    except _UsageError as exc:
         print(f"{_USAGE}\nslabgreen: error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, DomainError) as exc:

@@ -20,9 +20,21 @@ import numpy as np
 
 from .dielectric import Constant
 from .errors import check, plain, raise_first, row_errors
-from .identity import boundary_term_f, lhs_quadrature
-from .slab_green import SlabGeometry, WaveContext, _outgoing, make_context
+from .slab_green import SlabGeometry, WaveContext, _outgoing, _power_balance, make_context
 from .vacuum3d import EmissionParams
+
+
+def __getattr__(name):
+    """lhs_quadrature, imported on first use (PEP 562), so only the quadrature route compiles identity.py.
+
+    decay_from_quadrature calls through this name; a value already bound
+    here, such as a tracing wrapper, stays as it is.
+    """
+    if name != "lhs_quadrature":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .identity import lhs_quadrature
+
+    return globals().setdefault(name, lhs_quadrature)
 
 
 # The rates take arrays of rows: the context's fields and the source
@@ -47,8 +59,7 @@ def decay_rate_corrected(params: EmissionParams, ctx: WaveContext, errors=None) 
 
     Has no source-position argument because the corrected rate has none.
     """
-    co = ctx.coefficients
-    return _finite_rate(0.5 * params.gamma_vacuum_1d(ctx.k) * (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2), errors)
+    return _finite_rate(0.5 * params.gamma_vacuum_1d(ctx.k) * _power_balance(ctx)[2], errors)
 
 
 @np.errstate(all="ignore")
@@ -71,7 +82,7 @@ def decay_from_quadrature(
     error record, a row whose quadrature fails is marked with the error's
     message; without one, the QuadratureError or DomainError propagates.
     """
-    lhs, _ = lhs_quadrature(x_source, x_source, ctx, tol=tol, errors=errors)
+    lhs, _ = __getattr__("lhs_quadrature")(x_source, x_source, ctx, tol=tol, errors=errors)
     prefactor = params.rate_prefactor(ctx.k)
     with np.errstate(all="ignore"):  # failed rows carry any k
         rate = _finite_rate(prefactor * np.real(lhs), errors)
@@ -140,13 +151,12 @@ def limit_study(
     record = row_errors(eps.shape) if errors is None else errors
     # A constant permittivity does not depend on the frequency: build the context at omega = k, c = 1.
     ctx = make_context(geometry, Constant(eps, errors=record), k, errors=record)
-    f = boundary_term_f(x_source, x_source, ctx, errors=record)
+    ((_, rho, lam),) = _outgoing(ctx, x_source, errors=record)
     rates = decay_report(params, ctx, x_source, errors=record)
     if errors is None:
         raise_first(record)
-    co = ctx.coefficients
     with np.errstate(all="ignore"):  # the numbers of failed rows are dropped
-        # Im G0(x_s, x_s) = Im (i/2k) is exactly 1/2k.
-        return LimitStudyReport(
-            eps, rates.gamma_corrected, rates.gamma_uncorrected, f.real + 0.5 / k, abs(co.A) ** 2, abs(co.D) ** 2
-        )
+        # F(x_s, x_s) (see slab_green._outgoing); Im G0(x_s, x_s) = Im (i/2k) is exactly 1/2k.
+        f = -(rho * np.conj(rho) + lam * np.conj(lam)) / (4.0 * ctx.k)
+        abs_a_sq, abs_d_sq, _ = _power_balance(ctx)
+        return LimitStudyReport(eps, rates.gamma_corrected, rates.gamma_uncorrected, f.real + 0.5 / k, abs_a_sq, abs_d_sq)

@@ -111,6 +111,13 @@ def coefficients(geometry: SlabGeometry, n, k, errors=None) -> SlabCoefficients:
     return SlabCoefficients(*map(plain, amplitudes))
 
 
+def _power_balance(ctx):
+    """|A|^2, |D|^2 and the absorbed power 1 - |A|^2 - |D|^2 of a unit wave on the slab, per row of ctx."""
+    co = ctx.coefficients
+    abs_a_sq, abs_d_sq = abs(co.A) ** 2, abs(co.D) ** 2
+    return abs_a_sq, abs_d_sq, 1.0 - abs_a_sq - abs_d_sq
+
+
 def make_context(
     geometry: SlabGeometry, model: DielectricModel, omega, c: float = 1.0, errors=None
 ) -> WaveContext:

@@ -583,50 +583,68 @@ def test_subcommands_page_in_no_blas(tmp_path):
 
 
 # Runs each argument list of its JSON argument through a freshly imported
-# slabgreen.cli and prints, as JSON, each run's exit code and the slabgreen
-# modules loaded once it is done, then whether any run loaded argparse. The
-# package's modules are dropped from sys.modules before each import, so each
-# run starts as a process does.
+# slabgreen.cli and prints, as JSON, each run's exit code, the slabgreen
+# modules loaded once it is done and those loaded, in load order, whenever
+# cli.parse_config read a config, then which of argparse, getopt and gettext
+# any run loaded. The package's modules are dropped from sys.modules before
+# each import, so each run starts as a process does.
 IMPORT_PROBE = """\
 import json, sys
 
 def loaded():
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "slabgreen")
+    return [name for name in sys.modules if name.partition(".")[0] == "slabgreen"]
 
 runs = []
 for argv in json.loads(sys.argv[1]):
     for name in loaded():
         del sys.modules[name]
     from slabgreen import cli
-    runs.append([cli.main(argv), loaded()])
-print(json.dumps([runs, "argparse" in sys.modules]))
+    read, parse_config = [], cli.parse_config
+    cli.parse_config = lambda path: read.append(loaded()) or parse_config(path)
+    runs.append([cli.main(argv), sorted(loaded()), read])
+print(json.dumps([runs, [name for name in ("argparse", "getopt", "gettext") if name in sys.modules]]))
 """
 
 
 def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
-    """A process compiles each module it imports from source, so a subcommand imports only what it runs."""
+    """A process compiles each module it imports from source, so a subcommand imports only what it runs.
+
+    Each one is loaded before the config is read: a module compiled mid-run
+    leaves its compile peak on top of the run's data (see README, "What sets
+    peak RSS"). Only verify-identity and --oracle integrate, so only they
+    load identity.
+    """
     config = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 2})
     tensor = tmp_path / "tensor.json"
     tensor.write_text(json.dumps({"omega": 1.0, "separations": [[1.0, 0.5, 0.25]]}))
     out = ["--out", str(tmp_path / "out.csv")]
-    runs = {"tensor3d": ["--config", str(tensor)], "coefficients": ["--config", config],
-            "verify-identity": ["--config", config], "decay-scan": ["--config", config],
-            "limit-study": ["--config", write_config(tmp_path, "limit.json")]}
-    result = run_python("-c", IMPORT_PROBE, json.dumps([[command, *argv, *out] for command, argv in runs.items()]))
+    argvs = [["tensor3d", "--config", str(tensor)], ["coefficients", "--config", config],
+             ["verify-identity", "--config", config], ["decay-scan", "--config", config],
+             ["decay-scan", "--oracle", "--config", config], ["decay-scan", "--orac", "--config", config],
+             ["limit-study", "--config", write_config(tmp_path, "limit.json")]]
+    result = run_python("-c", IMPORT_PROBE, json.dumps([[*argv, *out] for argv in argvs]))
     assert result.returncode == 0, result.stderr
     base = ["cli", "config", "errors", "writer"]
     slab = [*base, "dielectric", "slab_green"]
-    expected = {
-        "tensor3d": [*base, "vacuum3d"],
-        "coefficients": slab,
-        "verify-identity": [*slab, "identity"],
-        "decay-scan": [*slab, "emission", "identity", "vacuum3d"],
-        "limit-study": [*slab, "emission", "identity", "vacuum3d"],
-    }
-    runs, argparse_loaded = json.loads(result.stdout)
-    assert runs == [
-        [0, ["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)]] for modules in expected.values()]
-    assert not argparse_loaded  # its import and parser cost a process about 5 ms and 0.4 MB of peak RSS
+    expected = [
+        [*base, "vacuum3d"],  # tensor3d
+        slab,  # coefficients
+        [*slab, "identity"],  # verify-identity
+        [*slab, "emission", "vacuum3d"],  # decay-scan
+        [*slab, "emission", "identity", "vacuum3d"],  # decay-scan --oracle
+        [*slab, "emission", "identity", "vacuum3d"],  # decay-scan --orac, loaded after the parse
+        [*slab, "emission", "vacuum3d"],  # limit-study
+    ]
+    runs, parsers = json.loads(result.stdout)
+    names = [["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)] for modules in expected]
+    assert [[code, modules, [sorted(order) for order in read]] for code, modules, read in runs] == [
+        [0, modules, [modules]] for modules in names]
+    # --oracle loads identity ahead of the subcommand's modules, --orac only after the parse
+    (oracle,), (abbreviated,) = runs[4][2], runs[5][2]
+    assert oracle.index("slabgreen.identity") < oracle.index("slabgreen.emission")
+    assert abbreviated.index("slabgreen.identity") > abbreviated.index("slabgreen.emission")
+    # argparse's import and parser cost a process about 5 ms and 0.4 MB of peak RSS, getopt's gettext about 0.65 ms
+    assert parsers == []
 
 
 # Each cli name that benchmarks/tracing.py wraps, by the module that defines it.
@@ -1396,6 +1414,34 @@ def test_exit_codes(tmp_path, capsys, argv, code, out, err):
         assert usage.startswith(USAGE) and error.startswith("slabgreen: error: ")
     if out == USAGE:  # the help, and nothing on stderr
         assert captured.err == ""
+
+
+# Arguments near every branch of getopt's reading: exact names, prefixes (unique, ambiguous, empty), values
+# given with = or as the next argument or missing, flags given a value, runs of short options, -- and -.
+ARGUMENT = st.one_of(
+    st.sampled_from(["--config", "--config=c.json", "--config=", "--conf", "--c", "--o", "--or", "--out", "--oracle",
+                     "--oracle=1", "--orac=", "--help", "--h", "--he=x", "-h", "-hh", "-hx", "-x", "-h=", "--", "-",
+                     "--=", "--bogus", "--tol", "--tol=1e-3", "--units=si", "--u", "x", ""]),
+    st.text(alphabet="-=hco", max_size=5),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(args=st.lists(ARGUMENT, max_size=5))
+def test_the_command_line_is_read_as_getopt_reads_it(args):
+    """cli._options drops getopt, which loads gettext, and keeps its grammar and its messages."""
+    import getopt
+
+    try:
+        opts, rest = getopt.getopt(args, "h", list(cli._OPTIONS))
+        expected = {name.lstrip("-"): value for name, value in opts}, rest
+    except getopt.GetoptError as error:
+        expected = str(error)
+    try:
+        got = cli._options(args)
+    except cli._UsageError as error:
+        got = str(error)
+    assert got == expected
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slabgreen import (
     Constant,
@@ -23,6 +23,7 @@ from slabgreen import (
     refractive_index,
 )
 from slabgreen.errors import row_errors
+from slabgreen.slab_green import _power_balance
 
 PARAMS = EmissionParams()
 
@@ -192,6 +193,47 @@ def test_limit_study_default_source():
     assert errors[0] is None
     explicit = limit_study(PARAMS, SlabGeometry(1.0), [1.0 + 0.01j], 1.0, x_source=1.0 + 1.0 / 1.0)
     assert study.gamma_uncorrected.tolist() == explicit.gamma_uncorrected.tolist()
+
+
+# Indices n of a limit-study path in ROADMAP item 1's hard regimes: near-lossless (Im n down to 1e-14),
+# epsilon-near-zero n = s (1 + i) down to where the degeneracy guard fails the entry, and opaque slabs with
+# Im n up to 1e3, whose amplitudes underflow but nothing overflows.
+HARD_INDEX = st.one_of(
+    st.builds(complex, st.floats(0.1, 4.0), st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e)),
+    st.floats(-15.0, 0.0).map(lambda e: 10.0 ** e * (1 + 1j)),
+    st.builds(complex, st.floats(0.0, 4.0), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.lists(HARD_INDEX, min_size=1, max_size=5), k=st.floats(0.1, 20.0), l=st.floats(0.1, 5.0),
+       distance=st.floats(0.01, 5.0))
+@example(n=[1e-14 * (1 + 1j), 1.5 + 1e-14j, 2.0 + 300j], k=3.0, l=1.0, distance=0.5)  # one of each, the first fails
+def test_limit_study_columns_keep_the_bits_of_their_expressions(n, k, l, distance):
+    """Every limit-study column equals, bit for bit, the expression it was computed from before F came from one
+    factor triple and the powers from slab_green._power_balance, with and without an error record."""
+    eps, x_s = np.array([z * z for z in n]), l + distance
+    record = row_errors(len(eps))
+    ctx = make_context(SlabGeometry(l), Constant(eps, errors=record), k, errors=record)
+    with np.errstate(all="ignore"):
+        f_plus_im_g0 = boundary_term_f(x_s, x_s, ctx, errors=record).real + 0.5 / k
+        rates = decay_report(PARAMS, ctx, x_s, errors=record)
+        expected = [f_plus_im_g0, rates.gamma_corrected, rates.gamma_uncorrected,
+                    abs(ctx.coefficients.A) ** 2, abs(ctx.coefficients.D) ** 2]
+    errors = row_errors(len(eps))
+    studies = [limit_study(PARAMS, SlabGeometry(l), eps, k, x_source=x_s, errors=errors)]
+    assert errors.tolist() == record.tolist()
+    if np.equal(record, None).all():
+        studies.append(limit_study(PARAMS, SlabGeometry(l), eps, k, x_source=x_s))
+    else:  # without a record the first failing entry raises its message
+        with pytest.raises(DomainError) as raised:
+            limit_study(PARAMS, SlabGeometry(l), eps, k, x_source=x_s)
+        assert str(raised.value) == next(message for message in record if message is not None)
+    for study in studies:
+        columns = [study.f_plus_im_g0, study.gamma, study.gamma_uncorrected, study.abs_a_sq, study.abs_d_sq]
+        assert [column.tobytes() for column in columns] == [column.tobytes() for column in expected]
+    # the absorbed power that the corrected rate and coefficients' unitarity_defect read
+    assert _power_balance(ctx)[2].tobytes() == (1.0 - expected[3] - expected[4]).tobytes()
 
 
 # The no-coupling limit to leading order in delta (ROADMAP item 8). The next order is at most

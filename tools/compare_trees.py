@@ -34,6 +34,10 @@ so `--seeds 43 43 43` gives three samples of each job; the tree that runs
 first alternates from one seed in the list to the next, so neither always
 runs on a warmer machine. At the end, per job, it prints each tree's median
 peak RSS over its samples and in how many pairs the new tree's was higher.
+Then, per workload and seed, it prints each tree's pass peak, the largest
+peak RSS of the workload's jobs without its set-up job, which is what the
+bench reports as peak_rss_mb; and per workload, the median change of the
+pass peak over the seeds and at how many seeds the new tree's was higher.
 """
 
 import argparse
@@ -60,15 +64,19 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 
 
 def jobs(seeds):
-    """(label, job, i, run directory name) for every workload's jobs and set-up job at the i-th seed.
+    """(label, job, i, run directory name, pass) for every workload's jobs and set-up job at the i-th seed.
 
-    They come in run.py's draw order, and the directory is named as run.py names its run directory.
+    They come in run.py's draw order, and the directory is named as run.py
+    names its run directory. The pass is (i, seed, workload) for the jobs of
+    the workload's pass and None for its set-up job, which run.py keeps out
+    of the pass.
     """
     for i, seed in enumerate(seeds):
         for workload, generate in workloads.WORKLOADS.items():
             rng = random.Random(seed)
-            for job in (*generate(rng), workloads.setup_job(rng)):
-                yield f"seed {seed} {workload} {job.name}", job, i, f"{workload}-seed{seed}-trace0"
+            in_pass = [(job, (i, seed, workload)) for job in generate(rng)]
+            for job, key in (*in_pass, (workloads.setup_job(rng), None)):
+                yield f"seed {seed} {workload} {job.name}", job, i, f"{workload}-seed{seed}-trace0", key
 
 
 def digest(path):
@@ -172,12 +180,13 @@ def main(argv=None):
         if not (tree / "slabgreen" / "cli.py").is_file():
             parser.error(f"no slabgreen package under {tree}")
     differ, count, peaks = [], 0, {}  # peaks: label -> the (old, new) peak RSS of each sample
+    pass_peaks = {}  # (i, seed, workload) -> the (old, new) largest peak RSS of the pass's jobs
     with tempfile.TemporaryDirectory() as scratch:
         links = [Path(scratch, name) for name in ("old", "new")]
         for link, tree in zip(links, trees):
             link.symlink_to(tree, target_is_directory=True)
         kept = []  # (label, old CSV, new CSV) of the jobs whose two CSVs differ
-        for label, job, i, run_dir in jobs(args.seeds):
+        for label, job, i, run_dir, in_pass in jobs(args.seeds):
             directory = Path(scratch, run_dir)
             directory.mkdir(exist_ok=True)
             order = [0, 1] if i % 2 == 0 else [1, 0]  # which tree runs first alternates from seed to seed
@@ -188,6 +197,9 @@ def main(argv=None):
                     (directory / f"{job.name}.csv").replace(outputs[side])
             (old, old_cost), (new, new_cost) = results[0], results[1]
             peaks.setdefault(label, []).append((old_cost[0], new_cost[0]))
+            if in_pass is not None:
+                old_peak, new_peak = pass_peaks.get(in_pass, (0.0, 0.0))
+                pass_peaks[in_pass] = max(old_peak, old_cost[0]), max(new_peak, new_cost[0])
             count += 1
             print(f"{label}: peak RSS {old_cost[0]:.2f} -> {new_cost[0]:.2f} MB, "
                   f"wall {old_cost[1]:.3f} -> {new_cost[1]:.3f} s")
@@ -212,6 +224,13 @@ def main(argv=None):
         higher = sum(new > old for old, new in pairs)
         print(f"{label}: median peak RSS {statistics.median(old_peaks):.3f} -> {statistics.median(new_peaks):.3f} MB "
               f"over {len(pairs)} pairs, new higher in {higher}")
+    changes = {}  # workload -> the new tree's pass peak minus the old one's, per seed
+    for (_, seed, workload), (old_peak, new_peak) in pass_peaks.items():
+        print(f"seed {seed} {workload}: pass peak RSS {old_peak:.3f} -> {new_peak:.3f} MB")
+        changes.setdefault(workload, []).append(new_peak - old_peak)
+    for workload, deltas in changes.items():
+        print(f"{workload}: pass peak RSS median change {statistics.median(deltas):+.3f} MB over {len(deltas)} seeds, "
+              f"new higher in {sum(delta > 0 for delta in deltas)}")
     print(f"{len(differ)} of {count} jobs differ", file=sys.stderr)
     return 1 if differ else 0
 
