@@ -223,14 +223,14 @@ def _cmd_tensor3d(config, consts, oracle):
 
 # Each subcommand, given the config, its constants and --oracle, yields its
 # table's parts (see writer._write_csv) and returns its summary lines and exit
-# status; with it, the leading cells a failed row keeps (None: all), and its _NAMES modules
-# (main() adds identity for --oracle).
+# status; with it, the leading cells a failed row keeps (None: all), its _NAMES modules
+# and those that --oracle adds (main() loads these first).
 _COMMANDS = {
-    "coefficients": (_cmd_coefficients, 0, ("slab_green",)),
-    "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green")),
-    "decay-scan": (_cmd_decay_scan, 3, ("emission", "slab_green", "vacuum3d")),
-    "limit-study": (_cmd_limit_study, 2, ("emission", "slab_green", "vacuum3d")),
-    "tensor3d": (_cmd_tensor3d, 0, ("vacuum3d",)),
+    "coefficients": (_cmd_coefficients, 0, ("slab_green",), ()),
+    "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green"), ()),
+    "decay-scan": (_cmd_decay_scan, 3, ("emission", "slab_green", "vacuum3d"), ("identity",)),
+    "limit-study": (_cmd_limit_study, 2, ("emission", "slab_green", "vacuum3d"), ()),
+    "tensor3d": (_cmd_tensor3d, 0, ("vacuum3d",), ()),
 }
 
 # Each option's spec ("=": it takes a value) and help line; --config, required, first and --help last.
@@ -245,7 +245,7 @@ _OPTIONS = {
 _USAGE = "usage: slabgreen <subcommand> --config PATH " + " ".join(f"[{flag}]" for flag, _ in list(_OPTIONS.values())[1:-1])
 _HELP = "\n".join([
     _USAGE, "", "Slab Green function verification toolkit. Subcommands:",
-    *(f"  {name:20}{func.__doc__ or ''}" for name, (func, _, _) in _COMMANDS.items()),
+    *(f"  {name:20}{func.__doc__ or ''}" for name, (func, *_) in _COMMANDS.items()),
     "", "Options (a unique prefix, such as --conf, works too, and so does --option=value):",
     *(f"  {flag:20}{text}" for flag, text in _OPTIONS.values()), ""])
 
@@ -315,17 +315,17 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The subcommand's modules load first, and for --oracle the quadrature's ahead of them (see
+    # The subcommand's modules load first, and those its --oracle adds ahead of them (see
     # README, "What sets peak RSS").
     if argv and argv[0] in _COMMANDS:
-        _load(*(("identity",) if "--oracle" in argv else ()), *_COMMANDS[argv[0]][2])
+        _load(*(_COMMANDS[argv[0]][3] if "--oracle" in argv else ()), *_COMMANDS[argv[0]][2])
     try:
         command, options = _parse(argv)
         if command is None:  # with no stdout (fd 1 closed) the help goes to stderr
             print(_HELP, end="", file=sys.stdout or sys.stderr, flush=True)
             return 0
-        if "oracle" in options:  # an abbreviated --oracle, such as --orac, loads it here
-            _load("identity")
+        if "oracle" in options:  # an abbreviated --oracle, such as --orac, loads them here
+            _load(*_COMMANDS[command][3])
         config = parse_config(options["config"])
         if "tol" in options:
             _positive(options["tol"], "--tol")
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
                 config[key] = options[name]
         if _malloc_trim is not None:  # hand the import's and the parse's freed heap back to the OS
             _malloc_trim(0)
-        run_command, kept, _ = _COMMANDS[command]
+        run_command, kept, *_ = _COMMANDS[command]
         parts = run_command(config, _CONSTANTS[config["units"]], "oracle" in options)
         summary, status = _write_csv(config["output.path"], parts, kept)
     except _UsageError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dielectric import Constant
 from .errors import check, plain, raise_first, row_errors
-from .slab_green import SlabGeometry, WaveContext, _outgoing, _power_balance, make_context
+from .slab_green import SlabGeometry, WaveContext, _boundary_term, _outgoing, _power_balance, make_context
 from .vacuum3d import EmissionParams
 
 
@@ -151,12 +151,12 @@ def limit_study(
     record = row_errors(eps.shape) if errors is None else errors
     # A constant permittivity does not depend on the frequency: build the context at omega = k, c = 1.
     ctx = make_context(geometry, Constant(eps, errors=record), k, errors=record)
-    ((_, rho, lam),) = _outgoing(ctx, x_source, errors=record)
+    (source,) = _outgoing(ctx, x_source, errors=record)
     rates = decay_report(params, ctx, x_source, errors=record)
     if errors is None:
         raise_first(record)
     with np.errstate(all="ignore"):  # the numbers of failed rows are dropped
-        # F(x_s, x_s) (see slab_green._outgoing); Im G0(x_s, x_s) = Im (i/2k) is exactly 1/2k.
-        f = -(rho * np.conj(rho) + lam * np.conj(lam)) / (4.0 * ctx.k)
+        # F(x_s, x_s); Im G0(x_s, x_s) = Im (i/2k) is exactly 1/2k.
+        f = _boundary_term(ctx.k, source, source)
         abs_a_sq, abs_d_sq, _ = _power_balance(ctx)
         return LimitStudyReport(eps, rates.gamma_corrected, rates.gamma_uncorrected, f.real + 0.5 / k, abs_a_sq, abs_d_sq)

@@ -8,9 +8,9 @@ For two exterior source points x_a and x_b on the right of the slab,
 where F is a boundary term that survives even in the vacuum limit; dropping
 it is what makes the widely used identity (left side = Im G alone) fail for a
 finite medium. This module computes the left side by adaptive quadrature,
-Im G and F together from the sources' amplitudes (slab_green._outgoing),
-the flux product b from which F can also be assembled, and the residuals
-of the corrected and uncorrected versions.
+Im G from the sources' amplitudes (slab_green._outgoing) with F from the same
+ones (slab_green._boundary_term), the flux product b from which F can also
+be assembled, and the residuals of the corrected and uncorrected versions.
 """
 
 import math
@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import QuadratureError, check, plain, raise_first, row_errors
-from .slab_green import WaveContext, _outgoing, _waves, green, green_dx
+from .slab_green import WaveContext, _boundary_term, _outgoing, _waves, green, green_dx
 
 # Gauss-Kronrod pair on one panel (QUADPACK qk15, Piessens et al. 1983): the
 # 15-node Kronrod value is kept, and the 7-node Gauss rule on its odd-indexed
@@ -153,12 +153,12 @@ def boundary_term_f(x_a, x_b, ctx: WaveContext, errors=None) -> complex:
     """Closed-form boundary term F(x_a, x_b) = -(rho_a conj(rho_b) + lam_a conj(lam_b)) / 4k of the corrected identity.
 
     rho and lam are the sources' outgoing amplitudes (see slab_green._outgoing;
-    _right_side forms F with Im G). For a vacuum slab F is -cos(k(x_a - x_b))/2k,
+    slab_green._boundary_term forms F). For a vacuum slab F is -cos(k(x_a - x_b))/2k,
     exactly minus the imaginary part of the free-space Green function. The
     sources and the context may be arrays of rows; with an error record (see
     errors.check) failing rows are marked instead of raising.
     """
-    return _right_side(x_a, x_b, ctx, errors)[1]
+    return plain(_boundary_term(ctx.k, *_outgoing(ctx, x_a, x_b, errors=errors)))
 
 
 @np.errstate(all="ignore")  # a non-finite integrand gives a non-finite estimate, which fails its row
@@ -234,14 +234,7 @@ class IdentityReport(namedtuple("IdentityReport", "lhs im_g f quadrature_estimat
         return self.lhs - self.im_g
 
 
-@np.errstate(all="ignore")
-def _right_side(x_a, x_b, ctx, errors=None):
-    """Im G(x_a, x_b) = Re(u_a rho_b) / 2k and F(x_a, x_b), from one slab_green._outgoing call for all pairs."""
-    (u_a, rho_a, lam_a), (_, rho_b, lam_b) = _outgoing(ctx, x_a, x_b, errors=errors)
-    f = -(rho_a * np.conj(rho_b) + lam_a * np.conj(lam_b)) / (4.0 * ctx.k)
-    return plain((u_a * rho_b).real / (2.0 * ctx.k)), plain(f)
-
-
+@np.errstate(all="ignore")  # failed rows carry any Im G and F
 def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, interior=None) -> IdentityReport:
     """Assemble quadrature left side, Im G and F; a stalled quadrature sets `error`.
 
@@ -251,7 +244,9 @@ def identity_report(x_a, x_b, ctx: WaveContext, tol: float = 1e-8, interior=None
     DomainError. `interior` is passed on to lhs_quadrature.
     """
     errors = row_errors(np.broadcast_shapes(ctx.shape, np.shape(x_a), np.shape(x_b)))
-    im_g, f = _right_side(x_a, x_b, ctx, errors)
+    a, b = _outgoing(ctx, x_a, x_b, errors=errors)  # (u, rho, lam) per source; Im G = Re(u_a rho_b) / 2k
+    im_g, f = plain((a[0] * b[1]).real / (2.0 * ctx.k)), plain(_boundary_term(ctx.k, a, b))
+    del a, b  # the quadrature below then holds Im G and F alone
     raise_first(errors)
     lhs, quad_err = lhs_quadrature(x_a, x_b, ctx, tol, errors, interior)
     return IdentityReport(lhs, im_g, f, quad_err, plain(errors))

@@ -19,9 +19,9 @@ The slab amplitudes are
     Y = (n+1)^2 - (n-1)^2 e^{4iknl}
 
 and carry all the Fabry-Perot physics: |A|^2 + |D|^2 = 1 for a lossless slab,
-< 1 with absorption. They are evaluated for whole arrays of rows (a sweep over
-frequency or thickness) in one pass; a single evaluation point is a sweep of
-one row.
+< 1 with absorption (_power_balance). They and the sources' factors of the
+identity's right side, F among them (_outgoing, _boundary_term), are evaluated
+for whole arrays of rows, a sweep over frequency or thickness, in one pass.
 """
 
 from collections import namedtuple
@@ -191,6 +191,13 @@ def _outgoing(ctx, *sources, errors=None):
         check(np.isfinite(ctx.k * (2 * l - x_s - x_s)), _PHASE_OVERFLOW, errors)
     phases = (np.exp(1j * (ctx.k * (x_s - l))) for x_s in sources)
     return [(u, np.conj(u) + co.D * u, co.A * u) for u in phases]
+
+
+@np.errstate(all="ignore")  # failed rows carry any factors
+def _boundary_term(k, a, b):
+    """F(x_a, x_b) = -(rho_a conj(rho_b) + lam_a conj(lam_b)) / 4k from the _outgoing triples a and b."""
+    (_, rho_a, lam_a), (_, rho_b, lam_b) = a, b
+    return -(rho_a * np.conj(rho_b) + lam_a * np.conj(lam_b)) / (4.0 * k)
 
 
 @np.errstate(all="ignore")

@@ -611,8 +611,9 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
 
     Each one is loaded before the config is read: a module compiled mid-run
     leaves its compile peak on top of the run's data (see README, "What sets
-    peak RSS"). Only verify-identity and --oracle integrate, so only they
-    load identity.
+    peak RSS"). Only verify-identity and decay-scan's --oracle integrate, so
+    only they load identity; the other subcommands accept --oracle and load
+    nothing for it.
     """
     config = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 2})
     tensor = tmp_path / "tensor.json"
@@ -621,7 +622,9 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
     argvs = [["tensor3d", "--config", str(tensor)], ["coefficients", "--config", config],
              ["verify-identity", "--config", config], ["decay-scan", "--config", config],
              ["decay-scan", "--oracle", "--config", config], ["decay-scan", "--orac", "--config", config],
-             ["limit-study", "--config", write_config(tmp_path, "limit.json")]]
+             ["limit-study", "--config", write_config(tmp_path, "limit.json")],
+             ["tensor3d", "--oracle", "--config", str(tensor)], ["coefficients", "--oracle", "--config", config],
+             ["limit-study", "--oracle", "--config", write_config(tmp_path, "limit.json")]]
     result = run_python("-c", IMPORT_PROBE, json.dumps([[*argv, *out] for argv in argvs]))
     assert result.returncode == 0, result.stderr
     base = ["cli", "config", "errors", "writer"]
@@ -634,6 +637,9 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
         [*slab, "emission", "identity", "vacuum3d"],  # decay-scan --oracle
         [*slab, "emission", "identity", "vacuum3d"],  # decay-scan --orac, loaded after the parse
         [*slab, "emission", "vacuum3d"],  # limit-study
+        [*base, "vacuum3d"],  # tensor3d --oracle
+        slab,  # coefficients --oracle
+        [*slab, "emission", "vacuum3d"],  # limit-study --oracle
     ]
     runs, parsers = json.loads(result.stdout)
     names = [["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)] for modules in expected]

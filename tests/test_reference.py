@@ -28,6 +28,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from slabgreen import (
+    Drude,
     EmissionParams,
     SlabGeometry,
     boundary_term_f,
@@ -36,7 +37,9 @@ from slabgreen import (
     decay_rate_uncorrected,
     green,
     identity_report,
+    make_context,
 )
+from slabgreen.slab_green import _power_balance
 
 mp = pytest.importorskip("mpmath").mp
 EPS = sys.float_info.epsilon
@@ -49,13 +52,18 @@ def index(eps):
         return complex(-n if n.imag < 0 or (n.imag == 0 and n.real < 0) else n)
 
 
+def amplitudes(n, k, l):
+    """A and D at mpmath's working precision, for mpmath n, k and l."""
+    e4 = mp.exp(4j * k * n * l)
+    y = (n + 1) ** 2 - (n - 1) ** 2 * e4
+    return 4 * n * mp.exp(2j * k * n * l) / y, (n * n - 1) * (e4 - 1) / y
+
+
 def reference(n, k, l, x_a, x_b):
     """A, D, G(x_a, x_b) and F(x_a, x_b) to 30 digits, as Python complexes."""
     with mp.workdps(30):
         n, k, l = mp.mpc(n), mp.mpf(k), mp.mpf(l)
-        e4 = mp.exp(4j * k * n * l)
-        y = (n + 1) ** 2 - (n - 1) ** 2 * e4
-        a, d = 4 * n * mp.exp(2j * k * n * l) / y, (n * n - 1) * (e4 - 1) / y
+        a, d = amplitudes(n, k, l)
         d_a, d_b = mp.mpf(x_a) - l, mp.mpf(x_b) - l
         g = 0.5j / k * (mp.expj(k * abs(d_a - d_b)) + d * mp.expj(k * (d_a + d_b)))
         rho_a, rho_b = (mp.expj(-k * s) + d * mp.expj(k * s) for s in (d_a, d_b))
@@ -67,7 +75,7 @@ def absorbed(n, k, l):
     """1 - |A|^2 - |D|^2 from the energy balance, by mp.quad over the slab, as a Python float."""
     with mp.workdps(30):
         n, k, l = mp.mpc(n), mp.mpf(k), mp.mpf(l)
-        a = 4 * n * mp.exp(2j * k * n * l) / ((n + 1) ** 2 - (n - 1) ** 2 * mp.exp(4j * k * n * l))
+        a, _ = amplitudes(n, k, l)
         integral = mp.quad(lambda s: abs(mp.cos(k * n * s) - 1j / n * mp.sin(k * n * s)) ** 2, [0, 2 * l])
         return float(k * (n * n).imag * abs(a) ** 2 * integral)
 
@@ -161,3 +169,45 @@ def test_the_corrected_rate_matches_the_absorbed_power(re_n, im_n, k, l):
     a, d, _, _ = reference(n, k, l, l + 1.0, l + 1.0)
     rate = decay_rate_corrected(EmissionParams(), ctx) / (0.5 * k)  # gamma_vac = k in natural units
     assert abs(rate - absorbed(n, k, l)) <= c * EPS * (1 + abs(a) ** 2 + abs(d) ** 2)
+
+
+def power(n, k, l):
+    """1 - |A|^2 - |D|^2 to 50 digits, from the formulas, as a Python float."""
+    with mp.workdps(50):
+        a, d = amplitudes(mp.mpc(n), mp.mpf(k), mp.mpf(l))
+        return float(1 - abs(a) ** 2 - abs(d) ** 2)
+
+
+# ROADMAP item 1's targets. The absorbed power cancels near a lossless slab and at epsilon near
+# zero (ENZ), where the shipped Drude model turns the corrected rate's sign; these cases fail
+# today and must pass once item 1 lands. The opaque and ordinary slabs pass today and guard
+# item 1's closed form, which overflowed as first written (nan at l = 100, inf at l = 300).
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+@pytest.mark.parametrize("medium, k, l", [
+    pytest.param(0.1 + 3j, 1.0, 1.0, id="opaque_l1"),
+    pytest.param(0.1 + 3j, 1.0, 100.0, id="opaque_l100"),
+    pytest.param(2 + 0.5j, 1.0, 1.0, id="workhorse"),
+    pytest.param(2 + 0.5j, 1.0, 300.0, id="workhorse_l300"),
+    pytest.param(2 + 0.5j, 1.3, 1.0, id="workhorse_k1.3"),
+    pytest.param(1.5 + 1e-3j, 50.0, 5.0, id="k50_l5"),
+    pytest.param(1.5 + 1e-14j, 3.0, 1.0, id="near_lossless_1e-14", marks=ITEM_1),  # 1.6e-3 relative today
+    pytest.param(1.5 + 1e-11j, 3.0, 1.0, id="near_lossless_1e-11", marks=ITEM_1),  # 1.9e-6
+    pytest.param(1e-6 * (1 + 1j), 1.0, 1.0, id="enz_1e-6", marks=ITEM_1),  # off by a factor of 6.1
+    pytest.param(1e-9 * (1 + 1j), 1.0, 1.0, id="enz_1e-9", marks=ITEM_1),  # 6.6e9
+    pytest.param(Drude(1.0, 1e-12), 1.0, 1.0, id="drude_sign", marks=ITEM_1),  # -1.1669e-11 for +1.1667e-12
+])
+def test_the_absorbed_power_matches_the_reference_to_1e_12_relative(medium, k, l):
+    """_power_balance's 1 - |A|^2 - |D|^2, and for a Drude model the corrected rate that reads it, to 1e-12 relative.
+
+    The reference takes the context's own n, so only the absorbed power's arithmetic is checked.
+    """
+    if isinstance(medium, complex):
+        ctx = context_from_index(SlabGeometry(l), medium, k)
+        absorbed_power = _power_balance(ctx)[2]
+    else:
+        ctx = make_context(SlabGeometry(l), medium, k)
+        absorbed_power = decay_rate_corrected(EmissionParams(), ctx) / (0.5 * k)  # gamma_vac = k in natural units
+    reference_power = power(ctx.n, k, l)
+    assert abs(absorbed_power - reference_power) <= 1e-12 * abs(reference_power)

@@ -38,6 +38,8 @@ Then, per workload and seed, it prints each tree's pass peak, the largest
 peak RSS of the workload's jobs without its set-up job, which is what the
 bench reports as peak_rss_mb; and per workload, the median change of the
 pass peak over the seeds and at how many seeds the new tree's was higher.
+Last, it prints each tree's line count per module of slabgreen/, as
+`wc -l` counts them, and in total.
 """
 
 import argparse
@@ -231,6 +233,10 @@ def main(argv=None):
     for workload, deltas in changes.items():
         print(f"{workload}: pass peak RSS median change {statistics.median(deltas):+.3f} MB over {len(deltas)} seeds, "
               f"new higher in {sum(delta > 0 for delta in deltas)}")
+    lines = [{path.name: path.read_bytes().count(b"\n") for path in (tree / "slabgreen").glob("*.py")} for tree in trees]
+    for module in sorted(set(lines[0]) | set(lines[1])):
+        print(f"slabgreen/{module}: {lines[0].get(module, 0)} -> {lines[1].get(module, 0)} lines")
+    print(f"slabgreen: {sum(lines[0].values())} -> {sum(lines[1].values())} lines")
     print(f"{len(differ)} of {count} jobs differ", file=sys.stderr)
     return 1 if differ else 0
 
