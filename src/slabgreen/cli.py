@@ -15,37 +15,21 @@ import sys
 
 import numpy as np
 
+from . import _DEFINED_IN, __getattr__  # noqa: F401
 from .config import _CONSTANTS, _MAX_COUNT, _positive, parse_config
 from .errors import ConfigError, DomainError, row_errors
 from .writer import _blocks, _checked_blocks, _complex, _context_check, _identity_blocks, _write_csv
 
-# The names the subcommands take from the modules that not all of them run.
-# main() imports the subcommand's modules (_COMMANDS) and binds their names
-# before it builds the parser; __getattr__ binds them on first use, as
-# cli.make_context, for callers and tracing that look them up here.
-_NAMES = {
-    "slab_green": ("SlabGeometry", "_power_balance", "make_context"),
-    "identity": ("identity_report",),
-    "vacuum3d": ("EmissionParams", "_tensor_separation", "green_tensor_vacuum", "im_green_coincident",
-                 "vacuum_decay_3d"),
-    "emission": ("decay_report", "limit_study"),
-}
-
 
 def _load(*modules):
-    """Import `modules` and bind their _NAMES here, except a name already bound, such as a tracing wrapper."""
+    """Import `modules` and bind each here with its public names, except a name already bound, such as a tracing wrapper.
+
+    Before main() loads them, the package's __getattr__ (PEP 562) resolves a name looked up here, as cli.make_context.
+    """
     for module in modules:
-        source = importlib.import_module(f".{module}", __package__)
-        for name in _NAMES[module]:
+        source = globals().setdefault(module, importlib.import_module(f".{module}", __package__))
+        for name in _DEFINED_IN[module].split():
             globals().setdefault(name, getattr(source, name))
-
-
-def __getattr__(name):
-    for module, names in _NAMES.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 try:  # glibc's malloc_trim; other C libraries lack it, and Windows loads no CDLL(None)
@@ -91,7 +75,7 @@ def _cmd_coefficients(config, consts, oracle):
     for rows in _checked_blocks(len(omega), contexts):
         ctx = contexts(rows)
         co = ctx.coefficients
-        abs_a_sq, abs_d_sq, defect = _power_balance(ctx)
+        abs_a_sq, abs_d_sq, defect = slab_green._power_balance(ctx)
         yield [
             ("omega", omega[rows]), ("k", ctx.k), *_complex("n", ctx.n),
             *_complex("a", co.A), *_complex("b", co.B), *_complex("c", co.C), *_complex("d", co.D), *_complex("y", co.Y),
@@ -203,7 +187,8 @@ def _cmd_tensor3d(config, consts, oracle):
     separations = _require(config, "separations")
     origin = (0.0, 0.0, 0.0)
     # Each check runs over every separation, as one call would; a failing tensor is reported before the rate.
-    checks = [lambda rows, f=f: f(k, separations[rows], origin) for f in (_tensor_separation, green_tensor_vacuum)]
+    checks = [lambda rows, f=f: f(k, separations[rows], origin)
+              for f in (vacuum3d._tensor_separation, green_tensor_vacuum)]
     blocks = _checked_blocks(len(separations), *checks)
     gamma0 = vacuum_decay_3d(_emission_params(config, consts), k)
     im_diag = im_green_coincident(k)[0, 0]
@@ -223,8 +208,8 @@ def _cmd_tensor3d(config, consts, oracle):
 
 # Each subcommand, given the config, its constants and --oracle, yields its
 # table's parts (see writer._write_csv) and returns its summary lines and exit
-# status; with it, the leading cells a failed row keeps (None: all), its _NAMES modules
-# and those that --oracle adds (main() loads these first).
+# status; with it, the leading cells a failed row keeps (None: all), the modules it
+# runs and those that --oracle adds (main() loads these first; see _load).
 _COMMANDS = {
     "coefficients": (_cmd_coefficients, 0, ("slab_green",), ()),
     "verify-identity": (_cmd_verify_identity, None, ("identity", "slab_green"), ()),

@@ -18,23 +18,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import __getattr__  # noqa: F401
 from .dielectric import Constant
 from .errors import check, plain, raise_first, row_errors
 from .slab_green import SlabGeometry, WaveContext, _boundary_term, _outgoing, _power_balance, make_context
 from .vacuum3d import EmissionParams
-
-
-def __getattr__(name):
-    """lhs_quadrature, imported on first use (PEP 562), so only the quadrature route compiles identity.py.
-
-    decay_from_quadrature calls through this name; a value already bound
-    here, such as a tracing wrapper, stays as it is.
-    """
-    if name != "lhs_quadrature":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .identity import lhs_quadrature
-
-    return globals().setdefault(name, lhs_quadrature)
 
 
 # The rates take arrays of rows: the context's fields and the source
@@ -82,7 +70,8 @@ def decay_from_quadrature(
     error record, a row whose quadrature fails is marked with the error's
     message; without one, the QuadratureError or DomainError propagates.
     """
-    lhs, _ = __getattr__("lhs_quadrature")(x_source, x_source, ctx, tol=tol, errors=errors)
+    quadrature = globals().get("lhs_quadrature") or __getattr__("lhs_quadrature")  # a tracing wrapper, or identity's
+    lhs, _ = quadrature(x_source, x_source, ctx, tol=tol, errors=errors)
     prefactor = params.rate_prefactor(ctx.k)
     with np.errstate(all="ignore"):  # failed rows carry any k
         rate = _finite_rate(prefactor * np.real(lhs), errors)

@@ -657,51 +657,54 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
 TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
                 "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
 
-# In a process that has imported slabgreen.cli alone, looks up each cli name of
-# its first JSON argument, a dict of name -> defining module, as tracing does;
-# then wraps each name with setattr and runs the argument lists of its second
-# JSON argument through cli.main. Prints, as JSON, the names that resolved to
-# their module's object, the exit codes and the calls of each wrapper.
+# In a process that has imported slabgreen.cli alone, looks up each (module,
+# name, defining module) of its first JSON argument, as tracing does; then wraps
+# each name with setattr in its module and runs the argument lists of its second
+# JSON argument through cli.main. Prints, as JSON, the module.name of each that
+# resolved to its defining module's object, the exit codes and the calls of each
+# wrapper.
 PATCH_PROBE = """\
 import importlib, json, sys
 from slabgreen import cli
 
-homes, runs = map(json.loads, sys.argv[1:])
-resolved = [name for name, home in homes.items()
-            if getattr(cli, name) is getattr(importlib.import_module(f"slabgreen.{home}"), name)]
-calls = dict.fromkeys(homes, 0)
+points, runs = map(json.loads, sys.argv[1:])
+module = lambda name: importlib.import_module(f"slabgreen.{name}")
+resolved = [f"{where}.{name}" for where, name, home in points if getattr(module(where), name) is getattr(module(home), name)]
+calls = {f"{where}.{name}": 0 for where, name, _ in points}
 
-def wrapped(name, original):
+def wrapped(key, original):
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        calls[key] += 1
         return original(*args, **kwargs)
     return wrapper
 
-for name in homes:
-    setattr(cli, name, wrapped(name, getattr(cli, name)))
+for where, name, _ in points:
+    setattr(module(where), name, wrapped(f"{where}.{name}", getattr(module(where), name)))
 print(json.dumps([resolved, [cli.main(argv) for argv in runs], calls]))
 """
 
 
 def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(tmp_path):
-    """tracing.py looks up and wraps cli's names before main() has run: each must resolve, and main() must call
-    the wrapper. In one test process an earlier main() has bound them all, so only a fresh process shows a name
-    that does not resolve.
+    """tracing.py looks up and wraps cli's names, and emission's lhs_quadrature, before main() has run: each must
+    resolve, and main() must call the wrapper. In one test process an earlier main() has bound them all, so only a
+    fresh process shows a name that does not resolve.
     """
     spec = importlib.util.spec_from_file_location("slabgreen_bench_tracing", ROOT / "benchmarks" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert sorted(attr for module, attr, _ in tracing.SPANS if module is cli) == sorted(TRACED_HOMES)
+    points = [*(["cli", name, home] for name, home in TRACED_HOMES.items()), ["emission", "lhs_quadrature", "identity"]]
     config = write_config(tmp_path, separations=[[1.0, 0.5, 0.25]])
     frequency = write_config(tmp_path, "frequency.json", omega={"start": 1.0, "stop": 2.0, "count": 2})
     out = ["--out", str(tmp_path / "out.csv")]
     runs = [["verify-identity", "--config", frequency, *out], ["decay-scan", "--config", frequency, *out],
-            ["limit-study", "--config", config, *out], ["tensor3d", "--config", config, *out]]
-    result = run_python("-c", PATCH_PROBE, json.dumps(TRACED_HOMES), json.dumps(runs))
+            ["decay-scan", "--oracle", "--config", frequency, *out], ["limit-study", "--config", config, *out],
+            ["tensor3d", "--config", config, *out]]
+    result = run_python("-c", PATCH_PROBE, json.dumps(points), json.dumps(runs))
     assert result.returncode == 0, result.stderr
     resolved, codes, calls = json.loads(result.stdout)
-    assert resolved == list(TRACED_HOMES)
-    assert codes == [0, 0, 0, 0]
+    assert resolved == [f"{where}.{name}" for where, name, _ in points]
+    assert codes == [0, 0, 0, 0, 0]
     assert [name for name, count in calls.items() if not count] == []
 
 

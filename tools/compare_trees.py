@@ -37,7 +37,9 @@ peak RSS over its samples and in how many pairs the new tree's was higher.
 Then, per workload and seed, it prints each tree's pass peak, the largest
 peak RSS of the workload's jobs without its set-up job, which is what the
 bench reports as peak_rss_mb; and per workload, the median change of the
-pass peak over the seeds and at how many seeds the new tree's was higher.
+pass peak over the seeds, the interquartile range of those changes, the
+bench's peak_rss_mb bound (from BENCHMARK.json) and at how many seeds the
+new tree's was higher. A median change inside that range is no result.
 Last, it prints each tree's line count per module of slabgreen/, as
 `wc -l` counts them, and in total.
 """
@@ -57,7 +59,8 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
 import workloads  # noqa: E402
 
 
@@ -230,9 +233,13 @@ def main(argv=None):
     for (_, seed, workload), (old_peak, new_peak) in pass_peaks.items():
         print(f"seed {seed} {workload}: pass peak RSS {old_peak:.3f} -> {new_peak:.3f} MB")
         changes.setdefault(workload, []).append(new_peak - old_peak)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bound = next(metric["bound"] for metric in spec["end_to_end"] if metric["name"] == "peak_rss_mb")
     for workload, deltas in changes.items():
-        print(f"{workload}: pass peak RSS median change {statistics.median(deltas):+.3f} MB over {len(deltas)} seeds, "
-              f"new higher in {sum(delta > 0 for delta in deltas)}")
+        # Quartiles of the per-seed changes themselves; one seed has no spread to give.
+        q1, _, q3 = statistics.quantiles(deltas, n=4, method="inclusive") if len(deltas) > 1 else [math.nan] * 3
+        print(f"{workload}: pass peak RSS median change {statistics.median(deltas):+.3f} MB over {len(deltas)} seeds "
+              f"(IQR {q3 - q1:.3f} MB, bound {bound} MB), new higher in {sum(delta > 0 for delta in deltas)}")
     lines = [{path.name: path.read_bytes().count(b"\n") for path in (tree / "slabgreen").glob("*.py")} for tree in trees]
     for module in sorted(set(lines[0]) | set(lines[1])):
         print(f"slabgreen/{module}: {lines[0].get(module, 0)} -> {lines[1].get(module, 0)} lines")
