@@ -15,6 +15,7 @@ be assembled, and the residuals of the corrected and uncorrected versions.
 
 import math
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,20 +73,24 @@ def _refine(f, rows, a, b, tol, seeds):
     """Integrate the rows `rows` together: each one's value, error estimate and panel count."""
     size = len(rows)
     owner = np.repeat(np.arange(size), seeds)
-    last = np.cumsum(seeds) - 1
-    lo = a[owner] + (np.arange(len(owner)) - (last + 1 - seeds)[owner]) * ((b - a) / seeds)[owner]
+    first = np.fromiter(accumulate(seeds.tolist(), initial=0), int, size + 1)  # each row's first panel, then the end
+    lo = a[owner] + (np.arange(len(owner)) - first[owner]) * ((b - a) / seeds)[owner]
     hi = np.append(lo[1:], 0.0)
-    hi[last] = b
+    hi[first[1:] - 1] = b
     value, err = _panels(f, lo, hi, rows[owner])
     live = np.ones(size, bool)
     while (live := live & (np.bincount(owner, err, size) > tol)).any():
-        # Per row: the panels denser than tol / (b - a), densest first, as many as its budget allows.
+        # Per row: the panels denser than tol / (b - a), as many as its budget allows. Only a round
+        # that would pass a row's budget sorts them, densest first; the counts are compared in Python,
+        # as numpy's integer comparisons would page in code for this alone (README, "What sets peak RSS").
         density = err / (hi - lo)
         split = np.flatnonzero(live[owner] & (density > (tol / (b - a))[owner]))
-        split = split[np.lexsort((-density[split], owner[split]))]
-        rank = np.arange(len(split)) - np.searchsorted(owner[split], owner[split])
-        split = split[rank < (_MAX_PANELS - np.bincount(owner, minlength=size))[owner[split]]]
-        live &= np.bincount(owner[split], minlength=size) > 0
+        count, room = np.bincount(owner[split], minlength=size), _MAX_PANELS - np.bincount(owner, minlength=size)
+        if any(c > r for c, r in zip(count.tolist(), room.tolist())):
+            split = split[np.lexsort((-density[split], owner[split]))]
+            rank = np.arange(len(split)) - np.searchsorted(owner[split], owner[split])
+            split, count = split[rank < room[owner[split]]], np.minimum(count, room)
+        live &= count.astype(bool)
         keep = np.ones(len(lo), bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
@@ -105,8 +110,9 @@ def integrate_adaptive(f, a, b, tol, initial_panels=1, errors=None):
     values shaped like the points. A row starts as `initial_panels` equal
     panels; each round bisects every panel whose error estimate per unit
     length exceeds tol / (b - a), until the row's summed estimate is below
-    its tol (absolute). A round that would pass the row's budget of 4096
-    panels splits only its densest panels that fit. Returns (value,
+    its tol (absolute). Only a round that would pass some row's budget of
+    4096 panels sorts its panels, so that such a row splits its densest
+    ones that fit; any other round splits them all, unsorted. Returns (value,
     error_estimate) per row. A row fails when its budget runs out or its
     estimate is not finite: with an error record (see errors.check) it is
     marked, and rows already marked are skipped; without one, the first
@@ -130,7 +136,8 @@ def integrate_adaptive(f, a, b, tol, initial_panels=1, errors=None):
                 for i in failed]
     if errors is None and failed:
         raise QuadratureError(messages[0], complex(value[failed[0]]), float(estimate[failed[0]]))
-    record.flat[failed] = messages
+    if failed:
+        record.flat[failed] = messages
     return plain(value.reshape(shape)), plain(estimate.reshape(shape))
 
 

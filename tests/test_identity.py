@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from slabgreen import (
     lhs_quadrature,
     make_context,
 )
+from slabgreen import identity
 from slabgreen.errors import row_errors
 from slabgreen.identity import _NODES, _WEIGHTS
 
@@ -154,6 +156,73 @@ def test_integrator_batch_raises_first_failing_row():
     with pytest.raises(QuadratureError) as info:
         integrate_adaptive(_batch_integrand, 0.0, [b for _, b, _ in BATCH], [tol for _, _, tol in BATCH])
     assert "stalled at error nan" in str(info.value)
+
+
+def test_refinement_within_budget_calls_no_sort_or_search(tmp_path, monkeypatch):
+    """Rounds that pass no row's budget split every candidate unsorted: no lexsort, searchsorted or cumsum.
+
+    Pinned on a batch that refines over several rounds and on an in-process decay-scan --oracle;
+    both give the same values, and the same CSV bytes, as without the patch.
+    """
+    from slabgreen import cli
+
+    m = np.array([5.0, 20.0, 35.0])
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sort or search kernel was called")
+
+    def waves(x, rows):
+        calls.append(len(x))
+        return np.exp(1j * m[rows, None] * x)
+
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({
+        "slab": {"half_length": 1.0},
+        "dielectric": {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.3], [1.0, 0.0, 0.1]]},
+        "omega": {"start": 0.2, "stop": 5.0, "count": 20},
+        "source": 1.4,
+    }))
+    runs = []
+    for patched in (False, True):
+        for name in ("lexsort", "searchsorted", "cumsum") if patched else ():
+            monkeypatch.setattr(np, name, forbidden)
+        calls.clear()
+        values, estimates = integrate_adaptive(waves, np.zeros(3), 3.0, 1e-10)
+        out = tmp_path / f"oracle{patched}.csv"
+        assert cli.main(["decay-scan", "--config", str(config), "--out", str(out), "--oracle"]) == 0
+        runs.append((values.tobytes(), estimates.tobytes(), out.read_bytes(), len(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][3] >= 4  # the seed panels, then at least three rounds of refinement
+    assert np.all(estimates <= 1e-10)
+    assert np.allclose(values, (np.exp(3j * m) - 1) / (1j * m), rtol=0, atol=1e-10)
+
+
+def test_a_round_that_binds_the_budget_splits_the_densest_panels(monkeypatch):
+    """With a 16-panel budget, the rounds that would pass it split only the panels nearest a narrow peak.
+
+    The tails of a Lorentzian peak of width 1e-3 at 0.62 keep many panels candidates, so two
+    rounds would pass the budget; each sorts its candidates, and the last one has room for one
+    split, which must be of the panel that holds the peak.
+    """
+    monkeypatch.setattr(identity, "_MAX_PANELS", 16)
+    lexsort, sorts, panels = np.lexsort, [], []
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+
+    def peak(x, rows):
+        panels.append(x)
+        return 1e-3 / ((x - 0.62) ** 2 + 1e-6) + 0j
+
+    with pytest.raises(QuadratureError, match=r"\(tol 1\.000e-10\) after 16 panels$"):
+        integrate_adaptive(peak, 0.0, 1.0, 1e-10)
+    assert len(sorts) == 2
+    # The last round's new panels, recovered from their outermost Kronrod nodes: the two halves of one
+    # panel, which holds the peak.
+    x = panels[-1]
+    mid, half = (x[:, -1] + x[:, 0]) / 2, (x[:, -1] - x[:, 0]) / (2 * _NODES[-1])
+    lo, hi = np.sort(mid - half), np.sort(mid + half)
+    assert len(x) == 2 and math.isclose(hi[0], lo[1]) and hi[1] - lo[0] < 0.02
+    assert lo[0] < 0.62 < hi[1]
 
 
 def test_lhs_batch_matches_scipy_quad_vec():
