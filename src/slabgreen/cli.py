@@ -17,8 +17,9 @@ import numpy as np
 
 from . import _DEFINED_IN, __getattr__  # noqa: F401
 from .config import _CONSTANTS, _MAX_COUNT, _positive, parse_config
-from .errors import ConfigError, DomainError, row_errors
-from .writer import _blocks, _checked_blocks, _complex, _context_check, _identity_blocks, _write_csv
+from .errors import ConfigError, DomainError, raise_first, row_errors
+from .writer import _blocks, _checked_blocks, _complex, _write_csv
+from . import writer
 
 
 def _load(*modules):
@@ -65,12 +66,58 @@ def _emission_params(config, consts):
     )
 
 
+def _context_check(geometry, model, omega, c):
+    """A check for _checked_blocks that also returns a block's contexts; a failing row raises its DomainError."""
+    def contexts(rows):
+        errors = row_errors(omega[rows].shape)
+        ctx = make_context(geometry, model, omega[rows], c=c, errors=errors)
+        raise_first(errors)
+        return ctx
+
+    return contexts
+
+
+def _identity_blocks(contexts, count, sources, tol):
+    """The blocks of verify-identity's grid of omegas x sources x sources, once all are checked.
+
+    Rows run over omega, then x_a, then x_b. `contexts` is the _context_check
+    of the `count` omegas, taken writer._SWEEP_ROWS at a time; a block holds
+    as many whole (omega, x_a) rows as fit in writer._SWEEP_ROWS rows, at
+    least one. Every context is checked, then each source's checks
+    (slab_green._outgoing) at each omega, which a pair fails exactly where one
+    of its sources does. Then each omega row's interior integral is computed
+    once; each block gives its omega rows, x_a, context and integral.
+    """
+    size = len(sources)
+    step = max(1, writer._SWEEP_ROWS // size)  # (omega, x_a) rows per block
+
+    @np.errstate(all="ignore")  # an overflowing phase fails its row
+    def source_checks(chunk):
+        ctx = contexts(chunk)
+        errors = row_errors((ctx.shape[0], size))
+        slab_green._outgoing(ctx.take(np.arange(ctx.shape[0])[:, None]), sources, errors=errors)
+        raise_first(errors)
+
+    for chunk in _checked_blocks(count, contexts, source_checks):
+        rows = contexts(chunk)
+        stalls = row_errors(rows.shape)
+        value, estimate = identity.interior_integral(rows, tol, stalls)
+        pairs = range(chunk.start * size, min(chunk.stop, count) * size)
+        for start in range(pairs.start, pairs.stop, step):
+            pair = np.arange(start, min(start + step, pairs.stop))
+            w = pair // size - chunk.start
+            if w[0] == w[-1]:  # one omega row: one context row, and an omega column the writer formats once
+                w = w[:1]
+            w = w[:, None]
+            yield chunk.start + w, sources[pair % size, None], rows.take(w), (value[w], estimate[w], stalls[w])
+
+
 def _cmd_coefficients(config, consts, oracle):
     """Slab amplitudes A, B, C, D, Y per frequency."""
     geometry = SlabGeometry(_scalar(config, "slab.half_length"))
     model = _require(config, "dielectric")
     omega = _values(config, "omega")
-    contexts = _context_check(make_context, geometry, model, omega, consts["c"])
+    contexts = _context_check(geometry, model, omega, consts["c"])
     worst = 0.0
     for rows in _checked_blocks(len(omega), contexts):
         ctx = contexts(rows)
@@ -95,7 +142,7 @@ def _cmd_verify_identity(config, consts, oracle):
     rows = len(omega) * len(sources) ** 2
     if rows > _MAX_COUNT:  # checked before any context is made
         raise ConfigError("source", f"the omega x source x source grid has {rows} rows, more than {_MAX_COUNT}")
-    contexts = _context_check(make_context, geometry, model, omega, consts["c"])
+    contexts = _context_check(geometry, model, omega, consts["c"])
     worst, status = 0.0, 0
     for w, x_a, ctx, interior in _identity_blocks(contexts, len(omega), sources, tol):
         rep = identity_report(x_a, sources, ctx, tol, interior)

@@ -11,8 +11,6 @@ import sys
 
 import numpy as np
 
-from .errors import raise_first, row_errors
-
 # Rows of a sweep computed at a time; the output does not depend on it.
 # Blocks of 1024 keep a closed-form run near the floor set by start-up and
 # the config (2 vCPUs, numpy 2.4.6, fresh processes): the bench's 30000-row
@@ -45,58 +43,6 @@ def _checked_blocks(rows, *checks):
         for block in _blocks(rows):
             check(block)
     return _blocks(rows)
-
-
-def _context_check(make_context, geometry, model, omega, c):
-    """A check for _checked_blocks that also returns a block's contexts.
-
-    `make_context` is the caller's, which tracing may wrap; a failing row raises its DomainError.
-    """
-    def contexts(rows):
-        errors = row_errors(omega[rows].shape)
-        ctx = make_context(geometry, model, omega[rows], c=c, errors=errors)
-        raise_first(errors)
-        return ctx
-
-    return contexts
-
-
-def _identity_blocks(contexts, count, sources, tol):
-    """The blocks of verify-identity's grid of omegas x sources x sources, once all are checked.
-
-    Rows run over omega, then x_a, then x_b. `contexts` is the _context_check
-    of the `count` omegas, taken _SWEEP_ROWS at a time; a block holds as many
-    whole (omega, x_a) rows as fit in _SWEEP_ROWS rows, at least one. Every
-    context is checked, then each source's checks (slab_green._outgoing) at
-    each omega, which a pair fails exactly where one of its sources does.
-    Then each omega row's interior integral is computed once; each block
-    gives its omega rows, x_a, context and integral.
-    """
-    from .identity import interior_integral  # verify-identity's modules, which no other subcommand imports
-    from .slab_green import _outgoing
-
-    size = len(sources)
-    step = max(1, _SWEEP_ROWS // size)  # (omega, x_a) rows per block
-
-    @np.errstate(all="ignore")  # an overflowing phase fails its row
-    def source_checks(chunk):
-        ctx = contexts(chunk)
-        errors = row_errors((ctx.shape[0], size))
-        _outgoing(ctx.take(np.arange(ctx.shape[0])[:, None]), sources, errors=errors)
-        raise_first(errors)
-
-    for chunk in _checked_blocks(count, contexts, source_checks):
-        rows = contexts(chunk)
-        stalls = row_errors(rows.shape)
-        value, estimate = interior_integral(rows, tol, stalls)
-        pairs = range(chunk.start * size, min(chunk.stop, count) * size)
-        for start in range(pairs.start, pairs.stop, step):
-            pair = np.arange(start, min(start + step, pairs.stop))
-            w = pair // size - chunk.start
-            if w[0] == w[-1]:  # one omega row: one context row, and an omega column the writer formats once
-                w = w[:1]
-            w = w[:, None]
-            yield chunk.start + w, sources[pair % size, None], rows.take(w), (value[w], estimate[w], stalls[w])
 
 
 def _complex(name, z):

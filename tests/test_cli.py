@@ -1,3 +1,4 @@
+import ast
 import cmath
 import contextlib
 import csv
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -653,6 +655,14 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
     assert parsers == []
 
 
+def test_the_csv_writer_imports_no_module_of_the_package():
+    """writer.py, at module level and inside its functions, imports nothing of slabgreen: only cli knows the subcommands."""
+    tree = ast.parse(Path(writer.__file__).read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "import numpy as np" in imports  # the walk sees writer's own imports
+    assert [text for text in imports if text.startswith("from .") or re.search(r"\bslabgreen\b", text)] == []
+
+
 # Each cli name that benchmarks/tracing.py wraps, by the module that defines it.
 TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
                 "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
@@ -1193,7 +1203,8 @@ def _nudged(x, ulps):
 
 def _contexts_at(k):
     """verify-identity's context check at the one omega k (c = 1) of a lossy slab with l = 1."""
-    return writer._context_check(make_context, SlabGeometry(1.0), Constant(3.75 + 2j), np.array([k]), 1.0)
+    cli._load("slab_green", "identity")
+    return cli._context_check(SlabGeometry(1.0), Constant(3.75 + 2j), np.array([k]), 1.0)
 
 
 def _sources(k):
@@ -1224,7 +1235,7 @@ def test_each_sources_own_f_rejects_exactly_the_grids_whose_pairs_fail(case):
     pairs = row_errors((len(sources), len(sources)))
     boundary_term_f(sources[:, None], sources, ctx, pairs)
     try:
-        next(writer._identity_blocks(contexts, 1, sources, 1e-8))
+        next(cli._identity_blocks(contexts, 1, sources, 1e-8))
     except DomainError:
         assert np.not_equal(pairs, None).any()
     else:
@@ -1248,7 +1259,7 @@ def test_an_overflowing_source_is_reported_before_a_later_inside_one(monkeypatch
     for rows in (1, 3, 1024):
         monkeypatch.setattr(writer, "_SWEEP_ROWS", rows)
         with pytest.raises(DomainError, match="^wave phase is not finite: k times a distance overflows$"):
-            next(writer._identity_blocks(contexts, 1, sources, 1e-8))
+            next(cli._identity_blocks(contexts, 1, sources, 1e-8))
 
 
 def test_verify_identity_checks_each_source_once_and_forms_pair_factors_twice(tmp_path, monkeypatch):
@@ -1257,7 +1268,7 @@ def test_verify_identity_checks_each_source_once_and_forms_pair_factors_twice(tm
     2 omegas x 40 x 40 sources in 64-row blocks: one omega chunk, then 80 blocks of one
     (omega, x_a) row, each of which forms its 40 pairs' factors twice: once for Im G and
     F, once for the quadrature phase. boundary_term_f is never called. The pre-write pass
-    imports _outgoing from slab_green when it runs, and identity when it is imported.
+    looks _outgoing up in slab_green when it runs, and identity imports it when it is imported.
     """
     calls = []
     original = slab_green._outgoing

@@ -21,6 +21,8 @@ sources. The absorbed power is the energy balance, by quadrature:
     1 - |A|^2 - |D|^2 = k Im(eps) |A|^2 integral_0^{2l} |cos(kns) - (i/n) sin(kns)|^2 ds.
 """
 
+import csv
+import json
 import sys
 
 import numpy as np
@@ -32,6 +34,7 @@ from slabgreen import (
     EmissionParams,
     SlabGeometry,
     boundary_term_f,
+    cli,
     context_from_index,
     decay_rate_corrected,
     decay_rate_uncorrected,
@@ -212,6 +215,40 @@ def test_the_absorbed_power_matches_the_reference_to_1e_12_relative(medium, k, l
         absorbed_power = decay_rate_corrected(EmissionParams(), ctx) / (0.5 * k)  # gamma_vac = k in natural units
     reference_power = power(ctx.n, k, l)
     assert abs(absorbed_power - reference_power) <= 1e-12 * abs(reference_power)
+
+
+def drude_decay_scan(tmp_path):
+    """The rows of decay-scan, run in-process, for the shipped Drude model (omega_p = 1, gamma = 1e-12) at l = 1,
+    x_s = 2, over five omegas from 0.999999 to 1.000001."""
+    config, out = tmp_path / "drude.json", tmp_path / "drude.csv"
+    config.write_text(json.dumps({
+        "slab": {"half_length": 1.0}, "dielectric": {"type": "drude", "plasma_frequency": 1.0, "damping": 1e-12},
+        "source": 2.0, "omega": {"start": 0.999999, "stop": 1.000001, "count": 5},
+    }))
+    assert cli.main(["decay-scan", "--config", str(config), "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_the_shipped_drude_run_succeeds_at_the_command_line(tmp_path):
+    """What holds today of ROADMAP item 1's Drude run, on the array path the command line takes: no row fails."""
+    rows = drude_decay_scan(tmp_path)
+    assert len(rows) == 5
+    assert all(row["error"] == "" for row in rows)
+
+
+@ITEM_1  # the omega = 1 row reads 7.957e-12 for 1.1667e-12; the other four are off by 1.2-2.8 %
+def test_the_shipped_drude_run_matches_the_reference_to_1e_12_relative(tmp_path):
+    """Each row's gamma to 1e-12 relative of 0.5 omega (1 - |A|^2 - |D|^2), with gamma_vac = k = omega in natural units.
+
+    The reference is written at 50 digits from the row's omega: eps = 1 - 1/(omega (omega + 1e-12 i)).
+    """
+    for row in drude_decay_scan(tmp_path):
+        with mp.workdps(50):
+            omega = mp.mpf(float(row["omega"]))
+            a, d = amplitudes(mp.sqrt(1 - 1 / (omega * (omega + mp.mpc(0, 1e-12)))), omega, mp.mpf(1))
+            gamma = float(omega * (1 - abs(a) ** 2 - abs(d) ** 2) / 2)
+        assert abs(float(row["gamma"]) - gamma) <= 1e-12 * abs(gamma)
 
 
 # ROADMAP item 11's target: limit-study's witness F + Im G0 to full relative precision along both

@@ -36,15 +36,18 @@ runs on a warmer machine. At the end, per job, it prints each tree's median
 peak RSS over its samples and in how many pairs the new tree's was higher.
 Then, per workload and seed, it prints each tree's pass peak, the largest
 peak RSS of the workload's jobs without its set-up job, which is what the
-bench reports as peak_rss_mb; and per workload, the median change of the
-pass peak over the seeds, the interquartile range of those changes, the
-bench's peak_rss_mb bound (from BENCHMARK.json) and at how many seeds the
-new tree's was higher. A median change inside that range is no result.
+bench reports as peak_rss_mb, and the job that gave it; and per workload,
+the median change of the pass peak over the seeds, the interquartile range
+of those changes, the bench's peak_rss_mb bound (from BENCHMARK.json), at
+how many seeds the new tree's was higher, and at how many seeds each job
+gave the new tree's pass peak. A median change inside that range is no
+result.
 Last, it prints each tree's line count per module of slabgreen/, as
 `wc -l` counts them, and in total.
 """
 
 import argparse
+import collections
 import csv
 import hashlib
 import itertools
@@ -185,7 +188,7 @@ def main(argv=None):
         if not (tree / "slabgreen" / "cli.py").is_file():
             parser.error(f"no slabgreen package under {tree}")
     differ, count, peaks = [], 0, {}  # peaks: label -> the (old, new) peak RSS of each sample
-    pass_peaks = {}  # (i, seed, workload) -> the (old, new) largest peak RSS of the pass's jobs
+    pass_peaks = {}  # (i, seed, workload) -> the (old, new) largest (peak RSS, job name) of the pass's jobs
     with tempfile.TemporaryDirectory() as scratch:
         links = [Path(scratch, name) for name in ("old", "new")]
         for link, tree in zip(links, trees):
@@ -203,8 +206,8 @@ def main(argv=None):
             (old, old_cost), (new, new_cost) = results[0], results[1]
             peaks.setdefault(label, []).append((old_cost[0], new_cost[0]))
             if in_pass is not None:
-                old_peak, new_peak = pass_peaks.get(in_pass, (0.0, 0.0))
-                pass_peaks[in_pass] = max(old_peak, old_cost[0]), max(new_peak, new_cost[0])
+                old_peak, new_peak = pass_peaks.get(in_pass, ((0.0, ""), (0.0, "")))
+                pass_peaks[in_pass] = max(old_peak, (old_cost[0], job.name)), max(new_peak, (new_cost[0], job.name))
             count += 1
             print(f"{label}: peak RSS {old_cost[0]:.2f} -> {new_cost[0]:.2f} MB, "
                   f"wall {old_cost[1]:.3f} -> {new_cost[1]:.3f} s")
@@ -229,10 +232,11 @@ def main(argv=None):
         higher = sum(new > old for old, new in pairs)
         print(f"{label}: median peak RSS {statistics.median(old_peaks):.3f} -> {statistics.median(new_peaks):.3f} MB "
               f"over {len(pairs)} pairs, new higher in {higher}")
-    changes = {}  # workload -> the new tree's pass peak minus the old one's, per seed
-    for (_, seed, workload), (old_peak, new_peak) in pass_peaks.items():
-        print(f"seed {seed} {workload}: pass peak RSS {old_peak:.3f} -> {new_peak:.3f} MB")
+    changes, setters = {}, {}  # workload -> per seed, the new tree's pass peak minus the old one's, and its job
+    for (_, seed, workload), ((old_peak, old_job), (new_peak, new_job)) in pass_peaks.items():
+        print(f"seed {seed} {workload}: pass peak RSS {old_peak:.3f} ({old_job}) -> {new_peak:.3f} ({new_job}) MB")
         changes.setdefault(workload, []).append(new_peak - old_peak)
+        setters.setdefault(workload, []).append(new_job)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bound = next(metric["bound"] for metric in spec["end_to_end"] if metric["name"] == "peak_rss_mb")
     for workload, deltas in changes.items():
@@ -240,6 +244,9 @@ def main(argv=None):
         q1, _, q3 = statistics.quantiles(deltas, n=4, method="inclusive") if len(deltas) > 1 else [math.nan] * 3
         print(f"{workload}: pass peak RSS median change {statistics.median(deltas):+.3f} MB over {len(deltas)} seeds "
               f"(IQR {q3 - q1:.3f} MB, bound {bound} MB), new higher in {sum(delta > 0 for delta in deltas)}")
+        jobs_at = collections.Counter(setters[workload]).most_common()
+        jobs_at = ", ".join(f"{name} at {seeds}" for name, seeds in jobs_at)
+        print(f"{workload}: new pass peak set by {jobs_at} of {len(deltas)} seeds")
     lines = [{path.name: path.read_bytes().count(b"\n") for path in (tree / "slabgreen").glob("*.py")} for tree in trees]
     for module in sorted(set(lines[0]) | set(lines[1])):
         print(f"slabgreen/{module}: {lines[0].get(module, 0)} -> {lines[1].get(module, 0)} lines")
