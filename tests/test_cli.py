@@ -40,6 +40,7 @@ LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
 
 def write_config(tmp_path, name="config.json", **overrides):
+    """The path of a config that is this base with `overrides` on top; a key given as None is left out."""
     config = {
         "slab": {"half_length": 1.0},
         "dielectric": {"type": "constant", "epsilon": LOSSY_EPS},
@@ -48,7 +49,7 @@ def write_config(tmp_path, name="config.json", **overrides):
     }
     config.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({key: value for key, value in config.items() if value is not None}))
     return str(path)
 
 
@@ -58,18 +59,6 @@ def run_to_rows(tmp_path, argv):
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
     return rc, rows
-
-
-def test_unknown_top_level_key(tmp_path, capsys):
-    path = write_config(tmp_path, wavelength=3.0)
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert "wavelength" in capsys.readouterr().err
-
-
-def test_unknown_nested_key(tmp_path, capsys):
-    path = write_config(tmp_path, dielectric={"type": "drude", "plasma_frequency": 2.0, "gamma": 1.0})
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert "dielectric.gamma" in capsys.readouterr().err
 
 
 def test_invalid_json(tmp_path, capsys):
@@ -108,39 +97,6 @@ def test_config_encoding_is_detected(tmp_path, capsys, encoding):
         assert cli.main(["tensor3d", "--config", str(tmp_path / name)]) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
-
-
-def test_missing_required_section(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"omega": 1.0}))
-    assert cli.main(["coefficients", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "slab.half_length" in err or "dielectric" in err
-
-
-def test_bad_sweep_spec(tmp_path, capsys):
-    path = write_config(tmp_path, omega={"start": 2.0, "stop": 1.0, "count": 5})
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert "start" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["decay-scan", "coefficients"])
-@pytest.mark.parametrize(
-    "sweep, formula",
-    [
-        # The step is inf, so the values were nan, inf, inf.
-        ({"start": -1e308, "stop": 1e308, "count": 3}, "start + i * (stop - start) / (count - 1)"),
-        # The step is finite, but the last value rounds past the largest float.
-        ({"start": 0.0, "stop": 1.7976931348623157e308, "count": 4}, "start + i * (stop - start) / (count - 1)"),
-        # stop / start is inf, so every value after the first was inf.
-        ({"start": 1e-300, "stop": 1e300, "count": 9, "spacing": "log"},
-         "start * (stop / start) ** (i / (count - 1))"),
-    ],
-    ids=["linear_step", "linear_last_value", "log_ratio"],
-)
-def test_overflowing_sweep_rejected(tmp_path, capsys, command, sweep, formula):
-    assert cli.main([command, "--config", write_config(tmp_path, omega=sweep)]) == 1
-    assert capsys.readouterr().err == f"error: omega.stop: the sweep overflows: {formula} is not finite\n"
 
 
 def test_coefficients_vacuum(tmp_path):
@@ -216,19 +172,6 @@ def test_verify_identity_nan_residual_is_a_violation(tmp_path, monkeypatch):
     assert [row["error"] for row in rows] == [""]
 
 
-def test_verify_identity_reports_a_context_failure_first(tmp_path, capsys):
-    # omega = 2 lies past the samples and x_a = 0.5 inside the slab: the
-    # context's failure is reported, as coefficients reports it.
-    path = write_config(
-        tmp_path,
-        dielectric={"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
-        omega={"start": 1, "stop": 2, "count": 2},
-        source={"start": 0.5, "stop": 2, "count": 2},
-    )
-    assert cli.main(["verify-identity", "--config", path]) == 1
-    assert capsys.readouterr().err == "error: frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation\n"
-
-
 def test_verify_identity_factorised_grid(tmp_path):
     # One integral per omega: each pair is the x_a = x_b value times e^{ik(x_a - x_b)}.
     path = write_config(
@@ -277,63 +220,6 @@ def test_verify_identity_extreme_frequency(tmp_path):
     assert all(math.isfinite(float(rows[0][key])) for key in rows[0] if key != "error")
 
 
-@pytest.mark.parametrize(
-    "command, code",
-    [("coefficients", 1), ("verify-identity", 1), ("decay-scan", 2)],
-)
-def test_non_finite_amplitudes_rejected(tmp_path, capsys, command, code):
-    # A finite permittivity whose amplitudes overflow: D evaluates to NaN.
-    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": [1e308, 1e308]},
-                        omega={"start": 1.0, "stop": 2.0, "count": 3})
-    out = tmp_path / "out.csv"
-    assert cli.main([command, "--config", path, "--out", str(out)]) == code
-    if command == "decay-scan":
-        with open(out, newline="") as handle:
-            assert all("not all finite" in row["error"] for row in csv.DictReader(handle))
-    else:
-        assert "not all finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command, overrides, code",
-    [
-        ("verify-identity", {}, 1),
-        ("decay-scan", {"omega": {"start": 1e199, "stop": 1e200, "count": 3}}, 2),
-        ("limit-study", {}, 2),
-    ],
-)
-def test_phase_overflow_is_a_domain_error(tmp_path, capsys, command, overrides, code):
-    # k (x_s - l) = 1e400 is not a float; cmath.exp used to raise ValueError on it.
-    config = {"slab": {"half_length": 1e200}, "omega": 1e200, "source": 2e200, **overrides}
-    out = tmp_path / "out.csv"
-    assert cli.main([command, "--config", write_config(tmp_path, **config), "--out", str(out)]) == code
-    message = "wave phase is not finite"
-    if code == 1:
-        assert message in capsys.readouterr().err
-    else:
-        with open(out, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows and all(message in row["error"] for row in rows)
-
-
-def test_resonance_denominator_overflow_is_a_row_error(tmp_path):
-    # |Y| overflows a float here; abs(Y) used to raise OverflowError.
-    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": [1e308, 1e308]},
-                        omega={"start": 5e-155, "stop": 1e-153, "count": 3}, source=1.5)
-    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path])
-    assert rc == 2
-    assert all("not all finite" in row["error"] for row in rows)
-
-
-def test_rate_overflow_is_a_row_error(tmp_path):
-    # 2 k^2 |d|^2 overflows a float; it used to raise OverflowError.
-    path = write_config(tmp_path, slab={"half_length": 1e-150}, source=2e-150,
-                        omega={"start": 1e159, "stop": 2e159, "count": 2})
-    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, "--oracle"])
-    assert rc == 2
-    assert all(row["error"] == "emission rate is not finite: its prefactor overflows" for row in rows)
-
-
 # Frequency sweeps, one per dielectric kind, that mix good rows with failing
 # ones: (dielectric, sweep, error message by row). The messages are those
 # that evaluating each row on its own gives.
@@ -361,48 +247,6 @@ ROW_ERRORS = {
          2: "slab amplitudes A, B, C, D and Y are not all finite"},
     ),
 }
-
-
-@pytest.mark.parametrize("kind", ROW_ERRORS)
-def test_sweep_row_errors_per_dielectric(tmp_path, capsys, kind):
-    dielectric, omega, expected = ROW_ERRORS[kind]
-    path = write_config(tmp_path, dielectric=dielectric, omega=omega, source=1.5)
-    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path])
-    assert rc == 2
-    # CSV cells keep no commas.
-    cells = [expected.get(i, "").replace(",", ";") for i in range(omega["count"])]
-    assert [row["error"] for row in rows] == cells
-    for row in rows:
-        assert (row["gamma"] == "") == (row["error"] != "")
-        assert row["error"] or math.isfinite(float(row["gamma_uncorrected"]))
-    capsys.readouterr()
-    # coefficients stops at the first failing frequency, with its message.
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert capsys.readouterr().err == f"error: {expected[min(expected)]}\n"
-
-
-@pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["closed_form", "oracle"])
-@pytest.mark.parametrize(
-    "overrides, expected",
-    [
-        # Sources at 0.5 and 1 lie in the slab.
-        ({"source": {"start": 0.5, "stop": 2.0, "count": 4}},
-         ["source must lie in the right exterior region"] * 2 + ["", ""]),
-        # The geometry check comes first, the source check last.
-        ({"slab": {"half_length": {"start": -1.0, "stop": 2.0, "count": 4}}, "source": 1.5},
-         ["slab half length must be positive and finite"] * 2 + ["", "source must lie in the right exterior region"]),
-        # The amplitudes are checked before the source.
-        ({"dielectric": {"type": "constant", "epsilon": [1e308, 1e308]},
-          "source": {"start": 0.5, "stop": 2.0, "count": 4}},
-         ["slab amplitudes A; B; C; D and Y are not all finite"] * 4),
-    ],
-    ids=["position", "thickness", "position_non_finite"],
-)
-def test_sweep_row_errors_per_axis(tmp_path, flags, overrides, expected):
-    path = write_config(tmp_path, **overrides)
-    rc, rows = run_to_rows(tmp_path, ["decay-scan", "--config", path, *flags])
-    assert rc == 2
-    assert [row["error"] for row in rows] == expected
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -751,122 +595,6 @@ def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
     assert b"Traceback" not in result.stderr
     assert b"RuntimeWarning" not in result.stderr
     assert result.stderr.endswith(b" failed\n")
-
-
-@pytest.mark.parametrize("field, value", [("dipole_moment", 0.0), ("surface_unit", -1.0)])
-@pytest.mark.parametrize(
-    "argv",
-    [["decay-scan"], ["decay-scan", "--oracle"], ["limit-study"], ["tensor3d"]],
-    ids=["decay_scan", "decay_scan_oracle", "limit_study", "tensor3d"],
-)
-def test_bad_emission_parameters_fail_the_run(tmp_path, capsys, field, value, argv):
-    # One failure for every subcommand: no row is written, and the exit code is 1.
-    overrides = {"source": {"start": 1.5, "stop": 3.0, "count": 3}} if argv[0] == "decay-scan" else {}
-    path = write_config(tmp_path, emission={field: value}, separations=[[1.0, 0.0, 0.0]], **overrides)
-    out = tmp_path / "out.csv"
-    assert cli.main([*argv, "--config", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {field} must be positive and finite\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, overrides, code",
-    [
-        ("decay-scan", {"source": {"start": 1.5, "stop": 3.0, "count": 3}}, 2),
-        ("limit-study", {}, 2),
-        ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1),
-    ],
-)
-def test_dipole_overflow_is_not_a_traceback(tmp_path, capsys, command, overrides, code):
-    # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
-    path = write_config(tmp_path, emission={"dipole_moment": 1e200}, **overrides)
-    assert cli.main([command, "--config", path]) == code
-    out, err = capsys.readouterr()
-    if code == 2:
-        assert "emission rate is not finite" in out
-    else:
-        assert err == "error: vacuum decay rate is not finite: its prefactor overflows\n"
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"omega": 1e-300, "separations": [[1e-10, 0.0, 0.0]]},  # kR underflows
-        {"omega": 1.0, "separations": [[1e300, 1e300, 0.0]]},  # |r| overflows
-    ],
-    ids=["kr_underflow", "distance_overflow"],
-)
-def test_tensor3d_non_finite_tensor_exits_1(tmp_path, capsys, config):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(config))
-    assert cli.main(["tensor3d", "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", "error: Green tensor is not finite: k times the separation overflows or underflows\n")
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        # At k*l = 1e200 the default source l + 1/k rounds onto the face x = l.
-        ({"omega": 1e200}, "the default source l + 1/k falls on the slab face; the source must be given"),
-        ({"omega": 1e200, "source": 1.0}, "source must lie in the right exterior region"),
-        # omega / c underflows to k = 0, so l + 1/k cannot be formed.
-        ({"units": "si", "omega": 1e-320}, "wavenumber must be positive"),
-    ],
-    ids=["default_on_face", "given_on_face", "k_underflow"],
-)
-def test_limit_study_source_errors_exit_1(tmp_path, capsys, overrides, message):
-    path = tmp_path / "l.json"
-    path.write_text(json.dumps({"slab": {"half_length": 1.0}, **overrides}))
-    assert cli.main(["limit-study", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-K_MESSAGE = "wavenumber k and 1/k must be positive and finite"
-PREFACTOR_MESSAGE = "emission prefactor is not a normal positive float: it under- or overflows"
-SOURCES = {"start": 1.5, "stop": 2.0, "count": 2}
-
-
-@pytest.mark.parametrize(
-    "command, overrides, flags, code, message",
-    [
-        # At omega = 1e-320 the reciprocal 1/k overflows.
-        ("verify-identity", {"omega": 1e-320, "source": SOURCES}, [], 1, K_MESSAGE),
-        ("limit-study", {"omega": 1e-320}, [], 2, K_MESSAGE),
-        ("decay-scan", {"omega": {"start": 1e-320, "stop": 1e-319, "count": 3}}, [], 2, K_MESSAGE),
-        # |d|^2 underflows to 0, or the reference rate k |d|^2 / S is subnormal.
-        ("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-200}}, ["--oracle"], 2,
-         PREFACTOR_MESSAGE),
-        ("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-10, "surface_unit": 1e300}}, [], 2,
-         PREFACTOR_MESSAGE),
-        ("limit-study", {"emission": {"dipole_moment": 1e-200}}, [], 2, PREFACTOR_MESSAGE),
-        # hbar eps0 S underflows to 0, so the prefactor is inf.
-        ("limit-study", {"emission": {"surface_unit": 1e-320}}, ["--units", "si"], 2,
-         "emission rate is not finite: its prefactor overflows"),
-        ("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150}, "separations": [[1.0, 0.0, 0.0]]},
-         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
-        # The rate's two routes both reach exactly 0.
-        ("tensor3d", {"emission": {"dipole_moment": 1e-200}, "separations": [[1.0, 0.0, 0.0]]},
-         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
-        ("tensor3d", {"omega": 1e-120, "separations": [[1.0, 0.0, 0.0]]},
-         [], 1, "vacuum decay rate underflows: a factor is below the normal float range"),
-    ],
-    ids=["verify_k", "limit_k", "decay_k", "decay_dipole_oracle", "decay_subnormal_reference",
-         "limit_dipole", "limit_surface_si", "tensor3d_underflow", "tensor3d_dipole_zero_rate", "tensor3d_k_zero_rate"],
-)
-def test_out_of_range_scales_fail_without_nan(tmp_path, capsys, command, overrides, flags, code, message):
-    # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
-    out = tmp_path / "out.csv"
-    assert cli.main([command, "--config", write_config(tmp_path, **overrides), *flags, "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert "nan" not in err
-    if code == 1:
-        assert err == f"error: {message}\n"
-        assert not out.exists()
-        return
-    with open(out, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows and all(row["error"] == message for row in rows)
-    assert not any(cell == "nan" for row in rows for cell in row.values())
 
 
 def test_row_template_matches_fmt(tmp_path):
@@ -1293,35 +1021,211 @@ def test_verify_identity_checks_each_source_once_and_forms_pair_factors_twice(tm
 ONE_VALUE_SWEEP = {"start": 3.0, "stop": 1.0, "count": 1}  # one value: start > stop is no error
 
 
+# On top of write_config's base, leaves only its omega and the row's own keys.
+BARE = {"slab": None, "dielectric": None, "source": None}
+SOURCES = {"start": 1.5, "stop": 2.0, "count": 2}
+SOURCE_SWEEP = {"start": 1.5, "stop": 3.0, "count": 3}
+HUGE_EPSILON = {"type": "constant", "epsilon": [1e308, 1e308]}
+# k (x_s - l) = 1e400 is not a float; cmath.exp used to raise ValueError on it.
+PHASE_OVERFLOW = {"slab": {"half_length": 1e200}, "omega": 1e200, "source": 2e200}
+PHASE_MESSAGE = "wave phase is not finite: k times a distance overflows"
+K_MESSAGE = "wavenumber k and 1/k must be positive and finite"
+PREFACTOR_MESSAGE = "emission prefactor is not a normal positive float: it under- or overflows"
+UNDERFLOW_MESSAGE = "vacuum decay rate underflows: a factor is below the normal float range"
+AMPLITUDES_MESSAGE = "slab amplitudes A, B, C, D and Y are not all finite"
+ONE_SWEEP_MESSAGE = "decay-scan needs exactly one sweep among source, slab.half_length and omega; found "
+SINGULAR_MESSAGE = "Green tensor is not finite: k times the separation overflows or underflows"
+
+
+# The command line's failure contract, one row per case: (subcommand, config on
+# top of write_config's, flags, exit code, message). Exit 1 prints the message
+# and writes no file. Exit 2 writes every row with its message, one for all
+# rows or one per row ("" for a good row).
+FAILURES = [
+    pytest.param("coefficients", {"wavelength": 3.0}, [], 1, "wavelength: unknown key", id="unknown_top_level_key"),
+    pytest.param("coefficients", {"dielectric": {"type": "drude", "plasma_frequency": 2.0, "gamma": 1.0}}, [], 1,
+                 "dielectric.gamma: unknown key", id="unknown_nested_key"),
+    pytest.param("coefficients", BARE, [], 1, "slab.half_length: required for this subcommand",
+                 id="missing_required_section"),
+    pytest.param("coefficients", {"omega": {"start": 2.0, "stop": 1.0, "count": 5}}, [], 1,
+                 "omega.start: start must be < stop", id="bad_sweep_spec"),
+    *(pytest.param(command, {"omega": sweep}, [], 1, f"omega.stop: the sweep overflows: {formula} is not finite",
+                   id=f"overflowing_sweep-{name}-{command}")
+      for name, sweep, formula in [
+          # The step is inf, so the values were nan, inf, inf.
+          ("linear_step", {"start": -1e308, "stop": 1e308, "count": 3}, "start + i * (stop - start) / (count - 1)"),
+          # The step is finite, but the last value rounds past the largest float.
+          ("linear_last_value", {"start": 0.0, "stop": 1.7976931348623157e308, "count": 4},
+           "start + i * (stop - start) / (count - 1)"),
+          # stop / start is inf, so every value after the first was inf.
+          ("log_ratio", {"start": 1e-300, "stop": 1e300, "count": 9, "spacing": "log"},
+           "start * (stop / start) ** (i / (count - 1))"),
+      ]
+      for command in ["decay-scan", "coefficients"]),
+    pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 2, "spacing": "cubic"}}, [], 1,
+                 "omega.spacing: expected 'linear' or 'log'", id="unknown_spacing"),
+    pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 0}}, [], 1,
+                 "omega.count: expected an integer >= 1", id="zero_count"),
+    pytest.param("coefficients", {"omega": {"start": 0, "stop": 2, "count": 2, "spacing": "log"}}, [], 1,
+                 "omega.spacing: log spacing needs positive endpoints", id="log_spacing_non_positive"),
+    *(pytest.param("coefficients", {"omega": {"start": 1.0, "stop": 2.0, **sweep}}, [], 1,
+                   f"omega.count: expected an integer <= {_MAX_COUNT}", id=f"sweep_count_capped-{name}")
+      for name, sweep in [("1e30", {"count": 10**30}), ("1e12", {"count": 10**12}),
+                          ("1e12_log", {"count": 10**12, "spacing": "log"}),
+                          ("cap_plus_one", {"count": _MAX_COUNT + 1})]),
+    pytest.param("limit-study", {"omega": ONE_VALUE_SWEEP}, [], 1,
+                 "omega: a sweep is not allowed here; give a single number", id="one_value_sweep_limit_study"),
+    # decay-scan needs exactly one sweep; the base config has none.
+    pytest.param("decay-scan", {}, [], 1, ONE_SWEEP_MESSAGE + "0", id="decay_scan_no_sweep"),
+    pytest.param("decay-scan", {"omega": {"start": 1, "stop": 2, "count": 2}, "source": SOURCES}, [], 1,
+                 ONE_SWEEP_MESSAGE + "2", id="decay_scan_two_sweeps"),
+    pytest.param("decay-scan", {"omega": {"start": 0.5, "stop": 2.0, "count": 4},
+                                "source": {"start": 1.5, "stop": 2.5, "count": 4}}, [], 1,
+                 ONE_SWEEP_MESSAGE + "2", id="decay_scan_two_sweeps_of_4"),
+    pytest.param("verify-identity", {"tolerances": {"quadrature": 0}}, [], 1, "tolerances.quadrature: must be positive",
+                 id="zero_tolerance"),
+    pytest.param("coefficients", {"slab": 5}, [], 1, "slab: expected an object", id="slab_not_object"),
+    *(pytest.param("tensor3d", {**BARE, "units": units, "separations": [[1.0, 2.0, 3.0]]}, [], 1,
+                   "units: expected 'natural' or 'si'", id=f"units_not_a_name-{name}")
+      for name, units in [("list", []), ("object", {}), ("one_item_list", ["si"])]),
+    pytest.param("decay-scan", {"source": {"start": 1.5, "stop": 3.5, "count": 3},
+                                "dielectric": {"type": "constant", "epsilon": [math.nan, 1.0]}}, [], 1,
+                 "dielectric.epsilon[0]: expected a finite number", id="non_finite_config_number-nan"),
+    pytest.param("coefficients", {"dielectric": {"type": "constant", "epsilon": math.inf}}, [], 1,
+                 "dielectric.epsilon: expected a finite number", id="non_finite_config_number-inf"),
+    # Both samples are finite, but the slope between them is 1e312.
+    pytest.param("coefficients",
+                 {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}}, [], 1,
+                 "dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows",
+                 id="tabulated_slope_overflow"),
+    # One failure for every subcommand: no row is written, and the exit code is 1.
+    *(pytest.param(argv[0], {"emission": {field: value}, "separations": [[1.0, 0.0, 0.0]],
+                             **({"source": SOURCE_SWEEP} if argv[0] == "decay-scan" else {})}, argv[1:], 1,
+                   f"{field} must be positive and finite", id=f"bad_emission-{name}-{field}")
+      for field, value in [("dipole_moment", 0.0), ("surface_unit", -1.0)]
+      for name, argv in [("decay_scan", ["decay-scan"]), ("decay_scan_oracle", ["decay-scan", "--oracle"]),
+                         ("limit_study", ["limit-study"]), ("tensor3d", ["tensor3d"])]),
+    # omega = 2 lies past the samples and x_a = 0.5 inside the slab: the
+    # context's failure is reported, as coefficients reports it.
+    pytest.param("verify-identity", {"dielectric": {"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
+                                     "omega": {"start": 1, "stop": 2, "count": 2},
+                                     "source": {"start": 0.5, "stop": 2, "count": 2}}, [], 1,
+                 "frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation",
+                 id="verify_identity_context_failure_first"),
+    # A finite permittivity whose amplitudes overflow: D evaluates to NaN.
+    *(pytest.param(command, {"dielectric": HUGE_EPSILON, "omega": {"start": 1.0, "stop": 2.0, "count": 3}}, [], code,
+                   AMPLITUDES_MESSAGE, id=f"non_finite_amplitudes-{command}")
+      for command, code in [("coefficients", 1), ("verify-identity", 1), ("decay-scan", 2)]),
+    # |Y| overflows a float here; abs(Y) used to raise OverflowError.
+    pytest.param("decay-scan", {"dielectric": HUGE_EPSILON, "omega": {"start": 5e-155, "stop": 1e-153, "count": 3},
+                                "source": 1.5}, [], 2, AMPLITUDES_MESSAGE, id="resonance_denominator_overflow"),
+    pytest.param("verify-identity", PHASE_OVERFLOW, [], 1, PHASE_MESSAGE, id="phase_overflow-verify-identity"),
+    pytest.param("decay-scan", {**PHASE_OVERFLOW, "omega": {"start": 1e199, "stop": 1e200, "count": 3}}, [], 2,
+                 PHASE_MESSAGE, id="phase_overflow-decay-scan"),
+    pytest.param("limit-study", PHASE_OVERFLOW, [], 2, PHASE_MESSAGE, id="phase_overflow-limit-study"),
+    # 2 k^2 |d|^2 overflows a float; it used to raise OverflowError.
+    pytest.param("decay-scan", {"slab": {"half_length": 1e-150}, "source": 2e-150,
+                                "omega": {"start": 1e159, "stop": 2e159, "count": 2}}, ["--oracle"], 2,
+                 "emission rate is not finite: its prefactor overflows", id="rate_overflow"),
+    # Frequency sweeps that mix good rows with failing ones; coefficients stops at the first failing frequency.
+    *(pytest.param("decay-scan", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 2,
+                   [messages.get(i, "") for i in range(omega["count"])], id=f"row_errors-{kind}")
+      for kind, (dielectric, omega, messages) in ROW_ERRORS.items()),
+    *(pytest.param("coefficients", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 1,
+                   messages[min(messages)], id=f"row_errors-{kind}-coefficients")
+      for kind, (dielectric, omega, messages) in ROW_ERRORS.items()),
+    *(pytest.param("decay-scan", overrides, flags, 2, messages, id=f"row_errors_per_axis-{axis}-{route}")
+      for axis, overrides, messages in [
+          # Sources at 0.5 and 1 lie in the slab.
+          ("position", {"source": {"start": 0.5, "stop": 2.0, "count": 4}},
+           ["source must lie in the right exterior region"] * 2 + ["", ""]),
+          # The geometry check comes first, the source check last.
+          ("thickness", {"slab": {"half_length": {"start": -1.0, "stop": 2.0, "count": 4}}, "source": 1.5},
+           ["slab half length must be positive and finite"] * 2 + ["", "source must lie in the right exterior region"]),
+          # The amplitudes are checked before the source.
+          ("position_non_finite", {"dielectric": HUGE_EPSILON, "source": {"start": 0.5, "stop": 2.0, "count": 4}},
+           AMPLITUDES_MESSAGE),
+      ]
+      for route, flags in [("closed_form", []), ("oracle", ["--oracle"])]),
+    *(pytest.param(command, {"emission": {"dipole_moment": 1e200}, **overrides}, [], code, message,
+                   id=f"dipole_overflow-{command}")
+      for command, overrides, code, message in [
+          ("decay-scan", {"source": SOURCE_SWEEP}, 2, "emission rate is not finite: its prefactor overflows"),
+          ("limit-study", {}, 2, "emission rate is not finite: its prefactor overflows"),
+          ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1,
+           "vacuum decay rate is not finite: its prefactor overflows"),
+      ]),
+    pytest.param("tensor3d", {**BARE, "omega": 1e-300, "separations": [[1e-10, 0.0, 0.0]]}, [], 1, SINGULAR_MESSAGE,
+                 id="tensor3d_non_finite-kr_underflow"),
+    pytest.param("tensor3d", {**BARE, "separations": [[1e300, 1e300, 0.0]]}, [], 1, SINGULAR_MESSAGE,
+                 id="tensor3d_non_finite-distance_overflow"),
+    pytest.param("tensor3d", {**BARE, "separations": [[0.0, 0.0, 0.0]]}, [], 1,
+                 "separations[0]: coincident points: the full tensor is singular at r = 0", id="tensor3d_coincident"),
+    # At k*l = 1e200 the default source l + 1/k rounds onto the face x = l.
+    pytest.param("limit-study", {"dielectric": None, "source": None, "omega": 1e200}, [], 1,
+                 "the default source l + 1/k falls on the slab face; the source must be given",
+                 id="limit_study_source-default_on_face"),
+    pytest.param("limit-study", {"dielectric": None, "omega": 1e200, "source": 1.0}, [], 1,
+                 "source must lie in the right exterior region", id="limit_study_source-given_on_face"),
+    # omega / c underflows to k = 0, so l + 1/k cannot be formed.
+    pytest.param("limit-study", {"dielectric": None, "source": None, "units": "si", "omega": 1e-320}, [], 1,
+                 "wavenumber must be positive", id="limit_study_source-k_underflow"),
+    # At omega = 1e-320 the reciprocal 1/k overflows.
+    pytest.param("verify-identity", {"omega": 1e-320, "source": SOURCES}, [], 1, K_MESSAGE, id="verify_k"),
+    pytest.param("limit-study", {"omega": 1e-320}, [], 2, K_MESSAGE, id="limit_k"),
+    pytest.param("decay-scan", {"omega": {"start": 1e-320, "stop": 1e-319, "count": 3}}, [], 2, K_MESSAGE,
+                 id="decay_k"),
+    # |d|^2 underflows to 0, or the reference rate k |d|^2 / S is subnormal.
+    pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-200}}, ["--oracle"], 2,
+                 PREFACTOR_MESSAGE, id="decay_dipole_oracle"),
+    pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-10, "surface_unit": 1e300}}, [], 2,
+                 PREFACTOR_MESSAGE, id="decay_subnormal_reference"),
+    pytest.param("limit-study", {"emission": {"dipole_moment": 1e-200}}, [], 2, PREFACTOR_MESSAGE, id="limit_dipole"),
+    # hbar eps0 S underflows to 0, so the prefactor is inf.
+    pytest.param("limit-study", {"emission": {"surface_unit": 1e-320}}, ["--units", "si"], 2,
+                 "emission rate is not finite: its prefactor overflows", id="limit_surface_si"),
+    pytest.param("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150}, "separations": [[1.0, 0.0, 0.0]]},
+                 [], 1, UNDERFLOW_MESSAGE, id="tensor3d_underflow"),
+    # The rate's two routes both reach exactly 0.
+    pytest.param("tensor3d", {"emission": {"dipole_moment": 1e-200}, "separations": [[1.0, 0.0, 0.0]]}, [], 1,
+                 UNDERFLOW_MESSAGE, id="tensor3d_dipole_zero_rate"),
+    pytest.param("tensor3d", {"omega": 1e-120, "separations": [[1.0, 0.0, 0.0]]}, [], 1, UNDERFLOW_MESSAGE,
+                 id="tensor3d_k_zero_rate"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, flags, code, message", FAILURES)
+def test_failures_keep_the_contract(tmp_path, capsys, command, overrides, flags, code, message):
+    # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", write_config(tmp_path, **overrides), *flags, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert not re.search(r"\bnan\b", err, re.IGNORECASE)  # "resonance" holds "nan" but not the word
+    if code == 1:
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+        return
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    messages = [message] * len(rows) if isinstance(message, str) else message
+    # CSV cells keep no commas.
+    assert rows and [row[-1] for row in rows] == [text.replace(",", ";") for text in messages]
+    kept = cli._COMMANDS[command][1]
+    for row, text in zip(rows, messages):
+        cells = row[:kept] if text else row[:-1]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+        assert row[len(cells):-1] == [""] * (len(row) - 1 - len(cells))
+
+
 @pytest.mark.parametrize(
     "command, config, code, err",
     [
         ("coefficients", [1.0, 2.0], 1, "error: expected an object\n"),
-        ("coefficients", {"slab": 5}, 1, "error: slab: expected an object\n"),
-        ("coefficients", {"omega": {"start": 1, "stop": 2, "count": 2, "spacing": "cubic"}}, 1,
-         "error: omega.spacing: expected 'linear' or 'log'\n"),
         ("coefficients", {"omega": ONE_VALUE_SWEEP}, 0, "coefficients: 1 rows"),
         ("decay-scan", {"omega": ONE_VALUE_SWEEP}, 0, "decay-scan (frequency): 1 rows, 0 failed\n"),
-        ("limit-study", {"omega": ONE_VALUE_SWEEP}, 1,
-         "error: omega: a sweep is not allowed here; give a single number\n"),
-        ("verify-identity", {"tolerances": {"quadrature": 0}}, 1, "error: tolerances.quadrature: must be positive\n"),
         ("coefficients", None, 1, "error: cannot read config: "),
-        # Both samples are finite, but the slope between them is 1e312.
-        ("coefficients", {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}},
-         1, "error: dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows\n"),
-        ("coefficients", {"omega": {"start": 1, "stop": 2, "count": 0}}, 1, "error: omega.count: expected an integer >= 1\n"),
-        ("coefficients", {"omega": {"start": 0, "stop": 2, "count": 2, "spacing": "log"}}, 1,
-         "error: omega.spacing: log spacing needs positive endpoints\n"),
-        # decay-scan needs exactly one sweep; the base config has none.
-        ("decay-scan", {}, 1,
-         "error: decay-scan needs exactly one sweep among source, slab.half_length and omega; found 0\n"),
-        ("decay-scan", {"omega": {"start": 1, "stop": 2, "count": 2}, "source": {"start": 1.5, "stop": 2, "count": 2}}, 1,
-         "error: decay-scan needs exactly one sweep among source, slab.half_length and omega; found 2\n"),
     ],
-    ids=["top_level_array", "slab_not_object", "unknown_spacing", "one_value_sweep_coefficients",
-         "one_value_sweep_decay_scan", "one_value_sweep_limit_study", "zero_tolerance", "missing_file",
-         "tabulated_slope_overflow", "zero_count", "log_spacing_non_positive", "decay_scan_no_sweep",
-         "decay_scan_two_sweeps"],
+    ids=["top_level_array", "one_value_sweep_coefficients", "one_value_sweep_decay_scan", "missing_file"],
 )
 def test_config_branches(tmp_path, capsys, command, config, code, err):
     # A config of None names a file that does not exist.
@@ -1337,16 +1241,6 @@ def test_config_branches(tmp_path, capsys, command, config, code, err):
         return
     header, *rows = out.read_text().splitlines()
     assert header.startswith("omega,") and len(rows) == 1 and rows[0].startswith("3,")
-
-
-def test_non_finite_config_numbers_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, source={"start": 1.5, "stop": 3.5, "count": 3},
-                        dielectric={"type": "constant", "epsilon": [math.nan, 1.0]})
-    assert cli.main(["decay-scan", "--config", path]) == 1
-    assert "dielectric.epsilon[0]" in capsys.readouterr().err
-    path = write_config(tmp_path, dielectric={"type": "constant", "epsilon": math.inf})
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert "dielectric.epsilon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1528,17 +1422,6 @@ def test_decay_scan_frequency(tmp_path):
     assert [float(row["omega"]) for row in rows] == [0.5, 1.0, 1.5, 2.0]
 
 
-def test_decay_scan_needs_exactly_one_sweep(tmp_path, capsys):
-    path = write_config(tmp_path)
-    assert cli.main(["decay-scan", "--config", path]) == 1
-    path = write_config(
-        tmp_path,
-        omega={"start": 0.5, "stop": 2.0, "count": 4},
-        source={"start": 1.5, "stop": 2.5, "count": 4},
-    )
-    assert cli.main(["decay-scan", "--config", path]) == 1
-
-
 def test_decay_scan_marks_bad_rows(tmp_path):
     # Thickness sweep grows the slab past the fixed source position.
     path = write_config(
@@ -1594,13 +1477,6 @@ def test_tensor3d_rows(tmp_path):
     # on-axis separation: transverse xx equals yy, off-diagonals vanish
     assert row["g_xx_re"] == row["g_yy_re"]
     assert float(row["g_xy_re"]) == 0.0
-
-
-def test_tensor3d_coincident_rejected(tmp_path, capsys):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"omega": 1.0, "separations": [[0.0, 0.0, 0.0]]}))
-    assert cli.main(["tensor3d", "--config", str(path)]) == 1
-    assert "singular" in capsys.readouterr().err
 
 
 def test_units_si(tmp_path):
@@ -1670,25 +1546,6 @@ def test_stdout_output(tmp_path, capsys):
     assert captured.out.startswith("omega,k,")
     assert captured.out.endswith("\n")
     assert "coefficients:" in captured.err
-
-
-@pytest.mark.parametrize("units", [[], {}, ["si"]], ids=["list", "object", "one_item_list"])
-def test_units_must_be_a_unit_system_name(tmp_path, capsys, units):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"units": units, "omega": 1.0, "separations": [[1.0, 2.0, 3.0]]}))
-    assert cli.main(["tensor3d", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == "error: units: expected 'natural' or 'si'\n"
-
-
-@pytest.mark.parametrize(
-    "sweep",
-    [{"count": 10**30}, {"count": 10**12}, {"count": 10**12, "spacing": "log"}, {"count": _MAX_COUNT + 1}],
-    ids=["1e30", "1e12", "1e12_log", "cap_plus_one"],
-)
-def test_sweep_count_is_capped(tmp_path, capsys, sweep):
-    path = write_config(tmp_path, omega={"start": 1.0, "stop": 2.0, **sweep})
-    assert cli.main(["coefficients", "--config", path]) == 1
-    assert capsys.readouterr().err == f"error: omega.count: expected an integer <= {_MAX_COUNT}\n"
 
 
 def test_sweep_count_cap_is_allowed(tmp_path):

@@ -310,7 +310,7 @@ def test_f_coincident_closed_form(lossy_ctx):
         assert boundary_term_f(x_s, x_s, lossy_ctx) == pytest.approx(expected, rel=1e-14)
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     rows=st.lists(
         st.tuples(
@@ -425,7 +425,7 @@ def test_lhs_validation(lossy_ctx):
         lhs_quadrature(2.0, 2.0, lossy_ctx, tol=-1.0)
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     n_re=st.floats(0.05, 3.0),
     log_n_im=st.floats(-9.0, 1.0),
@@ -449,7 +449,7 @@ def test_identity_closes_in_hard_regimes(n_re, log_n_im, k, half, offsets):
     assert abs(rep.residual_corrected) <= 1e-8
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     n_re=st.floats(0.05, 3.0),
     log_n_im=st.floats(-3.0, 1.0),
