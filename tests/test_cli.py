@@ -1037,165 +1037,185 @@ ONE_SWEEP_MESSAGE = "decay-scan needs exactly one sweep among source, slab.half_
 SINGULAR_MESSAGE = "Green tensor is not finite: k times the separation overflows or underflows"
 
 
-# The command line's failure contract, one row per case: (subcommand, config on
-# top of write_config's, flags, exit code, message). Exit 1 prints the message
-# and writes no file. Exit 2 writes every row with its message, one for all
-# rows or one per row ("" for a good row).
-FAILURES = [
-    pytest.param("coefficients", {"wavelength": 3.0}, [], 1, "wavelength: unknown key", id="unknown_top_level_key"),
-    pytest.param("coefficients", {"dielectric": {"type": "drude", "plasma_frequency": 2.0, "gamma": 1.0}}, [], 1,
-                 "dielectric.gamma: unknown key", id="unknown_nested_key"),
-    pytest.param("coefficients", BARE, [], 1, "slab.half_length: required for this subcommand",
-                 id="missing_required_section"),
-    pytest.param("coefficients", {"omega": {"start": 2.0, "stop": 1.0, "count": 5}}, [], 1,
-                 "omega.start: start must be < stop", id="bad_sweep_spec"),
-    *(pytest.param(command, {"omega": sweep}, [], 1, f"omega.stop: the sweep overflows: {formula} is not finite",
-                   id=f"overflowing_sweep-{name}-{command}")
-      for name, sweep, formula in [
-          # The step is inf, so the values were nan, inf, inf.
-          ("linear_step", {"start": -1e308, "stop": 1e308, "count": 3}, "start + i * (stop - start) / (count - 1)"),
-          # The step is finite, but the last value rounds past the largest float.
-          ("linear_last_value", {"start": 0.0, "stop": 1.7976931348623157e308, "count": 4},
-           "start + i * (stop - start) / (count - 1)"),
-          # stop / start is inf, so every value after the first was inf.
-          ("log_ratio", {"start": 1e-300, "stop": 1e300, "count": 9, "spacing": "log"},
-           "start * (stop / start) ** (i / (count - 1))"),
-      ]
-      for command in ["decay-scan", "coefficients"]),
-    pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 2, "spacing": "cubic"}}, [], 1,
-                 "omega.spacing: expected 'linear' or 'log'", id="unknown_spacing"),
-    pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 0}}, [], 1,
-                 "omega.count: expected an integer >= 1", id="zero_count"),
-    pytest.param("coefficients", {"omega": {"start": 0, "stop": 2, "count": 2, "spacing": "log"}}, [], 1,
-                 "omega.spacing: log spacing needs positive endpoints", id="log_spacing_non_positive"),
-    *(pytest.param("coefficients", {"omega": {"start": 1.0, "stop": 2.0, **sweep}}, [], 1,
-                   f"omega.count: expected an integer <= {_MAX_COUNT}", id=f"sweep_count_capped-{name}")
-      for name, sweep in [("1e30", {"count": 10**30}), ("1e12", {"count": 10**12}),
-                          ("1e12_log", {"count": 10**12, "spacing": "log"}),
-                          ("cap_plus_one", {"count": _MAX_COUNT + 1})]),
-    pytest.param("limit-study", {"omega": ONE_VALUE_SWEEP}, [], 1,
-                 "omega: a sweep is not allowed here; give a single number", id="one_value_sweep_limit_study"),
-    # decay-scan needs exactly one sweep; the base config has none.
-    pytest.param("decay-scan", {}, [], 1, ONE_SWEEP_MESSAGE + "0", id="decay_scan_no_sweep"),
-    pytest.param("decay-scan", {"omega": {"start": 1, "stop": 2, "count": 2}, "source": SOURCES}, [], 1,
-                 ONE_SWEEP_MESSAGE + "2", id="decay_scan_two_sweeps"),
-    pytest.param("decay-scan", {"omega": {"start": 0.5, "stop": 2.0, "count": 4},
-                                "source": {"start": 1.5, "stop": 2.5, "count": 4}}, [], 1,
-                 ONE_SWEEP_MESSAGE + "2", id="decay_scan_two_sweeps_of_4"),
-    pytest.param("verify-identity", {"tolerances": {"quadrature": 0}}, [], 1, "tolerances.quadrature: must be positive",
-                 id="zero_tolerance"),
-    pytest.param("coefficients", {"slab": 5}, [], 1, "slab: expected an object", id="slab_not_object"),
-    *(pytest.param("tensor3d", {**BARE, "units": units, "separations": [[1.0, 2.0, 3.0]]}, [], 1,
-                   "units: expected 'natural' or 'si'", id=f"units_not_a_name-{name}")
-      for name, units in [("list", []), ("object", {}), ("one_item_list", ["si"])]),
-    pytest.param("decay-scan", {"source": {"start": 1.5, "stop": 3.5, "count": 3},
-                                "dielectric": {"type": "constant", "epsilon": [math.nan, 1.0]}}, [], 1,
-                 "dielectric.epsilon[0]: expected a finite number", id="non_finite_config_number-nan"),
-    pytest.param("coefficients", {"dielectric": {"type": "constant", "epsilon": math.inf}}, [], 1,
-                 "dielectric.epsilon: expected a finite number", id="non_finite_config_number-inf"),
-    # Both samples are finite, but the slope between them is 1e312.
-    pytest.param("coefficients",
-                 {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}}, [], 1,
-                 "dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows",
-                 id="tabulated_slope_overflow"),
+# The command line's failure contract, one table keyed by the test that runs
+# each group of cases. A case is (subcommand, config on top of write_config's,
+# flags, exit code, message). Exit 1 prints the message and writes no file.
+# Exit 2 writes every row with its message, one for all rows or one per row
+# ("" for a good row). A group of pytest.param cases is one test per id; a
+# group of plain tuples is one test that runs them all.
+FAILURES = {
+    "test_unknown_top_level_key": [("coefficients", {"wavelength": 3.0}, [], 1, "wavelength: unknown key")],
+    "test_unknown_nested_key": [
+        ("coefficients", {"dielectric": {"type": "drude", "plasma_frequency": 2.0, "gamma": 1.0}}, [], 1,
+         "dielectric.gamma: unknown key")],
+    "test_missing_required_section": [("coefficients", BARE, [], 1, "slab.half_length: required for this subcommand")],
+    "test_bad_sweep_spec": [("coefficients", {"omega": {"start": 2.0, "stop": 1.0, "count": 5}}, [], 1,
+                             "omega.start: start must be < stop")],
+    "test_overflowing_sweep_rejected": [
+        pytest.param(command, {"omega": sweep}, [], 1, f"omega.stop: the sweep overflows: {formula} is not finite",
+                     id=f"{name}-{command}")
+        for name, sweep, formula in [
+            # The step is inf, so the values were nan, inf, inf.
+            ("linear_step", {"start": -1e308, "stop": 1e308, "count": 3}, "start + i * (stop - start) / (count - 1)"),
+            # The step is finite, but the last value rounds past the largest float.
+            ("linear_last_value", {"start": 0.0, "stop": 1.7976931348623157e308, "count": 4},
+             "start + i * (stop - start) / (count - 1)"),
+            # stop / start is inf, so every value after the first was inf.
+            ("log_ratio", {"start": 1e-300, "stop": 1e300, "count": 9, "spacing": "log"},
+             "start * (stop / start) ** (i / (count - 1))"),
+        ]
+        for command in ["decay-scan", "coefficients"]],
+    # The configs test_config_branches rejects.
+    "test_failures_keep_the_contract": [
+        pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 2, "spacing": "cubic"}}, [], 1,
+                     "omega.spacing: expected 'linear' or 'log'", id="unknown_spacing"),
+        pytest.param("coefficients", {"omega": {"start": 1, "stop": 2, "count": 0}}, [], 1,
+                     "omega.count: expected an integer >= 1", id="zero_count"),
+        pytest.param("coefficients", {"omega": {"start": 0, "stop": 2, "count": 2, "spacing": "log"}}, [], 1,
+                     "omega.spacing: log spacing needs positive endpoints", id="log_spacing_non_positive"),
+        pytest.param("limit-study", {"omega": ONE_VALUE_SWEEP}, [], 1,
+                     "omega: a sweep is not allowed here; give a single number", id="one_value_sweep_limit_study"),
+        # decay-scan needs exactly one sweep; the base config has none.
+        pytest.param("decay-scan", {}, [], 1, ONE_SWEEP_MESSAGE + "0", id="decay_scan_no_sweep"),
+        pytest.param("decay-scan", {"omega": {"start": 1, "stop": 2, "count": 2}, "source": SOURCES}, [], 1,
+                     ONE_SWEEP_MESSAGE + "2", id="decay_scan_two_sweeps"),
+        pytest.param("verify-identity", {"tolerances": {"quadrature": 0}}, [], 1,
+                     "tolerances.quadrature: must be positive", id="zero_tolerance"),
+        pytest.param("coefficients", {"slab": 5}, [], 1, "slab: expected an object", id="slab_not_object"),
+        # Both samples are finite, but the slope between them is 1e312.
+        pytest.param("coefficients",
+                     {"dielectric": {"type": "tabulated", "samples": [[1, 1, 1], [1.000000000001, 1e300, 1]]}}, [], 1,
+                     "dielectric: sample slope (values[j+1] - values[j]) / (omegas[j+1] - omegas[j]) overflows",
+                     id="tabulated_slope_overflow")],
+    "test_sweep_count_is_capped": [
+        pytest.param("coefficients", {"omega": {"start": 1.0, "stop": 2.0, **sweep}}, [], 1,
+                     f"omega.count: expected an integer <= {_MAX_COUNT}", id=name)
+        for name, sweep in [("1e30", {"count": 10**30}), ("1e12", {"count": 10**12}),
+                            ("1e12_log", {"count": 10**12, "spacing": "log"}),
+                            ("cap_plus_one", {"count": _MAX_COUNT + 1})]],
+    "test_decay_scan_needs_exactly_one_sweep": [
+        ("decay-scan", {"omega": {"start": 0.5, "stop": 2.0, "count": 4},
+                        "source": {"start": 1.5, "stop": 2.5, "count": 4}}, [], 1, ONE_SWEEP_MESSAGE + "2")],
+    "test_units_must_be_a_unit_system_name": [
+        pytest.param("tensor3d", {**BARE, "units": units, "separations": [[1.0, 2.0, 3.0]]}, [], 1,
+                     "units: expected 'natural' or 'si'", id=name)
+        for name, units in [("list", []), ("object", {}), ("one_item_list", ["si"])]],
+    "test_non_finite_config_numbers_rejected": [
+        ("decay-scan", {"source": {"start": 1.5, "stop": 3.5, "count": 3},
+                        "dielectric": {"type": "constant", "epsilon": [math.nan, 1.0]}}, [], 1,
+         "dielectric.epsilon[0]: expected a finite number"),
+        ("coefficients", {"dielectric": {"type": "constant", "epsilon": math.inf}}, [], 1,
+         "dielectric.epsilon: expected a finite number")],
     # One failure for every subcommand: no row is written, and the exit code is 1.
-    *(pytest.param(argv[0], {"emission": {field: value}, "separations": [[1.0, 0.0, 0.0]],
-                             **({"source": SOURCE_SWEEP} if argv[0] == "decay-scan" else {})}, argv[1:], 1,
-                   f"{field} must be positive and finite", id=f"bad_emission-{name}-{field}")
-      for field, value in [("dipole_moment", 0.0), ("surface_unit", -1.0)]
-      for name, argv in [("decay_scan", ["decay-scan"]), ("decay_scan_oracle", ["decay-scan", "--oracle"]),
-                         ("limit_study", ["limit-study"]), ("tensor3d", ["tensor3d"])]),
+    "test_bad_emission_parameters_fail_the_run": [
+        pytest.param(argv[0], {"emission": {field: value}, "separations": [[1.0, 0.0, 0.0]],
+                               **({"source": SOURCE_SWEEP} if argv[0] == "decay-scan" else {})}, argv[1:], 1,
+                     f"{field} must be positive and finite", id=f"{name}-{field}-{value}")
+        for field, value in [("dipole_moment", 0.0), ("surface_unit", -1.0)]
+        for name, argv in [("decay_scan", ["decay-scan"]), ("decay_scan_oracle", ["decay-scan", "--oracle"]),
+                           ("limit_study", ["limit-study"]), ("tensor3d", ["tensor3d"])]],
     # omega = 2 lies past the samples and x_a = 0.5 inside the slab: the
     # context's failure is reported, as coefficients reports it.
-    pytest.param("verify-identity", {"dielectric": {"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
-                                     "omega": {"start": 1, "stop": 2, "count": 2},
-                                     "source": {"start": 0.5, "stop": 2, "count": 2}}, [], 1,
-                 "frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation",
-                 id="verify_identity_context_failure_first"),
+    "test_verify_identity_reports_a_context_failure_first": [
+        ("verify-identity", {"dielectric": {"type": "tabulated", "samples": [[0.5, 2, 0.1], [1.5, 2, 0.1]]},
+                             "omega": {"start": 1, "stop": 2, "count": 2},
+                             "source": {"start": 0.5, "stop": 2, "count": 2}}, [], 1,
+         "frequency 2.0 outside tabulated range [0.5, 1.5]; no extrapolation")],
     # A finite permittivity whose amplitudes overflow: D evaluates to NaN.
-    *(pytest.param(command, {"dielectric": HUGE_EPSILON, "omega": {"start": 1.0, "stop": 2.0, "count": 3}}, [], code,
-                   AMPLITUDES_MESSAGE, id=f"non_finite_amplitudes-{command}")
-      for command, code in [("coefficients", 1), ("verify-identity", 1), ("decay-scan", 2)]),
+    "test_non_finite_amplitudes_rejected": [
+        pytest.param(command, {"dielectric": HUGE_EPSILON, "omega": {"start": 1.0, "stop": 2.0, "count": 3}}, [], code,
+                     AMPLITUDES_MESSAGE, id=f"{command}-{code}")
+        for command, code in [("coefficients", 1), ("verify-identity", 1), ("decay-scan", 2)]],
     # |Y| overflows a float here; abs(Y) used to raise OverflowError.
-    pytest.param("decay-scan", {"dielectric": HUGE_EPSILON, "omega": {"start": 5e-155, "stop": 1e-153, "count": 3},
-                                "source": 1.5}, [], 2, AMPLITUDES_MESSAGE, id="resonance_denominator_overflow"),
-    pytest.param("verify-identity", PHASE_OVERFLOW, [], 1, PHASE_MESSAGE, id="phase_overflow-verify-identity"),
-    pytest.param("decay-scan", {**PHASE_OVERFLOW, "omega": {"start": 1e199, "stop": 1e200, "count": 3}}, [], 2,
-                 PHASE_MESSAGE, id="phase_overflow-decay-scan"),
-    pytest.param("limit-study", PHASE_OVERFLOW, [], 2, PHASE_MESSAGE, id="phase_overflow-limit-study"),
+    "test_resonance_denominator_overflow_is_a_row_error": [
+        ("decay-scan", {"dielectric": HUGE_EPSILON, "omega": {"start": 5e-155, "stop": 1e-153, "count": 3},
+                        "source": 1.5}, [], 2, AMPLITUDES_MESSAGE)],
+    "test_phase_overflow_is_a_domain_error": [
+        pytest.param("verify-identity", PHASE_OVERFLOW, [], 1, PHASE_MESSAGE, id="verify-identity-overrides0-1"),
+        pytest.param("decay-scan", {**PHASE_OVERFLOW, "omega": {"start": 1e199, "stop": 1e200, "count": 3}}, [], 2,
+                     PHASE_MESSAGE, id="decay-scan-overrides1-2"),
+        pytest.param("limit-study", PHASE_OVERFLOW, [], 2, PHASE_MESSAGE, id="limit-study-overrides2-2")],
     # 2 k^2 |d|^2 overflows a float; it used to raise OverflowError.
-    pytest.param("decay-scan", {"slab": {"half_length": 1e-150}, "source": 2e-150,
-                                "omega": {"start": 1e159, "stop": 2e159, "count": 2}}, ["--oracle"], 2,
-                 "emission rate is not finite: its prefactor overflows", id="rate_overflow"),
+    "test_rate_overflow_is_a_row_error": [
+        ("decay-scan", {"slab": {"half_length": 1e-150}, "source": 2e-150,
+                        "omega": {"start": 1e159, "stop": 2e159, "count": 2}}, ["--oracle"], 2,
+         "emission rate is not finite: its prefactor overflows")],
     # Frequency sweeps that mix good rows with failing ones; coefficients stops at the first failing frequency.
-    *(pytest.param("decay-scan", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 2,
-                   [messages.get(i, "") for i in range(omega["count"])], id=f"row_errors-{kind}")
-      for kind, (dielectric, omega, messages) in ROW_ERRORS.items()),
-    *(pytest.param("coefficients", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 1,
-                   messages[min(messages)], id=f"row_errors-{kind}-coefficients")
-      for kind, (dielectric, omega, messages) in ROW_ERRORS.items()),
-    *(pytest.param("decay-scan", overrides, flags, 2, messages, id=f"row_errors_per_axis-{axis}-{route}")
-      for axis, overrides, messages in [
-          # Sources at 0.5 and 1 lie in the slab.
-          ("position", {"source": {"start": 0.5, "stop": 2.0, "count": 4}},
-           ["source must lie in the right exterior region"] * 2 + ["", ""]),
-          # The geometry check comes first, the source check last.
-          ("thickness", {"slab": {"half_length": {"start": -1.0, "stop": 2.0, "count": 4}}, "source": 1.5},
-           ["slab half length must be positive and finite"] * 2 + ["", "source must lie in the right exterior region"]),
-          # The amplitudes are checked before the source.
-          ("position_non_finite", {"dielectric": HUGE_EPSILON, "source": {"start": 0.5, "stop": 2.0, "count": 4}},
-           AMPLITUDES_MESSAGE),
-      ]
-      for route, flags in [("closed_form", []), ("oracle", ["--oracle"])]),
-    *(pytest.param(command, {"emission": {"dipole_moment": 1e200}, **overrides}, [], code, message,
-                   id=f"dipole_overflow-{command}")
-      for command, overrides, code, message in [
-          ("decay-scan", {"source": SOURCE_SWEEP}, 2, "emission rate is not finite: its prefactor overflows"),
-          ("limit-study", {}, 2, "emission rate is not finite: its prefactor overflows"),
-          ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1,
-           "vacuum decay rate is not finite: its prefactor overflows"),
-      ]),
-    pytest.param("tensor3d", {**BARE, "omega": 1e-300, "separations": [[1e-10, 0.0, 0.0]]}, [], 1, SINGULAR_MESSAGE,
-                 id="tensor3d_non_finite-kr_underflow"),
-    pytest.param("tensor3d", {**BARE, "separations": [[1e300, 1e300, 0.0]]}, [], 1, SINGULAR_MESSAGE,
-                 id="tensor3d_non_finite-distance_overflow"),
-    pytest.param("tensor3d", {**BARE, "separations": [[0.0, 0.0, 0.0]]}, [], 1,
-                 "separations[0]: coincident points: the full tensor is singular at r = 0", id="tensor3d_coincident"),
-    # At k*l = 1e200 the default source l + 1/k rounds onto the face x = l.
-    pytest.param("limit-study", {"dielectric": None, "source": None, "omega": 1e200}, [], 1,
-                 "the default source l + 1/k falls on the slab face; the source must be given",
-                 id="limit_study_source-default_on_face"),
-    pytest.param("limit-study", {"dielectric": None, "omega": 1e200, "source": 1.0}, [], 1,
-                 "source must lie in the right exterior region", id="limit_study_source-given_on_face"),
-    # omega / c underflows to k = 0, so l + 1/k cannot be formed.
-    pytest.param("limit-study", {"dielectric": None, "source": None, "units": "si", "omega": 1e-320}, [], 1,
-                 "wavenumber must be positive", id="limit_study_source-k_underflow"),
-    # At omega = 1e-320 the reciprocal 1/k overflows.
-    pytest.param("verify-identity", {"omega": 1e-320, "source": SOURCES}, [], 1, K_MESSAGE, id="verify_k"),
-    pytest.param("limit-study", {"omega": 1e-320}, [], 2, K_MESSAGE, id="limit_k"),
-    pytest.param("decay-scan", {"omega": {"start": 1e-320, "stop": 1e-319, "count": 3}}, [], 2, K_MESSAGE,
-                 id="decay_k"),
-    # |d|^2 underflows to 0, or the reference rate k |d|^2 / S is subnormal.
-    pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-200}}, ["--oracle"], 2,
-                 PREFACTOR_MESSAGE, id="decay_dipole_oracle"),
-    pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-10, "surface_unit": 1e300}}, [], 2,
-                 PREFACTOR_MESSAGE, id="decay_subnormal_reference"),
-    pytest.param("limit-study", {"emission": {"dipole_moment": 1e-200}}, [], 2, PREFACTOR_MESSAGE, id="limit_dipole"),
-    # hbar eps0 S underflows to 0, so the prefactor is inf.
-    pytest.param("limit-study", {"emission": {"surface_unit": 1e-320}}, ["--units", "si"], 2,
-                 "emission rate is not finite: its prefactor overflows", id="limit_surface_si"),
-    pytest.param("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150}, "separations": [[1.0, 0.0, 0.0]]},
-                 [], 1, UNDERFLOW_MESSAGE, id="tensor3d_underflow"),
-    # The rate's two routes both reach exactly 0.
-    pytest.param("tensor3d", {"emission": {"dipole_moment": 1e-200}, "separations": [[1.0, 0.0, 0.0]]}, [], 1,
-                 UNDERFLOW_MESSAGE, id="tensor3d_dipole_zero_rate"),
-    pytest.param("tensor3d", {"omega": 1e-120, "separations": [[1.0, 0.0, 0.0]]}, [], 1, UNDERFLOW_MESSAGE,
-                 id="tensor3d_k_zero_rate"),
-]
+    "test_sweep_row_errors_per_dielectric": [
+        *(pytest.param("decay-scan", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 2,
+                       [messages.get(i, "") for i in range(omega["count"])], id=kind)
+          for kind, (dielectric, omega, messages) in ROW_ERRORS.items()),
+        *(pytest.param("coefficients", {"dielectric": dielectric, "omega": omega, "source": 1.5}, [], 1,
+                       messages[min(messages)], id=f"{kind}-coefficients")
+          for kind, (dielectric, omega, messages) in ROW_ERRORS.items())],
+    "test_sweep_row_errors_per_axis": [
+        pytest.param("decay-scan", overrides, flags, 2, messages, id=f"{axis}-{route}")
+        for axis, overrides, messages in [
+            # Sources at 0.5 and 1 lie in the slab.
+            ("position", {"source": {"start": 0.5, "stop": 2.0, "count": 4}},
+             ["source must lie in the right exterior region"] * 2 + ["", ""]),
+            # The geometry check comes first, the source check last.
+            ("thickness", {"slab": {"half_length": {"start": -1.0, "stop": 2.0, "count": 4}}, "source": 1.5},
+             ["slab half length must be positive and finite"] * 2 + ["", "source must lie in the right exterior region"]),
+            # The amplitudes are checked before the source.
+            ("position_non_finite", {"dielectric": HUGE_EPSILON, "source": {"start": 0.5, "stop": 2.0, "count": 4}},
+             AMPLITUDES_MESSAGE),
+        ]
+        for route, flags in [("closed_form", []), ("oracle", ["--oracle"])]],
+    "test_dipole_overflow_is_not_a_traceback": [
+        pytest.param(command, {"emission": {"dipole_moment": 1e200}, **overrides}, [], code, message,
+                     id=f"{command}-overrides{i}-{code}")
+        for i, (command, overrides, code, message) in enumerate([
+            ("decay-scan", {"source": SOURCE_SWEEP}, 2, "emission rate is not finite: its prefactor overflows"),
+            ("limit-study", {}, 2, "emission rate is not finite: its prefactor overflows"),
+            ("tensor3d", {"separations": [[1.0, 0.0, 0.0]]}, 1,
+             "vacuum decay rate is not finite: its prefactor overflows"),
+        ])],
+    "test_tensor3d_non_finite_tensor_exits_1": [
+        pytest.param("tensor3d", {**BARE, "omega": 1e-300, "separations": [[1e-10, 0.0, 0.0]]}, [], 1,
+                     SINGULAR_MESSAGE, id="kr_underflow"),
+        pytest.param("tensor3d", {**BARE, "separations": [[1e300, 1e300, 0.0]]}, [], 1, SINGULAR_MESSAGE,
+                     id="distance_overflow")],
+    "test_tensor3d_coincident_rejected": [
+        ("tensor3d", {**BARE, "separations": [[0.0, 0.0, 0.0]]}, [], 1,
+         "separations[0]: coincident points: the full tensor is singular at r = 0")],
+    "test_limit_study_source_errors_exit_1": [
+        # At k*l = 1e200 the default source l + 1/k rounds onto the face x = l.
+        pytest.param("limit-study", {"dielectric": None, "source": None, "omega": 1e200}, [], 1,
+                     "the default source l + 1/k falls on the slab face; the source must be given",
+                     id="default_on_face"),
+        pytest.param("limit-study", {"dielectric": None, "omega": 1e200, "source": 1.0}, [], 1,
+                     "source must lie in the right exterior region", id="given_on_face"),
+        # omega / c underflows to k = 0, so l + 1/k cannot be formed.
+        pytest.param("limit-study", {"dielectric": None, "source": None, "units": "si", "omega": 1e-320}, [], 1,
+                     "wavenumber must be positive", id="k_underflow")],
+    "test_out_of_range_scales_fail_without_nan": [
+        # At omega = 1e-320 the reciprocal 1/k overflows.
+        pytest.param("verify-identity", {"omega": 1e-320, "source": SOURCES}, [], 1, K_MESSAGE, id="verify_k"),
+        pytest.param("limit-study", {"omega": 1e-320}, [], 2, K_MESSAGE, id="limit_k"),
+        pytest.param("decay-scan", {"omega": {"start": 1e-320, "stop": 1e-319, "count": 3}}, [], 2, K_MESSAGE,
+                     id="decay_k"),
+        # |d|^2 underflows to 0, or the reference rate k |d|^2 / S is subnormal.
+        pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-200}}, ["--oracle"], 2,
+                     PREFACTOR_MESSAGE, id="decay_dipole_oracle"),
+        pytest.param("decay-scan", {"source": SOURCES, "emission": {"dipole_moment": 1e-10, "surface_unit": 1e300}},
+                     [], 2, PREFACTOR_MESSAGE, id="decay_subnormal_reference"),
+        pytest.param("limit-study", {"emission": {"dipole_moment": 1e-200}}, [], 2, PREFACTOR_MESSAGE,
+                     id="limit_dipole"),
+        # hbar eps0 S underflows to 0, so the prefactor is inf.
+        pytest.param("limit-study", {"emission": {"surface_unit": 1e-320}}, ["--units", "si"], 2,
+                     "emission rate is not finite: its prefactor overflows", id="limit_surface_si"),
+        pytest.param("tensor3d", {"omega": 1e-150, "emission": {"dipole_moment": 1e150},
+                                  "separations": [[1.0, 0.0, 0.0]]}, [], 1, UNDERFLOW_MESSAGE, id="tensor3d_underflow"),
+        # The rate's two routes both reach exactly 0.
+        pytest.param("tensor3d", {"emission": {"dipole_moment": 1e-200}, "separations": [[1.0, 0.0, 0.0]]}, [], 1,
+                     UNDERFLOW_MESSAGE, id="tensor3d_dipole_zero_rate"),
+        pytest.param("tensor3d", {"omega": 1e-120, "separations": [[1.0, 0.0, 0.0]]}, [], 1, UNDERFLOW_MESSAGE,
+                     id="tensor3d_k_zero_rate")],
+}
 
 
-@pytest.mark.parametrize("command, overrides, flags, code, message", FAILURES)
-def test_failures_keep_the_contract(tmp_path, capsys, command, overrides, flags, code, message):
+def check_failure(tmp_path, capsys, command, overrides, flags, code, message):
     # In process, a traceback fails the test as an exception and a RuntimeWarning as an error.
     out = tmp_path / "out.csv"
     assert cli.main([command, "--config", write_config(tmp_path, **overrides), *flags, "--out", str(out)]) == code
@@ -1215,6 +1235,25 @@ def test_failures_keep_the_contract(tmp_path, capsys, command, overrides, flags,
         cells = row[:kept] if text else row[:-1]
         assert all(math.isfinite(float(cell)) for cell in cells)
         assert row[len(cells):-1] == [""] * (len(row) - 1 - len(cells))
+
+
+def failure_test(cases):
+    """A test that runs check_failure on `cases`: one per id, or all in one if they are plain tuples."""
+    if all(type(case) is tuple for case in cases):
+        def test(tmp_path, capsys):
+            for i, case in enumerate(cases):
+                (tmp_path / str(i)).mkdir()
+                check_failure(tmp_path / str(i), capsys, *case)
+        return test
+
+    @pytest.mark.parametrize("command, overrides, flags, code, message", cases)
+    def test(tmp_path, capsys, command, overrides, flags, code, message):
+        check_failure(tmp_path, capsys, command, overrides, flags, code, message)
+    return test
+
+
+# Each key becomes a module-level test, which pytest collects under that name.
+globals().update((name, failure_test(cases)) for name, cases in FAILURES.items())
 
 
 @pytest.mark.parametrize(
