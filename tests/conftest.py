@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from slabgreen import SlabGeometry, context_from_index
+
+# Every property draws the same examples on every run, however long it takes.
+# A @settings call under tests/ sets only what differs per property.
+settings.register_profile("suite", derandomize=True, deadline=None)
+settings.load_profile("suite")
 
 # Workhorse configuration used across the suite: absorbing slab with
 # n = 2 + 0.5i, k = 1, half length 1, sources on the right at x > 1.

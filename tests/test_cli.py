@@ -36,6 +36,8 @@ from slabgreen.config import (
 )
 from slabgreen.errors import row_errors
 
+from regimes import absorbing_index, log_uniform, source_offset
+
 LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
 
@@ -885,7 +887,7 @@ PRE_WRITE_CASES = st.sampled_from(list(PRE_WRITE_CONFIGS)).flatmap(lambda c: st.
 TABULATED_SWEEP = {"dielectric": PRE_WRITE_MEDIA[1], "omega": {"start": 0.6, "stop": 2.0, "count": 5}}
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(case=PRE_WRITE_CASES)
 # The last omega lies past the table, and x_a = 0.5 fails F in the first rows: the context is reported.
 @example(case=("verify-identity", {**TABULATED_SWEEP, "source": {"start": 0.5, "stop": 3.0, "count": 3}}))
@@ -948,7 +950,7 @@ OWN_CHECK_CASES = st.sampled_from([1.0, 1.3, 40.0]).flatmap(lambda k: st.tuples(
     st.just(k), _sources(k), st.sampled_from([None, 0.5, 1.0, -0.25]), st.integers(0, 5)))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(case=OWN_CHECK_CASES)
 def test_each_sources_own_f_rejects_exactly_the_grids_whose_pairs_fail(case):
     """verify-identity's pre-write check of each source fails iff F over every pair does.
@@ -1379,7 +1381,7 @@ ARGUMENT = st.one_of(
 )
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(args=st.lists(ARGUMENT, max_size=5))
 def test_the_command_line_is_read_as_getopt_reads_it(args):
     """cli._options drops getopt, which loads gettext, and keeps its grammar and its messages."""
@@ -1551,6 +1553,34 @@ def test_si_and_natural_units_agree_through_k(tmp_path):
     assert len(pairs) == 7 * 2 + 3 * 18
     for si, nat in pairs:
         assert abs(float(si) - float(nat)) <= 1e-14 * abs(float(nat))
+
+
+@settings(max_examples=10)
+@given(n=absorbing_index(), k=log_uniform(-1.0, 1.3), l=st.floats(0.1, 3.0), kd=source_offset(),
+       alpha=log_uniform(-1.0, 1.0))
+def test_scaling_omega_up_and_lengths_down_changes_no_column(tmp_path_factory, n, k, l, kd, alpha):
+    """(omega, l, x_s) -> (alpha omega, l / alpha, x_s / alpha) keeps coefficients' a and d and decay-scan's rates.
+
+    The command-line half of tests/test_emission.py::test_scaling_k_up_and_lengths_down_changes_nothing, with its
+    bound. The medium is the constant epsilon = n^2, and k = omega in natural units.
+    """
+    folder = tmp_path_factory.mktemp("scaling")
+    eps, x_s = n * n, l + kd / k
+    medium = {"type": "constant", "epsilon": [eps.real, eps.imag]}
+    runs = []
+    for omega, half, source in [(k, l, x_s), (alpha * k, l / alpha, x_s / alpha)]:
+        path = write_config(folder, slab={"half_length": half}, dielectric=medium,
+                            omega={"start": omega, "stop": omega, "count": 1}, source=source)
+        (rc_a, (coefficients,)), (rc_b, (rates,)) = (run_to_rows(folder, [command, "--config", path])
+                                                       for command in ("coefficients", "decay-scan"))
+        assert rc_a == rc_b == 0
+        runs.append([complex(float(coefficients[f"{name}_re"]), float(coefficients[f"{name}_im"])) for name in "ad"]
+                    + [float(rates[name]) for name in ("normalized_corrected", "normalized_uncorrected")])
+    original, scaled = runs
+    a, d = original[:2]
+    bound = 4 * sys.float_info.epsilon * (1 + abs(a) ** 2 + abs(d) ** 2 + 2 * abs(d)) * (
+        k * (1 + abs(n)) * l + k * (x_s - l) + 1)
+    assert max(abs(x - y) for x, y in zip(original, scaled)) <= bound
 
 
 def test_emission_config_scaling(tmp_path):
@@ -1810,7 +1840,7 @@ def fuzz_configs(draw, command):
 FUZZ_SLAB = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": 2.0}}
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(command=FUZZ_COMMAND, oracle=st.booleans(), config=FUZZ_COMMAND.flatmap(fuzz_configs))
 @example(command="tensor3d", oracle=False, config={"units": [], "omega": 1.0, "separations": [[1.0, 2.0, 3.0]]})
 @example(command="verify-identity", oracle=False, config={

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from slabgreen import (
     Constant,
@@ -134,7 +134,6 @@ def test_passivity_sampled_sweep():
             assert permittivity(model, omega).imag >= 0.0
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     wp=st.floats(1e-3, 1e3),
     damping=st.floats(0.0, 1e3),
@@ -157,7 +156,6 @@ MODELS = {
 }
 
 
-@settings(derandomize=True, deadline=None)
 @given(kind=st.sampled_from(sorted(MODELS)), a=EXTREME, b=EXTREME, c=EXTREME, omega=EXTREME, half=EXTREME)
 def test_extreme_models_raise_or_mark_rows(kind, a, b, c, omega, half):
     # Either the model is rejected, or every row of the context is finite or
@@ -192,7 +190,6 @@ def test_refractive_index_zero_rejected():
         refractive_index(0.0)
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False)
 )
@@ -229,7 +226,6 @@ def _segment_clears_origin(a, b, margin):
     return abs(a + t * d) >= margin
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     a=st.complex_numbers(min_magnitude=0.1, max_magnitude=100.0, allow_nan=False, allow_infinity=False),
     b=st.complex_numbers(min_magnitude=0.1, max_magnitude=100.0, allow_nan=False, allow_infinity=False),

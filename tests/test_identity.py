@@ -31,6 +31,8 @@ from slabgreen import identity
 from slabgreen.errors import row_errors
 from slabgreen.identity import _NODES, _WEIGHTS
 
+from regimes import absorbing_index, enz_index, opaque_index, source_offset
+
 
 @pytest.mark.parametrize("rule, nodes, weights, degree", [
     ("K15", _NODES, _WEIGHTS[:, 0], 22),
@@ -310,16 +312,17 @@ def test_f_coincident_closed_form(lossy_ctx):
         assert boundary_term_f(x_s, x_s, lossy_ctx) == pytest.approx(expected, rel=1e-14)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(
     rows=st.lists(
         st.tuples(
-            st.floats(0.05, 3.0),  # Re n
-            st.floats(-14.0, math.log10(0.5)),  # log10 Im n
+            absorbing_index(),  # n
             st.floats(0.05, 500.0),  # k l
             st.floats(-1.0, 2.0),  # log10 k
-            st.floats(0.01, 100.0),  # k (x_a - l)
-            st.floats(0.01, 100.0),  # k (x_b - l)
+            # Sources stop at k (x_s - l) = 1e2: far ones' phases round past 1e-12 of the scale, by 4.7 times at
+            # n = 1 + 1i, k l = 1, k = 1, k (x_a - l) = 1, k (x_b - l) = 1e5, k (L - x_b) = 1.00001.
+            source_offset((-9.0, 2.0)),  # k (x_a - l)
+            source_offset((-9.0, 2.0)),  # k (x_b - l)
             st.floats(0.01, 400.0),  # k (L - max(x_a, x_b)), so k L stays below ~1e3
         ),
         min_size=1,
@@ -329,10 +332,10 @@ def test_f_coincident_closed_form(lossy_ctx):
 def test_flux_route_f_matches_closed_form_in_hard_regimes(rows):
     # The third route to F: F = (b(x_b, x_a) - conj b(x_a, x_b)) / 2i from the flux at the
     # box edges, against the closed form, over near-lossless, opaque and high k l rows at once.
-    n_re, log_n_im, k_half, log_k, k_da, k_db, k_margin = np.array(rows).T
+    n, k_half, log_k, k_da, k_db, k_margin = map(np.array, zip(*rows))
     k = 10.0**log_k
     half = k_half / k
-    ctx = context_from_index(SlabGeometry(half), n_re + 1j * 10.0**log_n_im, k)
+    ctx = context_from_index(SlabGeometry(half), n, k)
     x_a, x_b = half + k_da / k, half + k_db / k
     box = np.maximum(x_a, x_b) + k_margin / k
     flux = (boundary_term_b(x_b, x_a, ctx, box) - np.conj(boundary_term_b(x_a, x_b, ctx, box))) / 2j
@@ -425,18 +428,17 @@ def test_lhs_validation(lossy_ctx):
         lhs_quadrature(2.0, 2.0, lossy_ctx, tol=-1.0)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(
-    n_re=st.floats(0.05, 3.0),
-    log_n_im=st.floats(-9.0, 1.0),
+    n=absorbing_index(),
     k=st.floats(0.5, 300.0),
     half=st.floats(0.1, 5.0),
     offsets=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
 )
-def test_identity_closes_in_hard_regimes(n_re, log_n_im, k, half, offsets):
+def test_identity_closes_in_hard_regimes(n, k, half, offsets):
     # Thick opaque slabs (k Im(n) l up to 1.5e4), near-lossless resonances
     # and high k l, where the seed panels alone may fill the budget.
-    ctx = context_from_index(SlabGeometry(half), complex(n_re, 10.0**log_n_im), k)
+    ctx = context_from_index(SlabGeometry(half), n, k)
     co = ctx.coefficients
     assert abs(co.A) ** 2 + abs(co.D) ** 2 <= 1.0 + 1e-12
     x_a, x_b = (half + offset for offset in offsets)
@@ -449,10 +451,9 @@ def test_identity_closes_in_hard_regimes(n_re, log_n_im, k, half, offsets):
     assert abs(rep.residual_corrected) <= 1e-8
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(
-    n_re=st.floats(0.05, 3.0),
-    log_n_im=st.floats(-3.0, 1.0),
+    n=absorbing_index(),
     k=st.floats(0.5, 300.0),
     half=st.floats(0.1, 5.0),
     offset=st.floats(0.01, 2.0),
@@ -460,18 +461,18 @@ def test_identity_closes_in_hard_regimes(n_re, log_n_im, k, half, offsets):
 )
 # Seeded by Re n alone this opaque slab is one panel, on which K15 and G7 both
 # miss the skin layer: the left side came out 900 times too small, "converged".
-@example(n_re=0.05, log_n_im=1.0, k=59.0, half=1.0, offset=1.0, log_tol=-8.0)
-@example(n_re=2.0, log_n_im=math.log10(0.5), k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
-@example(n_re=1.5, log_n_im=-6.0, k=50.0, half=5.0, offset=1.0, log_tol=-10.0)
-@example(n_re=1.5, log_n_im=-3.0, k=300.0, half=5.0, offset=1.0, log_tol=-10.0)
-@example(n_re=0.1, log_n_im=math.log10(3.0), k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
-@example(n_re=3.0, log_n_im=-2.0, k=200.0, half=2.0, offset=1.0, log_tol=-10.0)
-def test_energy_balance_in_hard_regimes(n_re, log_n_im, k, half, offset, log_tol):
+@example(n=0.05 + 10j, k=59.0, half=1.0, offset=1.0, log_tol=-8.0)
+@example(n=2.0 + 0.5j, k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
+@example(n=1.5 + 1e-6j, k=50.0, half=5.0, offset=1.0, log_tol=-10.0)
+@example(n=1.5 + 1e-3j, k=300.0, half=5.0, offset=1.0, log_tol=-10.0)
+@example(n=0.1 + 3j, k=1.0, half=1.0, offset=1.0, log_tol=-10.0)
+@example(n=3.0 + 1e-2j, k=200.0, half=2.0, offset=1.0, log_tol=-10.0)
+def test_energy_balance_in_hard_regimes(n, k, half, offset, log_tol):
     # Poynting's theorem for the slab: the absorbed power 4k LHS(x_s, x_s) is
     # what is neither reflected nor transmitted. The right side uses no
     # quadrature, so a seed panel on which K15 and G7 agree before it is
     # resolved (false convergence) shows here.
-    ctx = context_from_index(SlabGeometry(half), complex(n_re, 10.0**log_n_im), k)
+    ctx = context_from_index(SlabGeometry(half), n, k)
     tol = 10.0**log_tol
     lhs, estimate = lhs_quadrature(half + offset, half + offset, ctx, tol=tol)
     co = ctx.coefficients
@@ -479,16 +480,15 @@ def test_energy_balance_in_hard_regimes(n_re, log_n_im, k, half, offset, log_tol
     assert abs(4.0 * k * lhs.real - (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2)) <= 4.0 * k * tol + 1e-13
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(
-    n=st.one_of(
-        st.tuples(st.floats(0.05, 4.0), st.floats(-14.0, 0.5)).map(lambda t: complex(t[0], 10.0 ** t[1])),
-        # Near epsilon = 0: |n| down to 1e-3, on the absorbing branch Re n >= 0, Im n >= 0.
-        st.tuples(st.floats(-3.0, -1.0), st.floats(0.0, math.pi / 2)).map(lambda t: cmath.rect(10.0 ** t[0], t[1])),
-    ),
+    # ENZ stops at |n| = sqrt(2) 1e-12: below it the degeneracy guard raises, at n = sqrt(2) 1e-13, k = 1, k l = 1.
+    n=st.one_of(absorbing_index(), enz_index((-12.0, 0.0)), opaque_index()),
     k=st.floats(0.1, 20.0),
     kl=st.floats(0.05, 50.0),
-    kd=st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6),
+    # Sources stop at k (x_s - l) = 1e2: the phase e^{ik(x_a - x_b)} of far ones rounds past 1e-12 of the scale,
+    # by 10 times at n = 1 + 1i, k = 1.5, k l = 1, k (x_s - l) = [1, 1e5].
+    kd=st.lists(source_offset((-9.0, 2.0)), min_size=1, max_size=6),
 )
 def test_im_g_plus_f_is_rank_one_over_a_grid_of_sources(n, k, kl, kd):
     """identity_report's Im G + F over right sources is e^{ik(x_a - x_b)} (1 - |A|^2 - |D|^2) / 4k.

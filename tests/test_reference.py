@@ -1,25 +1,4 @@
-"""An arbitrary-precision reference for A, D, G and F, written from the formulas, not from the package.
-
-Phase convention, the package's: n = sqrt(eps) with Im n >= 0, and
-
-    Y = (n+1)^2 - (n-1)^2 e^{4iknl},  A = 4n e^{2iknl} / Y,  D = (n^2-1)(e^{4iknl} - 1) / Y,
-
-where D is referenced at the face x = l: for right sources, at distances
-d = x - l from the face,
-
-    G(x_a, x_b) = (i/2k) [e^{ik|d_a - d_b|} + D e^{ik(d_a + d_b)}].
-
-D e^{-2ikl}, a reflection referenced at x = 0, is not the package's D. Up to
-a common factor e^{-ikl}, a source's outgoing amplitudes are rho = e^{-ikd} +
-D e^{ikd} to the right and lambda = A e^{ikd} to the left, and
-
-    F(x_a, x_b) = -(rho_a conj(rho_b) + lambda_a conj(lambda_b)) / 4k.
-
-The slab is centred, so G(x_a, x_b) = G(-x_a, -x_b) gives G for two left
-sources. The absorbed power is the energy balance, by quadrature:
-
-    1 - |A|^2 - |D|^2 = k Im(eps) |A|^2 integral_0^{2l} |cos(kns) - (i/n) sin(kns)|^2 ds.
-"""
+"""The package against the arbitrary-precision reference in mp_reference.py."""
 
 import csv
 import json
@@ -45,43 +24,10 @@ from slabgreen import (
 )
 from slabgreen.slab_green import _power_balance
 
-mp = pytest.importorskip("mpmath").mp
+from mp_reference import absorbed, amplitudes, index, mp, power, reference
+from regimes import absorbing_index, log_uniform, mirror_index, mirror_offset, source_offset
+
 EPS = sys.float_info.epsilon
-
-
-def index(eps):
-    """The absorbing branch of sqrt(eps): Im n >= 0, and Re n >= 0 where Im n = 0."""
-    with mp.workdps(30):
-        n = mp.sqrt(mp.mpc(eps))
-        return complex(-n if n.imag < 0 or (n.imag == 0 and n.real < 0) else n)
-
-
-def amplitudes(n, k, l):
-    """A and D at mpmath's working precision, for mpmath n, k and l."""
-    e4 = mp.exp(4j * k * n * l)
-    y = (n + 1) ** 2 - (n - 1) ** 2 * e4
-    return 4 * n * mp.exp(2j * k * n * l) / y, (n * n - 1) * (e4 - 1) / y
-
-
-def reference(n, k, l, x_a, x_b):
-    """A, D, G(x_a, x_b) and F(x_a, x_b) to 30 digits, as Python complexes."""
-    with mp.workdps(30):
-        n, k, l = mp.mpc(n), mp.mpf(k), mp.mpf(l)
-        a, d = amplitudes(n, k, l)
-        d_a, d_b = mp.mpf(x_a) - l, mp.mpf(x_b) - l
-        g = 0.5j / k * (mp.expj(k * abs(d_a - d_b)) + d * mp.expj(k * (d_a + d_b)))
-        rho_a, rho_b = (mp.expj(-k * s) + d * mp.expj(k * s) for s in (d_a, d_b))
-        f = -(rho_a * mp.conj(rho_b) + abs(a) ** 2 * mp.expj(k * (d_a - d_b))) / (4 * k)
-        return tuple(map(complex, (a, d, g, f)))
-
-
-def absorbed(n, k, l):
-    """1 - |A|^2 - |D|^2 from the energy balance, by mp.quad over the slab, as a Python float."""
-    with mp.workdps(30):
-        n, k, l = mp.mpc(n), mp.mpf(k), mp.mpf(l)
-        a, _ = amplitudes(n, k, l)
-        integral = mp.quad(lambda s: abs(mp.cos(k * n * s) - 1j / n * mp.sin(k * n * s)) ** 2, [0, 2 * l])
-        return float(k * (n * n).imag * abs(a) ** 2 * integral)
 
 
 def test_the_reference_has_the_packages_phase_convention():
@@ -103,12 +49,13 @@ def test_the_absorbed_power_is_the_energy_balance():
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, phases=NO_SHRINK)
-@given(re_n=st.floats(0.05, 4.0), im_n=st.floats(-14.0, 0.5).map(lambda e: 10.0 ** e), k=st.floats(0.05, 20.0),
-       l=st.floats(0.1, 3.0), kd=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), min_size=1, max_size=3))
-def test_f_and_g_match_the_reference(re_n, im_n, k, l, kd):
+# Sources stop at k (x_s - l) = 1e3: the far ones' phase rounding fails 1e-12, by 35 times at n = 3.656 + 1.03e-14i,
+# k = 20, l = 0.442, k (x_s - l) = 5.7e5. test_far_sources_match_the_reference bounds that rounding.
+@settings(max_examples=30, phases=NO_SHRINK)
+@given(n=absorbing_index(), k=st.floats(0.05, 20.0), l=st.floats(0.1, 3.0),
+       kd=st.lists(source_offset((-9.0, 3.0)), min_size=1, max_size=3))
+def test_f_and_g_match_the_reference(n, k, l, kd):
     """boundary_term_f and green to 1e-12 of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, for k (x_s - l) <= 1e3."""
-    n = complex(re_n, im_n)
     ctx = context_from_index(SlabGeometry(l), n, k)
     sources = [l + s / k for s in kd]
     for x_a in sources:
@@ -127,17 +74,16 @@ def test_f_and_g_match_the_reference(re_n, im_n, k, l, kd):
 C = 2.0
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, phases=NO_SHRINK)
-@given(re_n=st.floats(0.05, 4.0), im_n=st.floats(-14.0, 0.5).map(lambda e: 10.0 ** e), k=st.floats(0.05, 20.0),
-       l=st.floats(0.1, 3.0), kd=st.lists(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e), min_size=1, max_size=3))
-@example(re_n=2.0, im_n=0.5, k=1.3, l=1.0, kd=[1.3e6, 1.3e6 - 0.7, 1.3])
-@example(re_n=0.3, im_n=1e-14, k=17.0, l=2.5, kd=[1e6, 7e5])
-def test_far_sources_match_the_reference(re_n, im_n, k, l, kd):
+@settings(max_examples=20, phases=NO_SHRINK)
+@given(n=absorbing_index(), k=st.floats(0.05, 20.0), l=st.floats(0.1, 3.0),
+       kd=st.lists(source_offset(), min_size=1, max_size=3))
+@example(n=2.0 + 0.5j, k=1.3, l=1.0, kd=[1.3e6, 1.3e6 - 0.7, 1.3])
+@example(n=0.3 + 1e-14j, k=17.0, l=2.5, kd=[1e6, 7e5])
+def test_far_sources_match_the_reference(n, k, l, kd):
     """F, G, identity_report's Im G and F and the uncorrected rate 2k gamma_vac Im G(x_s, x_s), for k (x_s - l) <= 1e6.
 
     Each to (1e-12 + C eps k (x_s - l)) of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, x_s the farther source.
     """
-    n = complex(re_n, im_n)
     ctx = context_from_index(SlabGeometry(l), n, k)
     sources = np.array([l + s / k for s in kd])
     report = identity_report(sources[:, None], sources, ctx)
@@ -155,6 +101,27 @@ def test_far_sources_match_the_reference(re_n, im_n, k, l, kd):
                 assert abs(rates[i] - 2 * k * k * g.imag) <= 2 * k * k * bound
 
 
+# Beside a near-perfect mirror the uncorrected rate gamma_vac (1 + Re(D e^{2ik(x_s - l)})) cancels: 1 + Re D is
+# about 2 / |n|^2, so rounding D costs about eps |n|^2 / 2 relative. The bound, recorded: 2 eps |n|^2 relative,
+# 4.4e-10 at |n| = 1e3. Over 6000 random draws the worst was 0.89 eps |n|^2 (n = 0.0079 + 33.2i, k = 0.359,
+# l = 0.627, k (x_s - l) = 9.3e-8) and the largest relative error 1.4e-10 (n = 0.033 + 839.5i, k = 0.150,
+# l = 0.844, k (x_s - l) = 2.7e-5). The three examples read 5.0e-11, 1.8e-11 and 5.0e-14.
+@settings(max_examples=30, phases=NO_SHRINK)
+@given(n=mirror_index(), k=log_uniform(-1.0, 1.3), l=st.floats(0.1, 3.0),
+       kd=st.lists(mirror_offset(), min_size=1, max_size=3))
+@example(n=0.001 + 1000j, k=1.0, l=1.0, kd=[1e-9])
+@example(n=0.001 + 500j, k=1.0, l=1.0, kd=[1e-8])
+@example(n=0.01 + 50j, k=1.0, l=1.0, kd=[1e-6])
+def test_the_uncorrected_rate_beside_a_mirror_matches_the_reference(n, k, l, kd):
+    """decay_rate_uncorrected against 2k gamma_vac Im G(x_s, x_s) of the reference, to 2 eps |n|^2 relative."""
+    ctx = context_from_index(SlabGeometry(l), n, k)
+    sources = np.array([l + s / k for s in kd])
+    rates = decay_rate_uncorrected(EmissionParams(), ctx, sources)  # gamma_vac = k in natural units
+    for rate, x_s in zip(rates, sources):
+        expected = 2 * k * k * reference(n, k, l, x_s, x_s)[2].imag
+        assert abs(rate - expected) <= 2 * EPS * abs(n) ** 2 * abs(expected)
+
+
 # The corrected rate is 1 - |A|^2 - |D|^2 in units of gamma_vac / 2, a difference of numbers up to
 # 1 + |A|^2 + |D|^2, so today it is accurate to that scale, not to its own size: near a lossless
 # slab its relative error grows without bound (n = 1.5 + 1e-14i below: about 1e-3). The worst
@@ -162,24 +129,15 @@ def test_far_sources_match_the_reference(re_n, im_n, k, l, kd):
 c = 8.0
 
 
-@settings(max_examples=6, derandomize=True, deadline=None, phases=NO_SHRINK)
-@given(re_n=st.floats(0.05, 4.0), im_n=st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e), k=st.floats(0.05, 3.0),
-       l=st.floats(0.1, 2.0))
-@example(re_n=1.5, im_n=1e-14, k=3.0, l=1.0)
-def test_the_corrected_rate_matches_the_absorbed_power(re_n, im_n, k, l):
+@settings(max_examples=6, phases=NO_SHRINK)
+@given(n=absorbing_index(), k=st.floats(0.05, 3.0), l=st.floats(0.1, 2.0))
+@example(n=1.5 + 1e-14j, k=3.0, l=1.0)
+def test_the_corrected_rate_matches_the_absorbed_power(n, k, l):
     """decay_rate_corrected / (gamma_vac / 2) to c eps (1 + |A|^2 + |D|^2) of the absorbed power, an absolute bound."""
-    n = complex(re_n, im_n)
     ctx = context_from_index(SlabGeometry(l), n, k)
     a, d, _, _ = reference(n, k, l, l + 1.0, l + 1.0)
     rate = decay_rate_corrected(EmissionParams(), ctx) / (0.5 * k)  # gamma_vac = k in natural units
     assert abs(rate - absorbed(n, k, l)) <= c * EPS * (1 + abs(a) ** 2 + abs(d) ** 2)
-
-
-def power(n, k, l):
-    """1 - |A|^2 - |D|^2 to 50 digits, from the formulas, as a Python float."""
-    with mp.workdps(50):
-        a, d = amplitudes(mp.mpc(n), mp.mpf(k), mp.mpf(l))
-        return float(1 - abs(a) ** 2 - abs(d) ** 2)
 
 
 # ROADMAP item 1's targets. The absorbed power cancels near a lossless slab and at epsilon near
