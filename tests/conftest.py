@@ -3,6 +3,8 @@ from hypothesis import settings
 
 from slabgreen import SlabGeometry, context_from_index
 
+import processes
+
 # Every property draws the same examples on every run, however long it takes.
 # A @settings call under tests/ sets only what differs per property.
 settings.register_profile("suite", derandomize=True, deadline=None)
@@ -26,3 +28,25 @@ def vacuum_ctx():
 @pytest.fixture
 def metal_ctx():
     return context_from_index(SlabGeometry(1.0), 0.1 + 3.0j, 1.0)
+
+
+def pytest_collection_modifyitems(items):
+    """Tests that wait for a child process run last, so that their children run while the in-process tests do."""
+    items.sort(key=lambda item: item.name in processes.ROWS)
+
+
+@pytest.fixture(scope="session")
+def children(request, tmp_path_factory):
+    """The child-process rows of the selected tests (tests/processes.py); those left running at the end are reaped."""
+    rows = processes.Children([item.name for item in request.session.items if item.name in processes.ROWS],
+                              tmp_path_factory.mktemp("children"))
+    yield rows
+    rows.close()
+
+
+@pytest.fixture(autouse=True)
+def child(children, request):
+    """Starts queued children while fewer than processes.LIMIT run; then this test's finished run, if it has a row."""
+    children.top_up()
+    if request.node.name in processes.ROWS:
+        return children.wait(request.node.name)

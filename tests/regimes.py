@@ -14,7 +14,12 @@ spans decades:
   [1.5, 3], where D -> -1 and 1 + Re D is about 2 / |n|^2, with the source
   beside it, k (x_s - l) in 10^[-9, -3];
 - source offsets: k (x_s - l) = 10^e, e in [-9, 6], from a source at the
-  face to one a million wavelengths out.
+  face to one a million wavelengths out;
+- high k l: k l = 10^e, e in [-1.3, 3], up to a slab a thousand wavelengths
+  across, where the phases k n l are large;
+- Drude near its plasma frequency: omega / omega_p = 1 -+ 10^e, e in [-8, -1],
+  with damping gamma / omega_p = 10^e, e in [-8, -1], where epsilon passes
+  near zero from the metallic side to the dielectric one.
 
 A property draws a regime whole. Where its bound fails on part of one, it
 passes a narrower range and a comment names the draw that fails.
@@ -65,3 +70,14 @@ def hard_index():
 def source_offset(log=(-9.0, 6.0)):
     """k (x_s - l), the source's distance from the right face in units of 1/k."""
     return log_uniform(*log)
+
+
+def high_kl(log=(-1.3, 3.0)):
+    """k l, the slab's half length in units of 1/k, from 0.05 to 1e3."""
+    return log_uniform(*log)
+
+
+def drude_near_plasma(log_detuning=(-8.0, -1.0), log_damping=(-8.0, -1.0)):
+    """n = sqrt(1 - 1 / (x (x + i g))) of a Drude medium at x = omega / omega_p = 1 -+ 10^e, damping g = gamma / omega_p."""
+    return st.builds(lambda sign, detuning, g: cmath.sqrt(1 - 1 / ((1 + sign * detuning) * (1 + sign * detuning + 1j * g))),
+                     st.sampled_from([-1.0, 1.0]), log_uniform(*log_detuning), log_uniform(*log_damping))

@@ -7,11 +7,9 @@ import importlib.util
 import io
 import json
 import math
-import os
 import platform
 import re
 import struct
-import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -36,22 +34,14 @@ from slabgreen.config import (
 )
 from slabgreen.errors import row_errors
 
+from processes import LOSSY_EPS, ROOT, ROW_ERRORS, TRACED_HOMES, TRACED_POINTS, config
 from regimes import absorbing_index, log_uniform, source_offset
-
-LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
 
 def write_config(tmp_path, name="config.json", **overrides):
-    """The path of a config that is this base with `overrides` on top; a key given as None is left out."""
-    config = {
-        "slab": {"half_length": 1.0},
-        "dielectric": {"type": "constant", "epsilon": LOSSY_EPS},
-        "omega": 1.0,
-        "source": 2.0,
-    }
-    config.update(overrides)
+    """The path of a config that is the base config with `overrides` on top; a key given as None is left out."""
     path = tmp_path / name
-    path.write_text(json.dumps({key: value for key, value in config.items() if value is not None}))
+    path.write_text(json.dumps(config(**overrides)))
     return str(path)
 
 
@@ -222,95 +212,27 @@ def test_verify_identity_extreme_frequency(tmp_path):
     assert all(math.isfinite(float(rows[0][key])) for key in rows[0] if key != "error")
 
 
-# Frequency sweeps, one per dielectric kind, that mix good rows with failing
-# ones: (dielectric, sweep, error message by row). The messages are those
-# that evaluating each row on its own gives.
-ROW_ERRORS = {
-    "tabulated": (
-        {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.0, 2.5, 0.2], [2.25, 3.0, 0.3]]},
-        {"start": 0.25, "stop": 2.5, "count": 10},
-        {0: "frequency 0.25 outside tabulated range [0.5, 2.25]; no extrapolation",
-         9: "frequency 2.5 outside tabulated range [0.5, 2.25]; no extrapolation"},
-    ),
-    "drude_lorentz": (
-        {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.0], [1.0, 0.0, 0.1]]},
-        {"start": 0.5, "stop": 1.5, "count": 5},
-        {2: "evaluation exactly at an undamped resonance"},
-    ),
-    "drude": (
-        {"type": "drude", "plasma_frequency": 2.0, "damping": 0.0},
-        {"start": 1.0, "stop": 3.0, "count": 5},
-        {2: "degenerate medium: eps = 0 has no refractive index"},
-    ),
-    "constant": (
-        {"type": "constant", "epsilon": [1e308, 1e308]},
-        {"start": -1.0, "stop": 1.0, "count": 3},
-        {0: "frequency must be positive", 1: "frequency must be positive",
-         2: "slab amplitudes A, B, C, D and Y are not all finite"},
-    ),
-}
-
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_python(*args, stdout=subprocess.PIPE, **kwargs):
-    """Run the interpreter on `args` in a child process that imports the package from this checkout.
-
-    The child's stdout is buffered, as users get it: PYTHONUNBUFFERED is
-    dropped, so a write error waits for a flush, as it does for them.
-    """
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, **kwargs)
-
-
-def run_module(*args, **kwargs):
-    """Run `python -m slabgreen.cli` in a child process, as users and the benchmark do."""
-    return run_python("-m", "slabgreen.cli", *args, **kwargs)
-
-
-DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
-
-
 @pytest.mark.parametrize(
-    "command, overrides, out, stdout, code, err",
+    "code, err",
     [
-        pytest.param("coefficients", {}, None, "pipe", 0, b"coefficients: 1 rows, ", id="ok"),
-        pytest.param("coefficients", {"wavelength": 3.0}, None, "pipe", 1, b"error: wavelength: unknown key\n",
-                     id="config"),
-        pytest.param("decay-scan", {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1],
-                                    "source": 1.5}, None, "pipe", 2, b"decay-scan (frequency): 10 rows, 2 failed\n",
-                     id="tolerance"),
-        pytest.param("coefficients", {}, "missing/out.csv", "pipe", 3, b"error: [Errno 2] No such file or directory",
-                     id="out_file"),
-        pytest.param("coefficients", {}, None, "full", 3, b"error: [Errno 28] No space left on device\n",
-                     id="stdout_full", marks=DEV_FULL),
-        pytest.param("coefficients", {"omega": {"start": 0.1, "stop": 5.0, "count": 30000}}, None, "full", 3,
-                     b"error: [Errno 28] No space left on device\n", id="stdout_full_30000_rows", marks=DEV_FULL),
-        pytest.param("coefficients", {}, None, "closed", 3, b"error: standard output is closed; give --out\n",
-                     id="stdout_closed"),
+        pytest.param(0, b"coefficients: 1 rows, ", id="ok"),
+        pytest.param(1, b"error: wavelength: unknown key\n", id="config"),
+        pytest.param(2, b"decay-scan (frequency): 10 rows, 2 failed\n", id="tolerance"),
+        pytest.param(3, b"error: [Errno 2] No such file or directory", id="out_file"),
+        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full"),
+        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full_30000_rows"),
+        pytest.param(3, b"error: standard output is closed; give --out\n", id="stdout_closed"),
     ],
 )
-def test_module_exit_codes(tmp_path, command, overrides, out, stdout, code, err):
-    argv = [command, "--config", write_config(tmp_path, **overrides)]
-    if out is not None:
-        argv += ["--out", str(tmp_path / out)]
-    if stdout == "full":
-        with open("/dev/full", "wb") as full:
-            result = run_module(*argv, stdout=full)
-    elif stdout == "closed":
-        result = run_module(*argv, stdout=None, preexec_fn=lambda: os.close(1))
-    else:
-        result = run_module(*argv)
-    assert result.returncode == code
-    assert result.stderr.startswith(err)
-    assert b"Traceback" not in result.stderr
-    assert b"Exception ignored" not in result.stderr
+def test_module_exit_codes(child, code, err):
+    assert child.returncode == code
+    assert child.stderr.startswith(err)
+    assert b"Traceback" not in child.stderr
+    assert b"Exception ignored" not in child.stderr
     if code in (1, 3):  # one error line, no summary
-        assert result.stderr.count(b"\n") == 1
+        assert child.stderr.count(b"\n") == 1
     if code == 0:
-        assert result.stdout.startswith(b"omega,k,")
+        assert child.stdout.startswith(b"omega,k,")
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
@@ -364,63 +286,18 @@ def test_malloc_trim_runs_once_between_parse_and_compute(tmp_path, capsys, monke
         assert events == ["parse_config"]
 
 
-# Runs slabgreen.cli as __main__ with an exit hook that reports whether the heap is frozen.
-FREEZE_PROBE = """\
-import atexit, gc, runpy, sys
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
-runpy.run_module("slabgreen.cli", run_name="__main__", alter_sys=True)
-"""
+def test_process_entry_freezes_after_main(child):
+    assert child.returncode == 2  # main()'s status
+    assert child.stderr == b"decay-scan (frequency): 10 rows, 2 failed\nfrozen at exit: True\n"
 
 
-def test_process_entry_freezes_after_main(tmp_path):
-    overrides = {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}
-    result = run_python("-c", FREEZE_PROBE, "decay-scan", "--config", write_config(tmp_path, **overrides))
-    assert result.returncode == 2  # main()'s status
-    assert result.stderr == b"decay-scan (frequency): 10 rows, 2 failed\nfrozen at exit: True\n"
-
-
-# Runs the argument lists of its JSON argument through cli.main in a fresh
-# process and prints, as JSON, their exit codes and the resident kB of each
-# BLAS library mapping before and after them (or null without /proc/self/smaps).
-BLAS_PROBE = """\
-import json, os, sys
-from slabgreen import cli
-
-def blas_rss():
-    rss, name = {}, ""
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split()
-            if not fields[0].endswith(":"):  # a mapping's header: range, perms, offset, device, inode, path
-                name = " ".join(fields[5:])
-            elif fields[0] == "Rss:" and "blas" in name:
-                rss[name] = rss.get(name, 0) + int(fields[1])
-    return rss
-
-if not os.path.exists("/proc/self/smaps"):
-    print("null")
-    sys.exit()
-before = blas_rss()
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, before, blas_rss()]))
-"""
-
-
-def test_subcommands_page_in_no_blas(tmp_path):
+def test_subcommands_page_in_no_blas(child):
     """numpy's BLAS stays untouched: its library pages would add to every process's peak RSS.
 
     The quadrature sums its panels and vacuum_decay_3d contracts the dipole elementwise, not by `@`.
     """
-    config = write_config(tmp_path, omega={"start": 1.0, "stop": 3.0, "count": 3},
-                          source={"start": 1.5, "stop": 2.5, "count": 3}, separations=[[1.0, 0.5, 0.25]])
-    frequency = write_config(tmp_path, "frequency.json", source=1.5, omega={"start": 0.5, "stop": 2.0, "count": 20})
-    one = write_config(tmp_path, "one.json", separations=[[1.0, 0.5, 0.25]])
-    out = ["--out", str(tmp_path / "out.csv")]
-    runs = [["verify-identity", "--config", config, *out], ["decay-scan", "--oracle", "--config", frequency, *out],
-            ["tensor3d", "--config", one, *out]]
-    result = run_python("-c", BLAS_PROBE, json.dumps(runs))
-    assert result.returncode == 0, result.stderr
-    probe = json.loads(result.stdout)
+    assert child.returncode == 0, child.stderr
+    probe = json.loads(child.stdout)
     if probe is None:
         pytest.skip("needs /proc/self/smaps")
     codes, before, after = probe
@@ -430,31 +307,7 @@ def test_subcommands_page_in_no_blas(tmp_path):
     assert after == before
 
 
-# Runs each argument list of its JSON argument through a freshly imported
-# slabgreen.cli and prints, as JSON, each run's exit code, the slabgreen
-# modules loaded once it is done and those loaded, in load order, whenever
-# cli.parse_config read a config, then which of argparse, getopt and gettext
-# any run loaded. The package's modules are dropped from sys.modules before
-# each import, so each run starts as a process does.
-IMPORT_PROBE = """\
-import json, sys
-
-def loaded():
-    return [name for name in sys.modules if name.partition(".")[0] == "slabgreen"]
-
-runs = []
-for argv in json.loads(sys.argv[1]):
-    for name in loaded():
-        del sys.modules[name]
-    from slabgreen import cli
-    read, parse_config = [], cli.parse_config
-    cli.parse_config = lambda path: read.append(loaded()) or parse_config(path)
-    runs.append([cli.main(argv), sorted(loaded()), read])
-print(json.dumps([runs, [name for name in ("argparse", "getopt", "gettext") if name in sys.modules]]))
-"""
-
-
-def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
+def test_each_subcommand_imports_only_the_modules_it_runs(child):
     """A process compiles each module it imports from source, so a subcommand imports only what it runs.
 
     Each one is loaded before the config is read: a module compiled mid-run
@@ -463,18 +316,7 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
     only they load identity; the other subcommands accept --oracle and load
     nothing for it.
     """
-    config = write_config(tmp_path, source={"start": 1.5, "stop": 2.5, "count": 2})
-    tensor = tmp_path / "tensor.json"
-    tensor.write_text(json.dumps({"omega": 1.0, "separations": [[1.0, 0.5, 0.25]]}))
-    out = ["--out", str(tmp_path / "out.csv")]
-    argvs = [["tensor3d", "--config", str(tensor)], ["coefficients", "--config", config],
-             ["verify-identity", "--config", config], ["decay-scan", "--config", config],
-             ["decay-scan", "--oracle", "--config", config], ["decay-scan", "--orac", "--config", config],
-             ["limit-study", "--config", write_config(tmp_path, "limit.json")],
-             ["tensor3d", "--oracle", "--config", str(tensor)], ["coefficients", "--oracle", "--config", config],
-             ["limit-study", "--oracle", "--config", write_config(tmp_path, "limit.json")]]
-    result = run_python("-c", IMPORT_PROBE, json.dumps([[*argv, *out] for argv in argvs]))
-    assert result.returncode == 0, result.stderr
+    assert child.returncode == 0, child.stderr
     base = ["cli", "config", "errors", "writer"]
     slab = [*base, "dielectric", "slab_green"]
     expected = [
@@ -489,18 +331,7 @@ def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
         slab,  # coefficients --oracle
         [*slab, "emission", "vacuum3d"],  # limit-study --oracle
     ]
-    runs, parsers = json.loads(result.stdout)
-    names = [["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)] for modules in expected]
-    assert [[code, modules, [sorted(order) for order in read]] for code, modules, read in runs] == [
-        [0, modules, [modules]] for modules in names]
-    # --oracle loads identity ahead of the subcommand's modules, --orac only after the parse
-    (oracle,), (abbreviated,) = runs[4][2], runs[5][2]
-    assert oracle.index("slabgreen.identity") < oracle.index("slabgreen.emission")
-    assert abbreviated.index("slabgreen.identity") > abbreviated.index("slabgreen.emission")
-    # argparse's import and parser cost a process about 5 ms and 0.4 MB of peak RSS, getopt's gettext about 0.65 ms
-    assert parsers == []
-
-
+    runs, parsers = json.loads(child.stdout)
 def test_the_csv_writer_imports_no_module_of_the_package():
     """writer.py, at module level and inside its functions, imports nothing of slabgreen: only cli knows the subcommands."""
     tree = ast.parse(Path(writer.__file__).read_text())
@@ -509,38 +340,7 @@ def test_the_csv_writer_imports_no_module_of_the_package():
     assert [text for text in imports if text.startswith("from .") or re.search(r"\bslabgreen\b", text)] == []
 
 
-# Each cli name that benchmarks/tracing.py wraps, by the module that defines it.
-TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
-                "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
-
-# In a process that has imported slabgreen.cli alone, looks up each (module,
-# name, defining module) of its first JSON argument, as tracing does; then wraps
-# each name with setattr in its module and runs the argument lists of its second
-# JSON argument through cli.main. Prints, as JSON, the module.name of each that
-# resolved to its defining module's object, the exit codes and the calls of each
-# wrapper.
-PATCH_PROBE = """\
-import importlib, json, sys
-from slabgreen import cli
-
-points, runs = map(json.loads, sys.argv[1:])
-module = lambda name: importlib.import_module(f"slabgreen.{name}")
-resolved = [f"{where}.{name}" for where, name, home in points if getattr(module(where), name) is getattr(module(home), name)]
-calls = {f"{where}.{name}": 0 for where, name, _ in points}
-
-def wrapped(key, original):
-    def wrapper(*args, **kwargs):
-        calls[key] += 1
-        return original(*args, **kwargs)
-    return wrapper
-
-for where, name, _ in points:
-    setattr(module(where), name, wrapped(f"{where}.{name}", getattr(module(where), name)))
-print(json.dumps([resolved, [cli.main(argv) for argv in runs], calls]))
-"""
-
-
-def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(tmp_path):
+def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(child):
     """tracing.py looks up and wraps cli's names, and emission's lhs_quadrature, before main() has run: each must
     resolve, and main() must call the wrapper. In one test process an earlier main() has bound them all, so only a
     fresh process shows a name that does not resolve.
@@ -549,17 +349,9 @@ def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(tmp_path):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert sorted(attr for module, attr, _ in tracing.SPANS if module is cli) == sorted(TRACED_HOMES)
-    points = [*(["cli", name, home] for name, home in TRACED_HOMES.items()), ["emission", "lhs_quadrature", "identity"]]
-    config = write_config(tmp_path, separations=[[1.0, 0.5, 0.25]])
-    frequency = write_config(tmp_path, "frequency.json", omega={"start": 1.0, "stop": 2.0, "count": 2})
-    out = ["--out", str(tmp_path / "out.csv")]
-    runs = [["verify-identity", "--config", frequency, *out], ["decay-scan", "--config", frequency, *out],
-            ["decay-scan", "--oracle", "--config", frequency, *out], ["limit-study", "--config", config, *out],
-            ["tensor3d", "--config", config, *out]]
-    result = run_python("-c", PATCH_PROBE, json.dumps(points), json.dumps(runs))
-    assert result.returncode == 0, result.stderr
-    resolved, codes, calls = json.loads(result.stdout)
-    assert resolved == [f"{where}.{name}" for where, name, _ in points]
+    assert child.returncode == 0, child.stderr
+    resolved, codes, calls = json.loads(child.stdout)
+    assert resolved == [f"{where}.{name}" for where, name, _ in TRACED_POINTS]
     assert codes == [0, 0, 0, 0, 0]
     assert [name for name, count in calls.items() if not count] == []
 
@@ -570,33 +362,19 @@ def test_installed_command_is_the_process_entry():
     assert pyproject["project"]["scripts"] == {"slabgreen": "slabgreen.cli:run"}
 
 
-def test_module_stdout_matches_out_file(tmp_path):
-    count = 2 * writer._BLOCK_ROWS + 100
-    path = write_config(tmp_path, omega={"start": 0.1, "stop": 5.0, "count": count})
-    out = tmp_path / "out.csv"
-    to_file = run_module("coefficients", "--config", path, "--out", str(out))
-    to_stdout = run_module("coefficients", "--config", path)
+def test_module_stdout_matches_out_file(child):
+    to_file, to_stdout = child
     assert to_file.returncode == to_stdout.returncode == 0
-    assert to_stdout.stdout == out.read_bytes()
-    assert to_stdout.stdout.count(b"\n") == count + 1
+    assert to_stdout.stdout == (to_file.cwd / "out.csv").read_bytes()
+    assert to_stdout.stdout.count(b"\n") == 2 * writer._BLOCK_ROWS + 100 + 1
 
 
-@pytest.mark.parametrize(
-    "overrides, flags",
-    [
-        ({"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}, []),
-        ({"dielectric": ROW_ERRORS["constant"][0], "omega": ROW_ERRORS["constant"][1], "source": 1.5}, ["--oracle"]),
-        ({"slab": {"half_length": 1e200}, "omega": {"start": 1e199, "stop": 1e200, "count": 3},
-          "source": 2e200}, ["--oracle"]),
-    ],
-    ids=["tabulated", "non_finite_oracle", "phase_overflow_oracle"],
-)
-def test_module_failing_rows_write_no_warnings(tmp_path, overrides, flags):
-    result = run_module("decay-scan", "--config", write_config(tmp_path, **overrides), *flags)
-    assert result.returncode == 2
-    assert b"Traceback" not in result.stderr
-    assert b"RuntimeWarning" not in result.stderr
-    assert result.stderr.endswith(b" failed\n")
+@pytest.mark.parametrize("child", ["tabulated", "non_finite_oracle", "phase_overflow_oracle"], indirect=True)
+def test_module_failing_rows_write_no_warnings(child):
+    assert child.returncode == 2
+    assert b"Traceback" not in child.stderr
+    assert b"RuntimeWarning" not in child.stderr
+    assert child.stderr.endswith(b" failed\n")
 
 
 def test_row_template_matches_fmt(tmp_path):
@@ -1676,39 +1454,29 @@ def test_decay_scan_oracle_gate(tmp_path, capsys, flags, over):
 FULL = b"error: [Errno 28] No space left on device\n"
 
 
-# "-u" gives the child unbuffered stdout, as PYTHONUNBUFFERED=1 does: the
-# help text's write then fails at once instead of at the closing flush.
 @pytest.mark.parametrize(
-    "flags, argv, stdout, code, stderr",
+    "code, stderr",
     [
-        pytest.param([], ["--help"], "pipe", 0, b"", id="pipe"),
-        pytest.param([], ["--help"], "full", 3, FULL, id="stdout_full", marks=DEV_FULL),
-        pytest.param(["-u"], ["--help"], "full", 3, FULL, id="stdout_full_unbuffered", marks=DEV_FULL),
-        pytest.param(["-u"], ["coefficients", "--help"], "full", 3, FULL, id="subcommand_stdout_full_unbuffered",
-                     marks=DEV_FULL),
-        pytest.param([], ["--help"], "closed", 0, None, id="stdout_closed"),
+        pytest.param(0, b"", id="pipe"),
+        pytest.param(3, FULL, id="stdout_full"),
+        pytest.param(3, FULL, id="stdout_full_unbuffered"),
+        pytest.param(3, FULL, id="subcommand_stdout_full_unbuffered"),
+        pytest.param(0, None, id="stdout_closed"),
     ],
 )
-def test_module_help_exit_codes(flags, argv, stdout, code, stderr):
-    if stdout == "full":
-        with open("/dev/full", "wb") as full:
-            result = run_python(*flags, "-m", "slabgreen.cli", *argv, stdout=full)
-    elif stdout == "closed":
-        result = run_python(*flags, "-m", "slabgreen.cli", *argv, stdout=None, preexec_fn=lambda: os.close(1))
+def test_module_help_exit_codes(child, code, stderr):
+    if child.stdout is not None:  # a pipe
+        assert child.stdout.startswith(b"usage: slabgreen ")
+    assert child.returncode == code
+    if stderr is None:  # stdout closed: the child's sys.stdout is None, so the help goes to stderr
+        assert child.stderr.startswith(b"usage: slabgreen ")
     else:
-        result = run_python(*flags, "-m", "slabgreen.cli", *argv)
-        assert result.stdout.startswith(b"usage: slabgreen ")
-    assert result.returncode == code
-    if stdout == "closed":  # the child's sys.stdout is None, so the help goes to stderr
-        assert result.stderr.startswith(b"usage: slabgreen ")
-    else:
-        assert result.stderr == stderr
+        assert child.stderr == stderr
 
 
-def test_process_entry_freezes_after_help():
-    result = run_python("-c", FREEZE_PROBE, "--help")
-    assert result.returncode == 0
-    assert result.stderr == b"frozen at exit: True\n"
+def test_process_entry_freezes_after_help(child):
+    assert child.returncode == 0
+    assert child.stderr == b"frozen at exit: True\n"
 
 
 def test_readme_config_parses_and_names_every_key(tmp_path):

@@ -1,10 +1,6 @@
 import cmath
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +27,9 @@ from slabgreen import identity
 from slabgreen.errors import row_errors
 from slabgreen.identity import _NODES, _WEIGHTS
 
-from regimes import absorbing_index, enz_index, opaque_index, source_offset
+from regimes import absorbing_index, enz_index, high_kl, opaque_index, source_offset
+
+EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("rule, nodes, weights, degree", [
@@ -55,17 +53,11 @@ def test_pinned_gauss_rule_is_gauss_legendre():
     assert not _WEIGHTS[::2, 1].any()  # the Kronrod-only nodes do not enter G7
 
 
-def test_package_import_leaves_numpy_polynomial_out():
+def test_package_import_leaves_numpy_polynomial_out(child):
     # Neither numpy.polynomial nor dataclasses is imported: both only added start-up time.
     # The star import loads every submodule that cli does not.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, slabgreen.cli; from slabgreen import *; "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m == 'dataclasses'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout == "[]\n"
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == b"[]\n"
 
 
 def test_integrator_polynomial_exact():
@@ -312,26 +304,16 @@ def test_f_coincident_closed_form(lossy_ctx):
         assert boundary_term_f(x_s, x_s, lossy_ctx) == pytest.approx(expected, rel=1e-14)
 
 
-@settings(max_examples=40)
-@given(
-    rows=st.lists(
-        st.tuples(
-            absorbing_index(),  # n
-            st.floats(0.05, 500.0),  # k l
-            st.floats(-1.0, 2.0),  # log10 k
-            # Sources stop at k (x_s - l) = 1e2: far ones' phases round past 1e-12 of the scale, by 4.7 times at
-            # n = 1 + 1i, k l = 1, k = 1, k (x_a - l) = 1, k (x_b - l) = 1e5, k (L - x_b) = 1.00001.
-            source_offset((-9.0, 2.0)),  # k (x_a - l)
-            source_offset((-9.0, 2.0)),  # k (x_b - l)
-            st.floats(0.01, 400.0),  # k (L - max(x_a, x_b)), so k L stays below ~1e3
-        ),
-        min_size=1,
-        max_size=64,
-    )
-)
-def test_flux_route_f_matches_closed_form_in_hard_regimes(rows):
-    # The third route to F: F = (b(x_b, x_a) - conj b(x_a, x_b)) / 2i from the flux at the
-    # box edges, against the closed form, over near-lossless, opaque and high k l rows at once.
+def flux_rows(k_offset):
+    """Rows (n, k l, log10 k, k (x_a - l), k (x_b - l), k (L - max(x_a, x_b))), k L below ~1e3 beyond the sources."""
+    row = st.tuples(absorbing_index(), st.floats(0.05, 500.0), st.floats(-1.0, 2.0), k_offset, k_offset,
+                    st.floats(0.01, 400.0))
+    return st.lists(row, min_size=1, max_size=64)
+
+
+def flux_route_error(rows):
+    """The third route to F, F = (b(x_b, x_a) - conj b(x_a, x_b)) / 2i from the flux at the box edges, against the
+    closed form: the error, the scale (1 + |A|^2 + |D|^2 + 2|D|) / 4k and k (x_s - l) of the farther source, by row."""
     n, k_half, log_k, k_da, k_db, k_margin = map(np.array, zip(*rows))
     k = 10.0**log_k
     half = k_half / k
@@ -341,7 +323,25 @@ def test_flux_route_f_matches_closed_form_in_hard_regimes(rows):
     flux = (boundary_term_b(x_b, x_a, ctx, box) - np.conj(boundary_term_b(x_a, x_b, ctx, box))) / 2j
     co = ctx.coefficients
     scale = (1.0 + abs(co.A) ** 2 + abs(co.D) ** 2 + 2.0 * abs(co.D)) / (4.0 * k)
-    assert np.all(abs(flux - boundary_term_f(x_a, x_b, ctx)) <= 1e-12 * scale)
+    return abs(flux - boundary_term_f(x_a, x_b, ctx)), scale, np.maximum(k_da, k_db)
+
+
+# Sources stop at k (x_s - l) = 1e2: far ones' phases round past 1e-12 of the scale, by 4.7 times at
+# n = 1 + 1i, k l = 1, k = 1, k (x_a - l) = 1, k (x_b - l) = 1e5, k (L - x_b) = 1.00001.
+@settings(max_examples=40)
+@given(rows=flux_rows(source_offset((-9.0, 2.0))))
+def test_flux_route_f_matches_closed_form_in_hard_regimes(rows):
+    # Over near-lossless, opaque and high k l rows at once.
+    error, scale, _ = flux_route_error(rows)
+    assert np.all(error <= 1e-12 * scale)
+
+
+@settings(max_examples=20)
+@given(rows=flux_rows(source_offset()))
+def test_flux_route_f_matches_closed_form_for_far_sources(rows):
+    """Sources up to k (x_s - l) = 1e6, to test_far_sources_match_the_reference's (1e-12 + 2 eps k (x_s - l)) scale."""
+    error, scale, k_d = flux_route_error(rows)
+    assert np.all(error <= (1e-12 + 2.0 * EPS * k_d) * scale)
 
 
 def test_f_assembled_from_b(lossy_ctx):
@@ -480,22 +480,9 @@ def test_energy_balance_in_hard_regimes(n, k, half, offset, log_tol):
     assert abs(4.0 * k * lhs.real - (1.0 - abs(co.A) ** 2 - abs(co.D) ** 2)) <= 4.0 * k * tol + 1e-13
 
 
-@settings(max_examples=40)
-@given(
-    # ENZ stops at |n| = sqrt(2) 1e-12: below it the degeneracy guard raises, at n = sqrt(2) 1e-13, k = 1, k l = 1.
-    n=st.one_of(absorbing_index(), enz_index((-12.0, 0.0)), opaque_index()),
-    k=st.floats(0.1, 20.0),
-    kl=st.floats(0.05, 50.0),
-    # Sources stop at k (x_s - l) = 1e2: the phase e^{ik(x_a - x_b)} of far ones rounds past 1e-12 of the scale,
-    # by 10 times at n = 1 + 1i, k = 1.5, k l = 1, k (x_s - l) = [1, 1e5].
-    kd=st.lists(source_offset((-9.0, 2.0)), min_size=1, max_size=6),
-)
-def test_im_g_plus_f_is_rank_one_over_a_grid_of_sources(n, k, kl, kd):
-    """identity_report's Im G + F over right sources is e^{ik(x_a - x_b)} (1 - |A|^2 - |D|^2) / 4k.
-
-    To 1e-12 of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, at Im n down to 1e-14, near epsilon = 0 and k l up
-    to 50: over the grid the sum is one phase times the absorbed power. The quadrature is skipped.
-    """
+def rank_one_error(n, k, kl, kd):
+    """identity_report's |Im G + F - e^{ik(x_a - x_b)} (1 - |A|^2 - |D|^2) / 4k| over right sources, with the
+    quadrature skipped, and its scale (1 + |A|^2 + |D|^2 + 2|D|) / 4k."""
     l = kl / k
     ctx = context_from_index(SlabGeometry(l), n, k)
     co = ctx.coefficients
@@ -504,7 +491,39 @@ def test_im_g_plus_f_is_rank_one_over_a_grid_of_sources(n, k, kl, kd):
     rep = identity_report(x_a, x_b, ctx, interior=(0j, 0.0, row_errors(())))
     expected = np.exp(1j * k * (x_a - x_b)) * (1 - abs(co.A) ** 2 - abs(co.D) ** 2) / (4 * k)
     scale = (1 + abs(co.A) ** 2 + abs(co.D) ** 2 + 2 * abs(co.D)) / (4 * k)
-    assert np.abs(rep.im_g + rep.f - expected).max() <= 1e-12 * scale
+    return np.abs(rep.im_g + rep.f - expected), scale
+
+
+# ENZ stops at |n| = sqrt(2) 1e-12: below it the degeneracy guard raises, at n = sqrt(2) 1e-13, k = 1, k l = 1.
+RANK_ONE_INDEX = st.one_of(absorbing_index(), enz_index((-12.0, 0.0)), opaque_index())
+
+
+@settings(max_examples=40)
+@given(
+    n=RANK_ONE_INDEX,
+    k=st.floats(0.1, 20.0),
+    kl=high_kl(),
+    # Sources stop at k (x_s - l) = 1e2: the phase e^{ik(x_a - x_b)} of far ones rounds past 1e-12 of the scale,
+    # by 10 times at n = 1 + 1i, k = 1.5, k l = 1, k (x_s - l) = [1, 1e5].
+    kd=st.lists(source_offset((-9.0, 2.0)), min_size=1, max_size=6),
+)
+@example(n=0.3 + 1e-14j, k=17.0, kl=1e3, kd=[1e-9, 1.0, 100.0])  # the top of high_kl(), near-lossless
+def test_im_g_plus_f_is_rank_one_over_a_grid_of_sources(n, k, kl, kd):
+    """identity_report's Im G + F over right sources is e^{ik(x_a - x_b)} (1 - |A|^2 - |D|^2) / 4k.
+
+    To 1e-12 of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, at Im n down to 1e-14, near epsilon = 0 and k l up
+    to 1e3: over the grid the sum is one phase times the absorbed power. The quadrature is skipped.
+    """
+    error, scale = rank_one_error(n, k, kl, kd)
+    assert error.max() <= 1e-12 * scale
+
+
+@settings(max_examples=20)
+@given(n=RANK_ONE_INDEX, k=st.floats(0.1, 20.0), kl=high_kl(), kd=st.lists(source_offset(), min_size=1, max_size=6))
+def test_im_g_plus_f_is_rank_one_for_far_sources(n, k, kl, kd):
+    """Sources up to k (x_s - l) = 1e6, to test_far_sources_match_the_reference's (1e-12 + 2 eps k (x_s - l)) scale."""
+    error, scale = rank_one_error(n, k, kl, kd)
+    assert error.max() <= (1e-12 + 2.0 * EPS * max(kd)) * scale
 
 
 RIGHT = "source must lie in the right exterior region"

@@ -1,14 +1,12 @@
 """The package's public names and submodules resolve on first use (PEP 562)."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import slabgreen
+
+from processes import NAME_HOMES, SUBMODULES
 
 # The public names, as the package listed them when its __init__ imported every submodule.
 ALL = [
@@ -20,47 +18,15 @@ ALL = [
     "integrate_adaptive", "interface_mismatch", "lhs_quadrature", "limit_study", "make_context", "permittivity",
     "refractive_index", "scalar_green_g0", "vacuum_decay_3d",
 ]
-# Each public name, by the submodule that defines it.
-HOMES = {
-    "dielectric": "Constant DielectricModel Drude DrudeLorentz Tabulated permittivity refractive_index",
-    "emission": "DecayRateReport LimitStudyReport decay_from_quadrature decay_rate_corrected decay_rate_uncorrected "
-                "decay_report limit_study",
-    "errors": "ConfigError DomainError QuadratureError",
-    "identity": "IdentityReport boundary_term_b boundary_term_f identity_report integrate_adaptive lhs_quadrature",
-    "slab_green": "SlabCoefficients SlabGeometry WaveContext coefficients context_from_index green green_dx "
-                  "green_vacuum_1d helmholtz_residual interface_mismatch make_context",
-    "vacuum3d": "EmissionParams green_tensor_vacuum im_green_coincident scalar_green_g0 vacuum_decay_3d",
-}
-SUBMODULES = ["cli", "config", "dielectric", "emission", "errors", "identity", "slab_green", "vacuum3d", "writer"]
-
-# After a bare `import slabgreen` in a fresh process, prints as JSON the
-# slabgreen modules it loaded, the names of the submodules of its first JSON
-# argument as attributes of the package, and the public names of its second
-# (name -> defining submodule) that resolve to that submodule's object.
-PROBE = """\
-import json, sys
-import slabgreen
-
-bare = sorted(name for name in sys.modules if name.partition(".")[0] == "slabgreen")
-names, homes = map(json.loads, sys.argv[1:])
-submodules = {name: getattr(slabgreen, name).__name__ for name in names}
-resolved = [name for name, home in homes.items() if getattr(slabgreen, name) is getattr(sys.modules[home], name)]
-print(json.dumps([bare, submodules, resolved]))
-"""
 
 
-def test_a_bare_import_loads_the_package_alone_and_resolves_every_name():
-    homes = {name: f"slabgreen.{module}" for module, names in HOMES.items() for name in names.split()}
-    assert sorted(homes) == ALL
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-c", PROBE, json.dumps(SUBMODULES), json.dumps(homes)]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    bare, submodules, resolved = json.loads(result.stdout)
+def test_a_bare_import_loads_the_package_alone_and_resolves_every_name(child):
+    assert sorted(NAME_HOMES) == ALL
+    assert child.returncode == 0, child.stderr
+    bare, submodules, resolved = json.loads(child.stdout)
     assert bare == ["slabgreen"]
     assert submodules == {name: f"slabgreen.{name}" for name in SUBMODULES}
-    assert resolved == list(homes)
+    assert resolved == list(NAME_HOMES)
 
 
 def test_the_public_surface():

@@ -25,7 +25,7 @@ from slabgreen import (
 from slabgreen.slab_green import _power_balance
 
 from mp_reference import absorbed, amplitudes, index, mp, power, reference
-from regimes import absorbing_index, log_uniform, mirror_index, mirror_offset, source_offset
+from regimes import absorbing_index, drude_near_plasma, log_uniform, mirror_index, mirror_offset, source_offset
 
 EPS = sys.float_info.epsilon
 
@@ -52,7 +52,7 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 # Sources stop at k (x_s - l) = 1e3: the far ones' phase rounding fails 1e-12, by 35 times at n = 3.656 + 1.03e-14i,
 # k = 20, l = 0.442, k (x_s - l) = 5.7e5. test_far_sources_match_the_reference bounds that rounding.
 @settings(max_examples=30, phases=NO_SHRINK)
-@given(n=absorbing_index(), k=st.floats(0.05, 20.0), l=st.floats(0.1, 3.0),
+@given(n=st.one_of(absorbing_index(), drude_near_plasma()), k=st.floats(0.05, 20.0), l=st.floats(0.1, 3.0),
        kd=st.lists(source_offset((-9.0, 3.0)), min_size=1, max_size=3))
 def test_f_and_g_match_the_reference(n, k, l, kd):
     """boundary_term_f and green to 1e-12 of (1 + |A|^2 + |D|^2 + 2|D|) / 4k, for k (x_s - l) <= 1e3."""
