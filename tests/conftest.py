@@ -30,23 +30,28 @@ def metal_ctx():
     return context_from_index(SlabGeometry(1.0), 0.1 + 3.0j, 1.0)
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "child(*children): the child processes this test waits for (tests/processes.py)")
+
+
 def pytest_collection_modifyitems(items):
     """Tests that wait for a child process run last, so that their children run while the in-process tests do."""
-    items.sort(key=lambda item: item.name in processes.ROWS)
+    items.sort(key=lambda item: item.get_closest_marker("child") is not None)
 
 
 @pytest.fixture(scope="session")
 def children(request, tmp_path_factory):
-    """The child-process rows of the selected tests (tests/processes.py); those left running at the end are reaped."""
-    rows = processes.Children([item.name for item in request.session.items if item.name in processes.ROWS],
-                              tmp_path_factory.mktemp("children"))
-    yield rows
-    rows.close()
+    """The selected tests' children, queued in the order the tests run; those left running at the end are reaped."""
+    marks = [item.get_closest_marker("child") for item in request.session.items]
+    queue = processes.Children([child for mark in marks if mark for child in mark.args],
+                               tmp_path_factory.mktemp("children"))
+    yield queue
+    queue.close()
 
 
 @pytest.fixture(autouse=True)
 def child(children, request):
-    """Starts queued children while fewer than processes.LIMIT run; then this test's finished run, if it has a row."""
+    """Starts queued children while fewer than processes.LIMIT run; then this test's finished runs, if it has any."""
     children.top_up()
-    if request.node.name in processes.ROWS:
-        return children.wait(request.node.name)
+    if mark := request.node.get_closest_marker("child"):
+        return children.wait(mark.args)

@@ -1,10 +1,11 @@
-"""Every child process the suite starts: one table, ROWS, with one child environment and one launcher.
+"""Every child process the suite starts: one child environment, one launcher and the session's queue of children.
 
-A row is keyed by the test it serves, as pytest names it, and holds its child or a tuple of children. conftest.py
-starts the selected rows when the first test sets up, LIMIT at a time, and each test waits for its own (README,
-"Install and test").
+A test names its children with `@pytest.mark.child(Child(...))`, or a case of it with
+`marks=pytest.mark.child(Child(...))`. conftest.py queues the children of the selected tests, starts them when the first
+test sets up, LIMIT at a time, and hands each test the finished runs of its own (README, "Install and test").
 """
 
+import contextlib
 import itertools
 import json
 import os
@@ -13,14 +14,10 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import pytest
-
-from slabgreen import writer
-
 ROOT = Path(__file__).resolve().parents[1]
-# Children running at once, at niceness 10: the host has 2 vCPUs, one of them running the in-process tests, and a
-# child holds about 30 MB.
-LIMIT = 2
+# Children running at once, each about 30 MB. They run at niceness 10, so the in-process tests take a CPU first
+# where both want one. Measured on 2 vCPUs only, where 2 at once beat 1.
+LIMIT = min(4, os.cpu_count() or 1)
 DEV_FULL = os.path.exists("/dev/full")
 
 # The child imports the package from this checkout. Its stdout is buffered, as users get it: PYTHONUNBUFFERED is
@@ -28,318 +25,71 @@ DEV_FULL = os.path.exists("/dev/full")
 ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
-LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
 
+class Child:
+    """The interpreter on `args`, run in a directory of its own that holds `files` (name -> JSON value).
 
-def config(**overrides):
-    """The command line's base config with `overrides` on top; a key given as None is left out."""
-    base = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": LOSSY_EPS}, "omega": 1.0,
-            "source": 2.0}
-    return {key: value for key, value in {**base, **overrides}.items() if value is not None}
+    `output` is its stdout: "pipe", "full" (/dev/full, where every write fails) or "closed".
+    """
 
+    def __init__(self, *args, output="pipe", files={}):
+        self.args, self.output, self.files = args, output, files
 
-# Frequency sweeps, one per dielectric kind, that mix good rows with failing
-# ones: (dielectric, sweep, error message by row). The messages are those
-# that evaluating each row on its own gives.
-ROW_ERRORS = {
-    "tabulated": (
-        {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.0, 2.5, 0.2], [2.25, 3.0, 0.3]]},
-        {"start": 0.25, "stop": 2.5, "count": 10},
-        {0: "frequency 0.25 outside tabulated range [0.5, 2.25]; no extrapolation",
-         9: "frequency 2.5 outside tabulated range [0.5, 2.25]; no extrapolation"},
-    ),
-    "drude_lorentz": (
-        {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.0], [1.0, 0.0, 0.1]]},
-        {"start": 0.5, "stop": 1.5, "count": 5},
-        {2: "evaluation exactly at an undamped resonance"},
-    ),
-    "drude": (
-        {"type": "drude", "plasma_frequency": 2.0, "damping": 0.0},
-        {"start": 1.0, "stop": 3.0, "count": 5},
-        {2: "degenerate medium: eps = 0 has no refractive index"},
-    ),
-    "constant": (
-        {"type": "constant", "epsilon": [1e308, 1e308]},
-        {"start": -1.0, "stop": 1.0, "count": 3},
-        {0: "frequency must be positive", 1: "frequency must be positive",
-         2: "slab amplitudes A, B, C, D and Y are not all finite"},
-    ),
-}
-TABULATED = {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}
-
-
-class Child(NamedTuple):
-    args: tuple  # the interpreter's
-    stdout: str  # "pipe", "full" (/dev/full, where every write fails) or "closed"
-    files: tuple  # (name, JSON text) pairs
+    def start(self, cwd):
+        """Writes the files into `cwd` and starts the child there, at niceness 10."""
+        cwd.mkdir()
+        for name, value in self.files.items():
+            (cwd / name).write_text(json.dumps(value))
+        closed = self.output == "closed"
+        with open("/dev/full", "wb") if self.output == "full" else contextlib.nullcontext() as full:
+            proc = subprocess.Popen(
+                [sys.executable, *self.args], stdout=full or (None if closed else subprocess.PIPE),
+                stderr=subprocess.PIPE, env=ENV, cwd=cwd, preexec_fn=(lambda: os.close(1)) if closed else None)
+        os.setpriority(os.PRIO_PROCESS, proc.pid, 10)
+        return proc
 
 
 class Finished(NamedTuple):
+    output: str  # the Child's
     returncode: int
     stdout: bytes | None  # None unless the child's stdout was a pipe
     stderr: bytes
     cwd: Path
 
 
-def python(*args, stdout="pipe", files={}):
-    """The interpreter on `args`, in a directory holding `files` (name -> JSON value)."""
-    return Child(args, stdout, tuple((name, json.dumps(value)) for name, value in files.items()))
-
-
-def module(*args, **kwargs):
-    """`python -m slabgreen.cli *args`, as users and the benchmark run it."""
-    return python("-m", "slabgreen.cli", *args, **kwargs)
-
-
-def cli(command, *flags, stdout="pipe", **overrides):
-    """`command --config config.json *flags` through module(), the config being config(**overrides)."""
-    return module(command, "--config", "config.json", *flags, stdout=stdout, files={"config.json": config(**overrides)})
-
-
-# Runs slabgreen.cli as __main__ with an exit hook that reports whether the heap is frozen.
-FREEZE_PROBE = """\
-import atexit, gc, runpy, sys
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
-runpy.run_module("slabgreen.cli", run_name="__main__", alter_sys=True)
-"""
-
-# Runs the argument lists of its JSON argument through cli.main in a fresh
-# process and prints, as JSON, their exit codes and the resident kB of each
-# BLAS library mapping before and after them (or null without /proc/self/smaps).
-BLAS_PROBE = """\
-import json, os, sys
-from slabgreen import cli
-
-def blas_rss():
-    rss, name = {}, ""
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split()
-            if not fields[0].endswith(":"):  # a mapping's header: range, perms, offset, device, inode, path
-                name = " ".join(fields[5:])
-            elif fields[0] == "Rss:" and "blas" in name:
-                rss[name] = rss.get(name, 0) + int(fields[1])
-    return rss
-
-if not os.path.exists("/proc/self/smaps"):
-    print("null")
-    sys.exit()
-before = blas_rss()
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, before, blas_rss()]))
-"""
-BLAS_RUNS = [["verify-identity", "--config", "config.json"], ["decay-scan", "--oracle", "--config", "frequency.json"],
-             ["tensor3d", "--config", "one.json"]]
-
-# Runs each argument list of its JSON argument through a freshly imported
-# slabgreen.cli and prints, as JSON, each run's exit code, the slabgreen
-# modules loaded once it is done and those loaded, in load order, whenever
-# cli.parse_config read a config, then which of argparse, getopt and gettext
-# any run loaded. The package's modules are dropped from sys.modules before
-# each import, so each run starts as a process does.
-IMPORT_PROBE = """\
-import json, sys
-
-def loaded():
-    return [name for name in sys.modules if name.partition(".")[0] == "slabgreen"]
-
-runs = []
-for argv in json.loads(sys.argv[1]):
-    for name in loaded():
-        del sys.modules[name]
-    from slabgreen import cli
-    read, parse_config = [], cli.parse_config
-    cli.parse_config = lambda path: read.append(loaded()) or parse_config(path)
-    runs.append([cli.main(argv), sorted(loaded()), read])
-print(json.dumps([runs, [name for name in ("argparse", "getopt", "gettext") if name in sys.modules]]))
-"""
-IMPORT_RUNS = [["tensor3d", "--config", "tensor.json"], ["coefficients", "--config", "config.json"],
-               ["verify-identity", "--config", "config.json"], ["decay-scan", "--config", "config.json"],
-               ["decay-scan", "--oracle", "--config", "config.json"], ["decay-scan", "--orac", "--config", "config.json"],
-               ["limit-study", "--config", "limit.json"], ["tensor3d", "--oracle", "--config", "tensor.json"],
-               ["coefficients", "--oracle", "--config", "config.json"],
-               ["limit-study", "--oracle", "--config", "limit.json"]]
-
-# Each cli name that benchmarks/tracing.py wraps, by the module that defines it, and each (module, name, defining
-# module) that the patch probe looks up: those and emission's lhs_quadrature.
-TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
-                "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
-TRACED_POINTS = [*(["cli", name, home] for name, home in TRACED_HOMES.items()), ["emission", "lhs_quadrature", "identity"]]
-
-# In a process that has imported slabgreen.cli alone, looks up each (module,
-# name, defining module) of its first JSON argument, as tracing does; then wraps
-# each name with setattr in its module and runs the argument lists of its second
-# JSON argument through cli.main. Prints, as JSON, the module.name of each that
-# resolved to its defining module's object, the exit codes and the calls of each
-# wrapper.
-PATCH_PROBE = """\
-import importlib, json, sys
-from slabgreen import cli
-
-points, runs = map(json.loads, sys.argv[1:])
-module = lambda name: importlib.import_module(f"slabgreen.{name}")
-resolved = [f"{where}.{name}" for where, name, home in points if getattr(module(where), name) is getattr(module(home), name)]
-calls = {f"{where}.{name}": 0 for where, name, _ in points}
-
-def wrapped(key, original):
-    def wrapper(*args, **kwargs):
-        calls[key] += 1
-        return original(*args, **kwargs)
-    return wrapper
-
-for where, name, _ in points:
-    setattr(module(where), name, wrapped(f"{where}.{name}", getattr(module(where), name)))
-print(json.dumps([resolved, [cli.main(argv) for argv in runs], calls]))
-"""
-PATCH_RUNS = [["verify-identity", "--config", "frequency.json"], ["decay-scan", "--config", "frequency.json"],
-              ["decay-scan", "--oracle", "--config", "frequency.json"], ["limit-study", "--config", "config.json"],
-              ["tensor3d", "--config", "config.json"]]
-
-# The package's submodules, and each public name by the submodule that defines it.
-SUBMODULES = ["cli", "config", "dielectric", "emission", "errors", "identity", "slab_green", "vacuum3d", "writer"]
-HOMES = {
-    "dielectric": "Constant DielectricModel Drude DrudeLorentz Tabulated permittivity refractive_index",
-    "emission": "DecayRateReport LimitStudyReport decay_from_quadrature decay_rate_corrected decay_rate_uncorrected "
-                "decay_report limit_study",
-    "errors": "ConfigError DomainError QuadratureError",
-    "identity": "IdentityReport boundary_term_b boundary_term_f identity_report integrate_adaptive lhs_quadrature",
-    "slab_green": "SlabCoefficients SlabGeometry WaveContext coefficients context_from_index green green_dx "
-                  "green_vacuum_1d helmholtz_residual interface_mismatch make_context",
-    "vacuum3d": "EmissionParams green_tensor_vacuum im_green_coincident scalar_green_g0 vacuum_decay_3d",
-}
-NAME_HOMES = {name: f"slabgreen.{module}" for module, names in HOMES.items() for name in names.split()}
-
-# After a bare `import slabgreen` in a fresh process, prints as JSON the
-# slabgreen modules it loaded, the names of the submodules of its first JSON
-# argument as attributes of the package, and the public names of its second
-# (name -> defining submodule) that resolve to that submodule's object.
-PACKAGE_PROBE = """\
-import json, sys
-import slabgreen
-
-bare = sorted(name for name in sys.modules if name.partition(".")[0] == "slabgreen")
-names, homes = map(json.loads, sys.argv[1:])
-submodules = {name: getattr(slabgreen, name).__name__ for name in names}
-resolved = [name for name, home in homes.items() if getattr(slabgreen, name) is getattr(sys.modules[home], name)]
-print(json.dumps([bare, submodules, resolved]))
-"""
-
-# Loads cli and, by the star import, every submodule that cli does not; prints which of numpy.polynomial and
-# dataclasses that loaded.
-POLYNOMIAL_PROBE = (
-    "import sys, slabgreen.cli; from slabgreen import *; "
-    "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m == 'dataclasses'))"
-)
-
-THREE_BLOCKS = {"start": 0.1, "stop": 5.0, "count": 2 * writer._BLOCK_ROWS + 100}
-
-ROWS = {
-    "test_module_exit_codes[ok]": cli("coefficients"),
-    "test_module_exit_codes[config]": cli("coefficients", wavelength=3.0),
-    "test_module_exit_codes[tolerance]": cli("decay-scan", **TABULATED),
-    "test_module_exit_codes[out_file]": cli("coefficients", "--out", "missing/out.csv"),
-    "test_module_exit_codes[stdout_full]": cli("coefficients", stdout="full"),
-    "test_module_exit_codes[stdout_full_30000_rows]": cli(
-        "coefficients", stdout="full", omega={"start": 0.1, "stop": 5.0, "count": 30000}),
-    "test_module_exit_codes[stdout_closed]": cli("coefficients", stdout="closed"),
-    "test_process_entry_freezes_after_main": python(
-        "-c", FREEZE_PROBE, "decay-scan", "--config", "config.json", files={"config.json": config(**TABULATED)}),
-    "test_subcommands_page_in_no_blas": python(
-        "-c", BLAS_PROBE, json.dumps([[*argv, "--out", "out.csv"] for argv in BLAS_RUNS]), files={
-            "config.json": config(omega={"start": 1.0, "stop": 3.0, "count": 3},
-                                  source={"start": 1.5, "stop": 2.5, "count": 3}, separations=[[1.0, 0.5, 0.25]]),
-            "frequency.json": config(source=1.5, omega={"start": 0.5, "stop": 2.0, "count": 20}),
-            "one.json": config(separations=[[1.0, 0.5, 0.25]])}),
-    "test_each_subcommand_imports_only_the_modules_it_runs": python(
-        "-c", IMPORT_PROBE, json.dumps([[*argv, "--out", "out.csv"] for argv in IMPORT_RUNS]), files={
-            "config.json": config(source={"start": 1.5, "stop": 2.5, "count": 2}),
-            "tensor.json": {"omega": 1.0, "separations": [[1.0, 0.5, 0.25]]}, "limit.json": config()}),
-    "test_traced_names_resolve_and_stay_patched_in_a_fresh_process": python(
-        "-c", PATCH_PROBE, json.dumps(TRACED_POINTS), json.dumps([[*argv, "--out", "out.csv"] for argv in PATCH_RUNS]),
-        files={"config.json": config(separations=[[1.0, 0.5, 0.25]]),
-               "frequency.json": config(omega={"start": 1.0, "stop": 2.0, "count": 2})}),
-    "test_module_stdout_matches_out_file": (cli("coefficients", "--out", "out.csv", omega=THREE_BLOCKS),
-                                            cli("coefficients", omega=THREE_BLOCKS)),
-    "test_module_failing_rows_write_no_warnings[tabulated]": cli("decay-scan", **TABULATED),
-    "test_module_failing_rows_write_no_warnings[non_finite_oracle]": cli(
-        "decay-scan", "--oracle", dielectric=ROW_ERRORS["constant"][0], omega=ROW_ERRORS["constant"][1], source=1.5),
-    "test_module_failing_rows_write_no_warnings[phase_overflow_oracle]": cli(
-        "decay-scan", "--oracle", slab={"half_length": 1e200}, omega={"start": 1e199, "stop": 1e200, "count": 3},
-        source=2e200),
-    # "-u" gives the child unbuffered stdout, as PYTHONUNBUFFERED=1 does: the
-    # help text's write then fails at once instead of at the closing flush.
-    "test_module_help_exit_codes[pipe]": module("--help"),
-    "test_module_help_exit_codes[stdout_full]": module("--help", stdout="full"),
-    "test_module_help_exit_codes[stdout_full_unbuffered]": python("-u", "-m", "slabgreen.cli", "--help", stdout="full"),
-    "test_module_help_exit_codes[subcommand_stdout_full_unbuffered]": python(
-        "-u", "-m", "slabgreen.cli", "coefficients", "--help", stdout="full"),
-    "test_module_help_exit_codes[stdout_closed]": module("--help", stdout="closed"),
-    "test_process_entry_freezes_after_help": python("-c", FREEZE_PROBE, "--help"),
-    "test_a_bare_import_loads_the_package_alone_and_resolves_every_name": python(
-        "-c", PACKAGE_PROBE, json.dumps(SUBMODULES), json.dumps(NAME_HOMES)),
-    "test_package_import_leaves_numpy_polynomial_out": python("-c", POLYNOMIAL_PROBE),
-}
-
-
-def row(name):
-    """The children of `name`'s row, as a tuple."""
-    return (ROWS[name],) if isinstance(ROWS[name], Child) else ROWS[name]
-
-
-def launch(child, cwd):
-    """Writes the child's files into `cwd` and starts it there."""
-    cwd.mkdir()
-    for name, text in child.files:
-        (cwd / name).write_text(text)
-    argv = [sys.executable, *child.args]
-    if child.stdout == "full":
-        with open("/dev/full", "wb") as full:
-            return subprocess.Popen(argv, stdout=full, stderr=subprocess.PIPE, env=ENV, cwd=cwd)
-    closed = child.stdout == "closed"
-    return subprocess.Popen(argv, stdout=None if closed else subprocess.PIPE, stderr=subprocess.PIPE, env=ENV, cwd=cwd,
-                            preexec_fn=(lambda: os.close(1)) if closed else None)
-
-
 class Children:
-    """The children of one session's selected tests, each started once, in the order the tests run."""
+    """The children of one session's selected tests, queued in the order the tests run."""
 
-    def __init__(self, names, directory):
-        self.queue = list(dict.fromkeys(child for name in names for child in row(name)
-                                        if DEV_FULL or child.stdout != "full"))
-        self.started = {}  # child -> (Popen, cwd), until a test waits for it
-        self.finished = {}  # child -> Finished
+    def __init__(self, children, directory):
+        # A /dev/full child's test is skipped where the device is missing.
+        self.queued = [child for child in children if DEV_FULL or child.output != "full"]
+        self.started = {}  # Child -> (Popen, cwd), until its test has the run
         self.cwds = (directory / str(i) for i in itertools.count())
 
-    def _start(self, child):
-        self.queue.remove(child)
+    def start(self, child):
+        self.queued.remove(child)
         cwd = next(self.cwds)
-        proc = launch(child, cwd)
-        os.setpriority(os.PRIO_PROCESS, proc.pid, 10)  # the in-process tests come first where both want a CPU
-        self.started[child] = proc, cwd
+        self.started[child] = child.start(cwd), cwd
 
     def top_up(self):
         """Starts queued children while fewer than LIMIT run."""
-        while self.queue and sum(proc.poll() is None for proc, _ in self.started.values()) < LIMIT:
-            self._start(self.queue[0])
+        while self.queued and sum(proc.poll() is None for proc, _ in self.started.values()) < LIMIT:
+            self.start(self.queued[0])
 
-    def wait(self, name):
-        """The Finished run of `name`'s row, or a tuple of them as the row has; a queued child starts first."""
+    def wait(self, children):
+        """The Finished run of each of `children`, alone if there is one; a queued child starts first."""
         runs = []
-        for child in row(name):
-            if child.stdout == "full" and not DEV_FULL:
-                pytest.skip("needs /dev/full, where every write fails")
-            if child not in self.finished:
-                if child in self.queue:
-                    self._start(child)
-                proc, cwd = self.started[child]
-                stdout, stderr = proc.communicate(timeout=60)  # one that hangs fails its test; close() kills it
-                self.finished[child] = Finished(proc.returncode, stdout, stderr, cwd)
-                del self.started[child]
-            runs.append(self.finished[child])
-        return runs[0] if isinstance(ROWS[name], Child) else tuple(runs)
+        for child in children:
+            if child in self.queued:
+                self.start(child)
+            proc, cwd = self.started[child]
+            stdout, stderr = proc.communicate(timeout=60)  # one that hangs fails its test; close() kills it
+            del self.started[child]
+            runs.append(Finished(child.output, proc.returncode, stdout, stderr, cwd))
+        return runs[0] if len(runs) == 1 else tuple(runs)
 
     def close(self):
-        """Kills and reaps every child no test waited for."""
+        """Kills and reaps every child no test had the run of."""
         for proc, _ in self.started.values():
             proc.kill()
             proc.communicate()

@@ -78,6 +78,9 @@ def high_kl(log=(-1.3, 3.0)):
 
 
 def drude_near_plasma(log_detuning=(-8.0, -1.0), log_damping=(-8.0, -1.0)):
-    """n = sqrt(1 - 1 / (x (x + i g))) of a Drude medium at x = omega / omega_p = 1 -+ 10^e, damping g = gamma / omega_p."""
-    return st.builds(lambda sign, detuning, g: cmath.sqrt(1 - 1 / ((1 + sign * detuning) * (1 + sign * detuning + 1j * g))),
-                     st.sampled_from([-1.0, 1.0]), log_uniform(*log_detuning), log_uniform(*log_damping))
+    """n = sqrt(1 - 1 / (x (x + i g))) of a Drude medium at x = omega / omega_p = 1 -+ 10^e, g = gamma / omega_p."""
+    def index(sign, detuning, g):
+        x = 1 + sign * detuning
+        return cmath.sqrt(1 - 1 / (x * (x + 1j * g)))
+
+    return st.builds(index, st.sampled_from([-1.0, 1.0]), log_uniform(*log_detuning), log_uniform(*log_damping))

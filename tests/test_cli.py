@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import platform
 import re
 import struct
@@ -34,15 +35,31 @@ from slabgreen.config import (
 )
 from slabgreen.errors import row_errors
 
-from processes import LOSSY_EPS, ROOT, ROW_ERRORS, TRACED_HOMES, TRACED_POINTS, config
+from processes import ROOT, Child
 from regimes import absorbing_index, log_uniform, source_offset
+
+LOSSY_EPS = [3.75, 2.0]  # (2 + 0.5i)^2
+
+
+def config(**overrides):
+    """This base config with `overrides` on top; a key given as None is left out."""
+    base = {"slab": {"half_length": 1.0}, "dielectric": {"type": "constant", "epsilon": LOSSY_EPS}, "omega": 1.0,
+            "source": 2.0}
+    return {key: value for key, value in {**base, **overrides}.items() if value is not None}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
-    """The path of a config that is the base config with `overrides` on top; a key given as None is left out."""
+    """The path of config(**overrides), written as JSON."""
     path = tmp_path / name
     path.write_text(json.dumps(config(**overrides)))
     return str(path)
+
+
+def cli_child(command, *flags, output="pipe", **overrides):
+    """A child running `python -m slabgreen.cli command --config config.json *flags`, as users and the benchmark do,
+    on config(**overrides)."""
+    return Child("-m", "slabgreen.cli", command, "--config", "config.json", *flags, output=output,
+                 files={"config.json": config(**overrides)})
 
 
 def run_to_rows(tmp_path, argv):
@@ -212,16 +229,57 @@ def test_verify_identity_extreme_frequency(tmp_path):
     assert all(math.isfinite(float(rows[0][key])) for key in rows[0] if key != "error")
 
 
+# Frequency sweeps, one per dielectric kind, that mix good rows with failing
+# ones: (dielectric, sweep, error message by row). The messages are those
+# that evaluating each row on its own gives.
+ROW_ERRORS = {
+    "tabulated": (
+        {"type": "tabulated", "samples": [[0.5, 2.0, 0.1], [1.0, 2.5, 0.2], [2.25, 3.0, 0.3]]},
+        {"start": 0.25, "stop": 2.5, "count": 10},
+        {0: "frequency 0.25 outside tabulated range [0.5, 2.25]; no extrapolation",
+         9: "frequency 2.5 outside tabulated range [0.5, 2.25]; no extrapolation"},
+    ),
+    "drude_lorentz": (
+        {"type": "drude_lorentz", "terms": [[4.0, 1.0, 0.0], [1.0, 0.0, 0.1]]},
+        {"start": 0.5, "stop": 1.5, "count": 5},
+        {2: "evaluation exactly at an undamped resonance"},
+    ),
+    "drude": (
+        {"type": "drude", "plasma_frequency": 2.0, "damping": 0.0},
+        {"start": 1.0, "stop": 3.0, "count": 5},
+        {2: "degenerate medium: eps = 0 has no refractive index"},
+    ),
+    "constant": (
+        {"type": "constant", "epsilon": [1e308, 1e308]},
+        {"start": -1.0, "stop": 1.0, "count": 3},
+        {0: "frequency must be positive", 1: "frequency must be positive",
+         2: "slab amplitudes A, B, C, D and Y are not all finite"},
+    ),
+}
+TABULATED = {"dielectric": ROW_ERRORS["tabulated"][0], "omega": ROW_ERRORS["tabulated"][1], "source": 1.5}
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+
+
 @pytest.mark.parametrize(
     "code, err",
     [
-        pytest.param(0, b"coefficients: 1 rows, ", id="ok"),
-        pytest.param(1, b"error: wavelength: unknown key\n", id="config"),
-        pytest.param(2, b"decay-scan (frequency): 10 rows, 2 failed\n", id="tolerance"),
-        pytest.param(3, b"error: [Errno 2] No such file or directory", id="out_file"),
-        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full"),
-        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full_30000_rows"),
-        pytest.param(3, b"error: standard output is closed; give --out\n", id="stdout_closed"),
+        pytest.param(0, b"coefficients: 1 rows, ", id="ok", marks=pytest.mark.child(cli_child("coefficients"))),
+        pytest.param(1, b"error: wavelength: unknown key\n", id="config",
+                     marks=pytest.mark.child(cli_child("coefficients", wavelength=3.0))),
+        pytest.param(2, b"decay-scan (frequency): 10 rows, 2 failed\n", id="tolerance",
+                     marks=pytest.mark.child(cli_child("decay-scan", **TABULATED))),
+        pytest.param(3, b"error: [Errno 2] No such file or directory", id="out_file",
+                     marks=pytest.mark.child(cli_child("coefficients", "--out", "missing/out.csv"))),
+        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full",
+                     marks=[DEV_FULL, pytest.mark.child(cli_child("coefficients", output="full"))]),
+        pytest.param(3, b"error: [Errno 28] No space left on device\n", id="stdout_full_30000_rows", marks=[
+            DEV_FULL,
+            pytest.mark.child(cli_child("coefficients", output="full",
+                                        omega={"start": 0.1, "stop": 5.0, "count": 30000})),
+        ]),
+        pytest.param(3, b"error: standard output is closed; give --out\n", id="stdout_closed",
+                     marks=pytest.mark.child(cli_child("coefficients", output="closed"))),
     ],
 )
 def test_module_exit_codes(child, code, err):
@@ -286,11 +344,56 @@ def test_malloc_trim_runs_once_between_parse_and_compute(tmp_path, capsys, monke
         assert events == ["parse_config"]
 
 
+# Runs slabgreen.cli as __main__ with an exit hook that reports whether the heap is frozen.
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("slabgreen.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.child(Child("-c", FREEZE_PROBE, "decay-scan", "--config", "config.json",
+                         files={"config.json": config(**TABULATED)}))
 def test_process_entry_freezes_after_main(child):
     assert child.returncode == 2  # main()'s status
     assert child.stderr == b"decay-scan (frequency): 10 rows, 2 failed\nfrozen at exit: True\n"
 
 
+# Runs the argument lists of its JSON argument through cli.main in a fresh
+# process and prints, as JSON, their exit codes and the resident kB of each
+# BLAS library mapping before and after them (or null without /proc/self/smaps).
+BLAS_PROBE = """\
+import json, os, sys
+from slabgreen import cli
+
+def blas_rss():
+    rss, name = {}, ""
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header: range, perms, offset, device, inode, path
+                name = " ".join(fields[5:])
+            elif fields[0] == "Rss:" and "blas" in name:
+                rss[name] = rss.get(name, 0) + int(fields[1])
+    return rss
+
+if not os.path.exists("/proc/self/smaps"):
+    print("null")
+    sys.exit()
+before = blas_rss()
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, before, blas_rss()]))
+"""
+
+
+@pytest.mark.child(Child("-c", BLAS_PROBE, json.dumps([
+    ["verify-identity", "--config", "config.json", "--out", "out.csv"],
+    ["decay-scan", "--oracle", "--config", "frequency.json", "--out", "out.csv"],
+    ["tensor3d", "--config", "one.json", "--out", "out.csv"]]), files={
+        "config.json": config(omega={"start": 1.0, "stop": 3.0, "count": 3},
+                              source={"start": 1.5, "stop": 2.5, "count": 3}, separations=[[1.0, 0.5, 0.25]]),
+        "frequency.json": config(source=1.5, omega={"start": 0.5, "stop": 2.0, "count": 20}),
+        "one.json": config(separations=[[1.0, 0.5, 0.25]])}))
 def test_subcommands_page_in_no_blas(child):
     """numpy's BLAS stays untouched: its library pages would add to every process's peak RSS.
 
@@ -307,6 +410,43 @@ def test_subcommands_page_in_no_blas(child):
     assert after == before
 
 
+# Runs each argument list of its JSON argument through a freshly imported
+# slabgreen.cli and prints, as JSON, each run's exit code, the slabgreen
+# modules loaded once it is done and those loaded, in load order, whenever
+# cli.parse_config read a config, then which of argparse, getopt and gettext
+# any run loaded. The package's modules are dropped from sys.modules before
+# each import, so each run starts as a process does.
+IMPORT_PROBE = """\
+import json, sys
+
+def loaded():
+    return [name for name in sys.modules if name.partition(".")[0] == "slabgreen"]
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    for name in loaded():
+        del sys.modules[name]
+    from slabgreen import cli
+    read, parse_config = [], cli.parse_config
+    cli.parse_config = lambda path: read.append(loaded()) or parse_config(path)
+    runs.append([cli.main(argv), sorted(loaded()), read])
+print(json.dumps([runs, [name for name in ("argparse", "getopt", "gettext") if name in sys.modules]]))
+"""
+
+
+IMPORT_RUNS = [["tensor3d", "--config", "tensor.json"], ["coefficients", "--config", "config.json"],
+               ["verify-identity", "--config", "config.json"], ["decay-scan", "--config", "config.json"],
+               ["decay-scan", "--oracle", "--config", "config.json"],
+               ["decay-scan", "--orac", "--config", "config.json"], ["limit-study", "--config", "limit.json"],
+               ["tensor3d", "--oracle", "--config", "tensor.json"],
+               ["coefficients", "--oracle", "--config", "config.json"],
+               ["limit-study", "--oracle", "--config", "limit.json"]]
+
+
+@pytest.mark.child(Child(
+    "-c", IMPORT_PROBE, json.dumps([[*argv, "--out", "out.csv"] for argv in IMPORT_RUNS]),
+    files={"config.json": config(source={"start": 1.5, "stop": 2.5, "count": 2}),
+           "tensor.json": {"omega": 1.0, "separations": [[1.0, 0.5, 0.25]]}, "limit.json": config()}))
 def test_each_subcommand_imports_only_the_modules_it_runs(child):
     """A process compiles each module it imports from source, so a subcommand imports only what it runs.
 
@@ -332,6 +472,17 @@ def test_each_subcommand_imports_only_the_modules_it_runs(child):
         [*slab, "emission", "vacuum3d"],  # limit-study --oracle
     ]
     runs, parsers = json.loads(child.stdout)
+    names = [["slabgreen", *sorted(f"slabgreen.{module}" for module in modules)] for modules in expected]
+    assert [[code, modules, [sorted(order) for order in read]] for code, modules, read in runs] == [
+        [0, modules, [modules]] for modules in names]
+    # --oracle loads identity ahead of the subcommand's modules, --orac only after the parse
+    (oracle,), (abbreviated,) = runs[4][2], runs[5][2]
+    assert oracle.index("slabgreen.identity") < oracle.index("slabgreen.emission")
+    assert abbreviated.index("slabgreen.identity") > abbreviated.index("slabgreen.emission")
+    # argparse's import and parser cost a process about 5 ms and 0.4 MB of peak RSS, getopt's gettext about 0.65 ms
+    assert parsers == []
+
+
 def test_the_csv_writer_imports_no_module_of_the_package():
     """writer.py, at module level and inside its functions, imports nothing of slabgreen: only cli knows the subcommands."""
     tree = ast.parse(Path(writer.__file__).read_text())
@@ -340,6 +491,49 @@ def test_the_csv_writer_imports_no_module_of_the_package():
     assert [text for text in imports if text.startswith("from .") or re.search(r"\bslabgreen\b", text)] == []
 
 
+# Each cli name that benchmarks/tracing.py wraps, by the module that defines it, and each (module, name, defining
+# module) that the patch probe looks up: those and emission's lhs_quadrature.
+TRACED_HOMES = {"parse_config": "config", "make_context": "slab_green", "identity_report": "identity",
+                "decay_report": "emission", "limit_study": "emission", "green_tensor_vacuum": "vacuum3d"}
+TRACED_POINTS = [*(["cli", name, home] for name, home in TRACED_HOMES.items()),
+                 ["emission", "lhs_quadrature", "identity"]]
+
+# In a process that has imported slabgreen.cli alone, looks up each (module,
+# name, defining module) of its first JSON argument, as tracing does; then wraps
+# each name with setattr in its module and runs the argument lists of its second
+# JSON argument through cli.main. Prints, as JSON, the module.name of each that
+# resolved to its defining module's object, the exit codes and the calls of each
+# wrapper.
+PATCH_PROBE = """\
+import importlib, json, sys
+from slabgreen import cli
+
+points, runs = map(json.loads, sys.argv[1:])
+module = lambda name: importlib.import_module(f"slabgreen.{name}")
+resolved = [f"{where}.{name}" for where, name, home in points if getattr(module(where), name) is getattr(module(home), name)]
+calls = {f"{where}.{name}": 0 for where, name, _ in points}
+
+def wrapped(key, original):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+for where, name, _ in points:
+    setattr(module(where), name, wrapped(f"{where}.{name}", getattr(module(where), name)))
+print(json.dumps([resolved, [cli.main(argv) for argv in runs], calls]))
+"""
+
+
+PATCH_RUNS = [["verify-identity", "--config", "frequency.json"], ["decay-scan", "--config", "frequency.json"],
+              ["decay-scan", "--oracle", "--config", "frequency.json"], ["limit-study", "--config", "config.json"],
+              ["tensor3d", "--config", "config.json"]]
+
+
+@pytest.mark.child(Child(
+    "-c", PATCH_PROBE, json.dumps(TRACED_POINTS), json.dumps([[*argv, "--out", "out.csv"] for argv in PATCH_RUNS]),
+    files={"config.json": config(separations=[[1.0, 0.5, 0.25]]),
+           "frequency.json": config(omega={"start": 1.0, "stop": 2.0, "count": 2})}))
 def test_traced_names_resolve_and_stay_patched_in_a_fresh_process(child):
     """tracing.py looks up and wraps cli's names, and emission's lhs_quadrature, before main() has run: each must
     resolve, and main() must call the wrapper. In one test process an earlier main() has bound them all, so only a
@@ -362,19 +556,36 @@ def test_installed_command_is_the_process_entry():
     assert pyproject["project"]["scripts"] == {"slabgreen": "slabgreen.cli:run"}
 
 
+THREE_BLOCKS = {"start": 0.1, "stop": 5.0, "count": 2 * writer._BLOCK_ROWS + 100}
+
+
+@pytest.mark.child(cli_child("coefficients", "--out", "out.csv", omega=THREE_BLOCKS),
+                   cli_child("coefficients", omega=THREE_BLOCKS))
 def test_module_stdout_matches_out_file(child):
     to_file, to_stdout = child
     assert to_file.returncode == to_stdout.returncode == 0
     assert to_stdout.stdout == (to_file.cwd / "out.csv").read_bytes()
-    assert to_stdout.stdout.count(b"\n") == 2 * writer._BLOCK_ROWS + 100 + 1
+    assert to_stdout.stdout.count(b"\n") == THREE_BLOCKS["count"] + 1
 
 
-@pytest.mark.parametrize("child", ["tabulated", "non_finite_oracle", "phase_overflow_oracle"], indirect=True)
-def test_module_failing_rows_write_no_warnings(child):
+@pytest.mark.parametrize(
+    "summary",
+    [
+        pytest.param(b"10 rows, 2 failed\n", id="tabulated",
+                     marks=pytest.mark.child(cli_child("decay-scan", **TABULATED))),
+        pytest.param(b"3 rows, 3 failed\n", id="non_finite_oracle", marks=pytest.mark.child(cli_child(
+            "decay-scan", "--oracle", dielectric=ROW_ERRORS["constant"][0], omega=ROW_ERRORS["constant"][1],
+            source=1.5))),
+        pytest.param(b"3 rows, 3 failed\n", id="phase_overflow_oracle", marks=pytest.mark.child(cli_child(
+            "decay-scan", "--oracle", slab={"half_length": 1e200}, omega={"start": 1e199, "stop": 1e200, "count": 3},
+            source=2e200))),
+    ],
+)
+def test_module_failing_rows_write_no_warnings(child, summary):
     assert child.returncode == 2
     assert b"Traceback" not in child.stderr
     assert b"RuntimeWarning" not in child.stderr
-    assert child.stderr.endswith(b" failed\n")
+    assert child.stderr.endswith(summary)
 
 
 def test_row_template_matches_fmt(tmp_path):
@@ -1454,26 +1665,35 @@ def test_decay_scan_oracle_gate(tmp_path, capsys, flags, over):
 FULL = b"error: [Errno 28] No space left on device\n"
 
 
+# "-u" gives the child unbuffered stdout, as PYTHONUNBUFFERED=1 does: the
+# help text's write then fails at once instead of at the closing flush.
+# "-u" gives the child unbuffered stdout, as PYTHONUNBUFFERED=1 does: the
+# help text's write then fails at once instead of at the closing flush.
 @pytest.mark.parametrize(
     "code, stderr",
     [
-        pytest.param(0, b"", id="pipe"),
-        pytest.param(3, FULL, id="stdout_full"),
-        pytest.param(3, FULL, id="stdout_full_unbuffered"),
-        pytest.param(3, FULL, id="subcommand_stdout_full_unbuffered"),
-        pytest.param(0, None, id="stdout_closed"),
+        pytest.param(0, b"", id="pipe", marks=pytest.mark.child(Child("-m", "slabgreen.cli", "--help"))),
+        pytest.param(3, FULL, id="stdout_full",
+                     marks=[DEV_FULL, pytest.mark.child(Child("-m", "slabgreen.cli", "--help", output="full"))]),
+        pytest.param(3, FULL, id="stdout_full_unbuffered",
+                     marks=[DEV_FULL, pytest.mark.child(Child("-u", "-m", "slabgreen.cli", "--help", output="full"))]),
+        pytest.param(3, FULL, id="subcommand_stdout_full_unbuffered", marks=[
+            DEV_FULL, pytest.mark.child(Child("-u", "-m", "slabgreen.cli", "coefficients", "--help", output="full"))]),
+        pytest.param(0, None, id="stdout_closed",
+                     marks=pytest.mark.child(Child("-m", "slabgreen.cli", "--help", output="closed"))),
     ],
 )
 def test_module_help_exit_codes(child, code, stderr):
-    if child.stdout is not None:  # a pipe
+    if child.output == "pipe":
         assert child.stdout.startswith(b"usage: slabgreen ")
     assert child.returncode == code
-    if stderr is None:  # stdout closed: the child's sys.stdout is None, so the help goes to stderr
+    if child.output == "closed":  # the child's sys.stdout is None, so the help goes to stderr
         assert child.stderr.startswith(b"usage: slabgreen ")
     else:
         assert child.stderr == stderr
 
 
+@pytest.mark.child(Child("-c", FREEZE_PROBE, "--help"))
 def test_process_entry_freezes_after_help(child):
     assert child.returncode == 0
     assert child.stderr == b"frozen at exit: True\n"

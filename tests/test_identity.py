@@ -27,6 +27,7 @@ from slabgreen import identity
 from slabgreen.errors import row_errors
 from slabgreen.identity import _NODES, _WEIGHTS
 
+from processes import Child
 from regimes import absorbing_index, enz_index, high_kl, opaque_index, source_offset
 
 EPS = np.finfo(float).eps
@@ -53,9 +54,12 @@ def test_pinned_gauss_rule_is_gauss_legendre():
     assert not _WEIGHTS[::2, 1].any()  # the Kronrod-only nodes do not enter G7
 
 
+# Neither numpy.polynomial nor dataclasses is imported: both only added start-up time.
+# The star import loads every submodule that cli does not.
+@pytest.mark.child(Child(
+    "-c", "import sys, slabgreen.cli; from slabgreen import *; "
+    "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m == 'dataclasses'))"))
 def test_package_import_leaves_numpy_polynomial_out(child):
-    # Neither numpy.polynomial nor dataclasses is imported: both only added start-up time.
-    # The star import loads every submodule that cli does not.
     assert child.returncode == 0, child.stderr
     assert child.stdout == b"[]\n"
 

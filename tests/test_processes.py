@@ -1,11 +1,8 @@
-"""Only tests/processes.py starts child processes, and each of its rows serves a test."""
+"""Only tests/processes.py starts child processes."""
 
 import ast
 from pathlib import Path
 
-from processes import ROWS
-
-TREES = {path.name: ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))}
 SPAWNING_MODULES = {"subprocess", "multiprocessing", "pty"}
 SPAWNING_OS = ("os.fork", "os.system", "os.popen", "os.exec", "os.spawn", "os.posix_spawn")
 
@@ -30,11 +27,6 @@ def spawning(tree):
 def test_only_processes_py_starts_a_child_process():
     sample = ast.parse("import subprocess\nfrom multiprocessing import Pool\nos.fork()\nfrom os import execv\n")
     assert spawning(sample) == [(1, "subprocess"), (2, "multiprocessing.Pool"), (3, "os.fork"), (4, "os.execv")]
-    found = {name: spawning(tree) for name, tree in TREES.items() if name != "processes.py"}
+    found = {path.name: spawning(ast.parse(path.read_text())) for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != "processes.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
-
-
-def test_each_row_names_a_test():
-    defined = {node.name for name, tree in TREES.items() if name.startswith("test_") for node in tree.body
-               if isinstance(node, ast.FunctionDef)}
-    assert {name.partition("[")[0] for name in ROWS} - defined == set()
